@@ -5,7 +5,6 @@ pub mod evaluation;
 pub mod motivation;
 pub mod runner;
 pub mod table;
-pub mod timing;
 
 pub use runner::{run_matrix, Cell, MatrixArgs, STANDARD_POLICIES};
 pub use table::{geomean, write_csv, FigureTable};

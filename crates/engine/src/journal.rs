@@ -337,14 +337,6 @@ impl Recovery {
             .map(|(&id, payload)| (id, payload.as_slice()))
             .collect()
     }
-
-    /// Retried attempts recorded across adjudicated jobs (Σ attempts − 1).
-    pub fn recorded_retries(&self) -> u64 {
-        self.adjudicated
-            .values()
-            .map(|a| u64::from(a.attempts.saturating_sub(1)))
-            .sum()
-    }
 }
 
 fn encode_record(kind: u8, payload: &[u8]) -> Vec<u8> {
@@ -614,11 +606,6 @@ impl JournalWriter {
             },
             recovery,
         ))
-    }
-
-    /// The journal's on-disk path.
-    pub fn path(&self) -> &Path {
-        &self.path
     }
 
     fn append(&mut self, kind: u8, payload: &[u8]) -> Result<(), JournalError> {

@@ -31,6 +31,7 @@ pub mod obs;
 pub mod pool;
 pub mod queue;
 pub mod rng;
+pub mod sweep;
 pub mod time;
 pub mod trace;
 

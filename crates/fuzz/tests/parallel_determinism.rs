@@ -24,7 +24,7 @@ fn deterministic_json(opts: &FuzzOptions) -> String {
 fn same_seed_sweep_is_byte_identical_across_worker_counts() {
     let mk = |jobs: usize| {
         let mut opts = FuzzOptions::new(0xFA57, 3);
-        opts.jobs = jobs;
+        opts.sweep.pool.workers = jobs;
         opts
     };
     let serial = deterministic_json(&mk(1));
@@ -44,7 +44,7 @@ fn a_generous_time_budget_does_not_break_jobs_independence() {
     // budget was set.)
     let mk = |jobs: usize| {
         let mut opts = FuzzOptions::new(0xFA57, 3);
-        opts.jobs = jobs;
+        opts.sweep.pool.workers = jobs;
         opts.time_budget = Some(std::time::Duration::from_secs(3600));
         opts
     };

@@ -20,14 +20,15 @@ pub mod characterize;
 pub mod config;
 pub mod gpu;
 pub mod inject;
+pub mod replay;
 pub mod report;
 pub mod system;
 
 pub use config::{GuardMode, Placement, Policy, SystemConfig};
 pub use inject::{
-    run_campaign, run_campaign_supervised, CampaignConfig, CampaignReport, InjectionOutcome,
-    Perturbation,
+    run_campaign, run_campaign_supervised, CampaignReport, InjectionOutcome, Perturbation,
 };
 pub use oasis_interconnect::{FaultCounters, FaultPlan};
+pub use replay::{run_verify_replay, ReplayAudit};
 pub use report::{EpochRollup, RunInstrumentation, RunReport};
 pub use system::{simulate, try_simulate, RunError, System};

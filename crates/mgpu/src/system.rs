@@ -96,10 +96,6 @@ pub struct System {
     /// Taken out of the system for the duration of each epoch so the hot
     /// loop can borrow it while mutating everything else.
     compiled: Option<CompiledTrace>,
-    /// `OASIS_TRACE_SLOW` / `OASIS_SEG_DEBUG`, sampled once at
-    /// construction: a per-access `env::var_os` locks and allocates.
-    trace_slow: bool,
-    seg_debug: bool,
     /// Pre-resolved metric slots for the per-access path.
     m_local: CounterHandle,
     m_remote: CounterHandle,
@@ -164,8 +160,6 @@ impl System {
             trace_fingerprint: 0,
             digest_trail: Vec::new(),
             compiled: None,
-            trace_slow: std::env::var_os("OASIS_TRACE_SLOW").is_some(),
-            seg_debug: std::env::var_os("OASIS_SEG_DEBUG").is_some(),
             m_local,
             m_remote,
             m_walk_ns,
@@ -402,13 +396,6 @@ impl System {
                 self.apply_invalidations(&out);
             }
         }
-        if self.trace_slow && latency > Duration::from_ms(20) {
-            eprintln!(
-                "slow access: {latency} at {now} gpu{g} vpn {vpn} kind {:?} pte {:?}",
-                a.kind,
-                self.driver.state.local_tables[g].get(vpn)
-            );
-        }
         debug_assert!(
             latency < Duration::from_ms(10_000),
             "implausible access latency {latency} at {now} (vpn {vpn})"
@@ -538,21 +525,7 @@ impl System {
                 };
                 (start, end)
             };
-            let seg_start = self.global;
-            self.global = self.run_segment(seg_start, cphase, &bounds)?;
-            if self.seg_debug {
-                let n: usize = (0..self.config.gpu_count)
-                    .map(|g| {
-                        let (s, e) = bounds(g);
-                        e - s
-                    })
-                    .sum();
-                eprintln!(
-                    "[seg {seg}/{n_barriers} of {}] {n} accesses in {:.3} ms",
-                    phase.name,
-                    (self.global - seg_start).as_us() / 1000.0
-                );
-            }
+            self.global = self.run_segment(self.global, cphase, &bounds)?;
         }
         if self.config.guard == GuardMode::Epoch {
             self.check_guard().map_err(|error| RunError {
@@ -1057,7 +1030,7 @@ fn device_endpoint(dev: DeviceId) -> Endpoint {
 /// every access, every barrier. Stored in checkpoints so a resume against
 /// the wrong trace (or a mutated one) fails loudly instead of silently
 /// diverging.
-fn trace_fingerprint(trace: &Trace) -> u64 {
+pub(crate) fn trace_fingerprint(trace: &Trace) -> u64 {
     let mut w = ByteWriter::new();
     w.str(trace.app);
     w.u64(trace.gpu_count as u64);

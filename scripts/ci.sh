@@ -64,9 +64,6 @@ cargo check -q --workspace --examples
 step "cargo test"
 cargo test -q --workspace
 
-step "bench harness smoke (compile only)"
-cargo check -q --workspace --benches --features oasis-bench/bench-harness
-
 step "checkpoint/resume determinism (verify-replay)"
 cargo run -q --release -p oasis-cli -- verify-replay --app C2D --footprint-mb 4
 

@@ -229,14 +229,6 @@ impl<T> JobOutcome<T> {
         }
     }
 
-    /// The terminal error, if the job did not complete.
-    pub fn error(&self) -> Option<&JobError> {
-        match self {
-            JobOutcome::Completed(_) => None,
-            JobOutcome::Failed(e) | JobOutcome::Quarantined(e) => Some(e),
-        }
-    }
-
     /// Stable short tag (`completed` / `failed` / `quarantined`).
     pub fn kind(&self) -> &'static str {
         match self {
@@ -355,21 +347,6 @@ impl<T> SweepReport<T> {
             .iter()
             .filter(|j| j.outcome.is_completed())
             .count()
-    }
-
-    /// Whether every job completed.
-    pub fn all_completed(&self) -> bool {
-        self.completed() == self.jobs.len()
-    }
-
-    /// Records of jobs that ended `Failed` or `Quarantined`, in id order.
-    pub fn casualties(&self) -> impl Iterator<Item = &JobRecord<T>> {
-        self.jobs.iter().filter(|j| !j.outcome.is_completed())
-    }
-
-    /// Completed values in job-id order.
-    pub fn values(&self) -> impl Iterator<Item = &T> {
-        self.jobs.iter().filter_map(|j| j.outcome.value())
     }
 }
 
@@ -960,7 +937,6 @@ mod tests {
     fn empty_sweep_completes_immediately() {
         let report = run_sweep::<u64>(&PoolConfig::with_workers(4), Vec::new());
         assert!(report.jobs.is_empty());
-        assert!(report.all_completed());
         assert_eq!(report.metrics.counter("pool.jobs"), 0);
     }
 
@@ -977,11 +953,14 @@ mod tests {
             })
             .collect();
         let report = run_sweep(&PoolConfig::with_workers(4), jobs);
-        assert!(report.all_completed());
         let ids: Vec<u64> = report.jobs.iter().map(|j| j.id).collect();
         assert_eq!(ids, (0..8).collect::<Vec<_>>());
-        let values: Vec<u64> = report.values().copied().collect();
-        assert_eq!(values, (0..8).map(|i| i * 10).collect::<Vec<_>>());
+        let values: Vec<_> = report
+            .jobs
+            .iter()
+            .map(|j| j.outcome.value().copied())
+            .collect();
+        assert_eq!(values, (0..8).map(|i| Some(i * 10)).collect::<Vec<_>>());
         assert_eq!(report.metrics.counter("pool.attempts"), 8);
         assert_eq!(report.metrics.counter("pool.attempts.completed"), 8);
     }
@@ -991,6 +970,6 @@ mod tests {
         let jobs = vec![Job::new("only", |_ctx| Ok(1u64))];
         let report = run_sweep(&PoolConfig::with_workers(64), jobs);
         assert_eq!(report.workers, 1);
-        assert!(report.all_completed());
+        assert_eq!(report.completed(), 1);
     }
 }

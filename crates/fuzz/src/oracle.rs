@@ -10,10 +10,10 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use oasis_engine::SimRng;
-use oasis_mgpu::{RunReport, System};
+use oasis_mgpu::{Policy, RunReport, System};
 use oasis_workloads::Trace;
 
-use crate::scenario::{oracle_policies, Scenario};
+use crate::scenario::Scenario;
 
 /// Which oracle a scenario violated. The shrinker preserves this kind: a
 /// reduction is accepted only if the *same* check still fails, so shrinking
@@ -98,11 +98,7 @@ struct PolicyRun {
 
 /// Runs `policy` over the scenario, converting panics, aborts, and guard
 /// failures into violations.
-fn run_policy(
-    scenario: &Scenario,
-    policy: &oasis_mgpu::Policy,
-    trace: &Trace,
-) -> Result<PolicyRun, Violation> {
+fn run_policy(scenario: &Scenario, policy: &Policy, trace: &Trace) -> Result<PolicyRun, Violation> {
     let name = policy.name();
     let config = scenario.config();
     let outcome = catch_unwind(AssertUnwindSafe(|| {
@@ -150,7 +146,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// `scenario.seed`.
 pub fn check(scenario: &Scenario) -> Option<Violation> {
     let trace = scenario.trace();
-    let policies = oracle_policies();
+    let policies = Policy::core();
 
     // Per-policy oracles: completes, no panic, guard-clean.
     let mut runs = Vec::with_capacity(policies.len());
@@ -260,7 +256,7 @@ pub fn check(scenario: &Scenario) -> Option<Violation> {
 
 fn kill_and_resume(
     scenario: &Scenario,
-    policy: &oasis_mgpu::Policy,
+    policy: &Policy,
     trace: &Trace,
     kill_at: u64,
 ) -> Result<RunReport, Violation> {

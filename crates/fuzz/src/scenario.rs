@@ -11,7 +11,7 @@
 use oasis_engine::{ErrorPolicy, SimRng};
 use oasis_interconnect::FaultPlan;
 use oasis_mem::types::PageSize;
-use oasis_mgpu::{GuardMode, Placement, Policy, SystemConfig};
+use oasis_mgpu::{GuardMode, Placement, SystemConfig};
 use oasis_workloads::{generate as generate_trace, App, Trace, WorkloadParams};
 
 /// Applications the generator draws from: the cheap, structurally diverse
@@ -20,16 +20,6 @@ use oasis_workloads::{generate as generate_trace, App, Trace, WorkloadParams};
 /// hundreds of objects and would blow the CI time budget without adding
 /// new mechanics.
 pub const FUZZ_APPS: [App; 6] = [App::Bfs, App::C2d, App::Fft, App::Mm, App::Mt, App::St];
-
-/// The four policies the differential oracle compares.
-pub fn oracle_policies() -> [Policy; 4] {
-    [
-        Policy::OnTouch,
-        Policy::AccessCounter,
-        Policy::Duplication,
-        Policy::oasis(),
-    ]
-}
 
 /// One generated simulation setup. Small on purpose: each field is an
 /// independently shrinkable knob, and the whole struct round-trips through

@@ -75,6 +75,17 @@ impl Policy {
         Policy::Grit(GritConfig::default())
     }
 
+    /// The four core policies that the fuzz oracle and the kill/resume
+    /// audit compare.
+    pub fn core() -> [Policy; 4] {
+        [
+            Policy::OnTouch,
+            Policy::AccessCounter,
+            Policy::Duplication,
+            Policy::oasis(),
+        ]
+    }
+
     /// Display name used in reports.
     pub fn name(&self) -> &'static str {
         match self {

@@ -27,12 +27,7 @@ fn degraded_config(spec: &str) -> SystemConfig {
 #[test]
 fn link_down_run_completes_over_pcie_for_every_policy() {
     let trace = trace();
-    for policy in [
-        Policy::OnTouch,
-        Policy::AccessCounter,
-        Policy::Duplication,
-        Policy::oasis(),
-    ] {
+    for policy in Policy::core() {
         let cfg = degraded_config("seed:5,down:0-1@2");
         let r = simulate(&cfg, policy.clone(), &trace);
         assert_eq!(
@@ -74,12 +69,7 @@ fn kill_and_resume_mid_degradation_window_is_bit_identical() {
     // the recovery counters.
     let trace = trace();
     let spec = "seed:13,down:0-1@2,flaky:2-3@1-6:1/4,ecc:1@3x2";
-    for policy in [
-        Policy::OnTouch,
-        Policy::AccessCounter,
-        Policy::Duplication,
-        Policy::oasis(),
-    ] {
+    for policy in Policy::core() {
         let cfg = degraded_config(spec);
         let straight = simulate(&cfg, policy.clone(), &trace);
         let mut buf = Vec::new();

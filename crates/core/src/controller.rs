@@ -21,7 +21,7 @@
 //! fault, oscillate between those two as relearning dictates, and never
 //! return to on-touch.
 
-use oasis_engine::codec::{ByteReader, ByteWriter, CodecError, Restore, Snapshot};
+use oasis_engine::codec::{ByteReader, CodecError, Encoder, Restore, Snapshot};
 use oasis_engine::error::SimResult;
 use oasis_engine::{Duration, MetricsRegistry};
 use oasis_mem::page::PolicyBits;
@@ -203,7 +203,7 @@ impl ControllerCore {
     /// Serializes the learned state (O-Table) and behaviour counters.
     /// Configuration is not written: it comes from construction, and the
     /// O-Table restore rejects capacity mismatches.
-    pub(crate) fn snapshot_state(&self, w: &mut ByteWriter) {
+    pub(crate) fn snapshot_state(&self, w: &mut dyn Encoder) {
         self.otable.snapshot(w);
         for v in [
             self.stats.private_faults,
@@ -326,7 +326,7 @@ impl PolicyEngine for OasisController {
         self.core.otable.check_invariants()
     }
 
-    fn snapshot_state(&self, w: &mut ByteWriter) {
+    fn snapshot_state(&self, w: &mut dyn Encoder) {
         self.core.snapshot_state(w);
     }
 
@@ -349,6 +349,7 @@ impl PolicyEngine for OasisController {
 mod tests {
     use super::*;
     use crate::tracker::encode;
+    use oasis_engine::codec::ByteWriter;
     use oasis_mem::page::HostEntry;
     use oasis_mem::types::{AccessKind, GpuId, PageSize, Vpn};
 
@@ -458,7 +459,7 @@ mod tests {
         // Even with the data host-resident (e.g. a duplicated master on
         // host), a protection fault routes to the O-Table.
         let mut s = state_with(DeviceId::Host, Vpn(5));
-        s.host_table.get_mut(Vpn(5)).unwrap().copy_mask = 0b1;
+        s.host_table.update(Vpn(5), |e| e.copy_mask = 0b1).unwrap();
         let pf = PageFault::protection(GpuId(0), tagged(2), Vpn(5));
         let d = c.resolve(&pf, &s);
         // First shared fault, W=1: learn access-counter.
@@ -471,7 +472,9 @@ mod tests {
         // Section VI-D: host-resident page with non-default policy bits.
         let mut c = OasisController::new();
         let mut s = state_with(DeviceId::Host, Vpn(5));
-        s.host_table.get_mut(Vpn(5)).unwrap().policy = PolicyBits::Duplication;
+        s.host_table
+            .update(Vpn(5), |e| e.policy = PolicyBits::Duplication)
+            .unwrap();
         let d = c.resolve(&far(0, 2, 5, AccessKind::Read), &s);
         assert_eq!(d.resolution, Resolution::Duplicate);
         assert_eq!(c.stats().shared_faults, 1);

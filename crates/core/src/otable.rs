@@ -8,7 +8,7 @@
 //! because it is the default policy handled by the host-page-table filter;
 //! the O-Table only ever chooses between duplication and access-counter.
 
-use oasis_engine::codec::{ByteReader, ByteWriter, CodecError, Restore, Snapshot};
+use oasis_engine::codec::{ByteReader, CodecError, Encoder, Restore, Snapshot};
 use oasis_engine::error::{SimError, SimResult};
 
 /// The single policy bit of an O-Table entry.
@@ -251,7 +251,7 @@ impl Default for OTable {
 }
 
 impl Snapshot for OTable {
-    fn snapshot(&self, w: &mut ByteWriter) {
+    fn snapshot<E: Encoder + ?Sized>(&self, w: &mut E) {
         w.u64(self.stamp);
         w.u64(self.evictions);
         // Entry order is part of replacement behaviour (`swap_remove` ties
@@ -305,6 +305,7 @@ impl Restore for OTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use oasis_engine::codec::ByteWriter;
 
     #[test]
     fn policy_choice_bits_and_learning() {

@@ -18,7 +18,7 @@
 //!
 //! [`Va::canonical`]: oasis_mem::types::Va::canonical
 
-use oasis_engine::codec::{ByteReader, ByteWriter, CodecError, Restore, Snapshot};
+use oasis_engine::codec::{ByteReader, CodecError, Encoder, Restore, Snapshot};
 use oasis_mem::types::{ObjectId, Va, ADDR_BITS, ADDR_MASK};
 
 /// Default number of Obj_ID bits in the pointer (the paper's choice; most
@@ -149,7 +149,7 @@ impl ObjectTracker {
 }
 
 impl Snapshot for ObjectTracker {
-    fn snapshot(&self, w: &mut ByteWriter) {
+    fn snapshot<E: Encoder + ?Sized>(&self, w: &mut E) {
         w.u32(self.id_bits);
         w.bool(self.hardware);
         w.u16(self.next_id);
@@ -182,6 +182,7 @@ impl Restore for ObjectTracker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use oasis_engine::codec::ByteWriter;
 
     #[test]
     fn encode_decode_round_trip() {

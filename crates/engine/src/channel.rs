@@ -5,7 +5,7 @@
 //! page migrations genuinely queues up and congests, exactly the effect that
 //! makes on-touch "ping-ponging" expensive in the paper.
 
-use crate::codec::{ByteReader, ByteWriter, CodecError, Restore, Snapshot};
+use crate::codec::{ByteReader, CodecError, Encoder, Restore, Snapshot};
 use crate::time::{Duration, Time};
 
 /// The outcome of reserving a transfer on a [`Channel`].
@@ -149,7 +149,7 @@ impl Channel {
 }
 
 impl Snapshot for Channel {
-    fn snapshot(&self, w: &mut ByteWriter) {
+    fn snapshot<E: Encoder + ?Sized>(&self, w: &mut E) {
         w.u64(self.next_free.as_ps());
         w.u64(self.busy.as_ps());
         w.u64(self.bytes_moved);
@@ -172,6 +172,7 @@ impl Restore for Channel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::ByteWriter;
 
     fn at(ns: u64) -> Time {
         Time::ZERO + Duration::from_ns(ns)

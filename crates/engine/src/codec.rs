@@ -42,7 +42,10 @@ pub const MAGIC: [u8; 8] = *b"OASISCKP";
 /// reject other versions with [`CodecError::UnsupportedVersion`].
 /// v3 added the hardware-fault section (link health, fault-plan RNG,
 /// quarantine state) and the fault-plan fields in the config section.
-pub const FORMAT_VERSION: u32 = 3;
+/// v4 keeps v3's layout but changes what the `progress` section's digest
+/// trail holds (the composed digest of [`crate::digest`] instead of FNV-1a
+/// over the snapshot bytes), so a resumed run never mixes the two.
+pub const FORMAT_VERSION: u32 = 4;
 
 // The checksum hash lives in `crate::hash` (one FNV-1a implementation for
 // the whole workspace); re-exported here because the codec is where every
@@ -138,10 +141,27 @@ impl From<CodecError> for SimError {
     }
 }
 
-/// Serializes a component's mutable state into a section payload.
+/// Where a component's state encoding goes: a checkpoint's [`ByteWriter`],
+/// or the digest's [`StateHasher`](crate::digest::StateHasher), which hashes
+/// each field as one word.
+pub trait Encoder {
+    /// Appends a `u8`.
+    fn u8(&mut self, v: u8);
+    /// Appends a `u16`.
+    fn u16(&mut self, v: u16);
+    /// Appends a `u32`.
+    fn u32(&mut self, v: u32);
+    /// Appends a `u64`.
+    fn u64(&mut self, v: u64);
+    /// Appends a `bool`.
+    fn bool(&mut self, v: bool);
+}
+
+/// Serializes a component's mutable state into a section payload or a
+/// state digest.
 pub trait Snapshot {
     /// Appends this component's state to `w`.
-    fn snapshot(&self, w: &mut ByteWriter);
+    fn snapshot<E: Encoder + ?Sized>(&self, w: &mut E);
 }
 
 /// Restores a component's mutable state from a section payload, in place.
@@ -226,6 +246,28 @@ impl ByteWriter {
     /// True if nothing has been written.
     pub fn is_empty(&self) -> bool {
         self.buf.is_empty()
+    }
+}
+
+impl Encoder for ByteWriter {
+    fn u8(&mut self, v: u8) {
+        ByteWriter::u8(self, v);
+    }
+
+    fn u16(&mut self, v: u16) {
+        ByteWriter::u16(self, v);
+    }
+
+    fn u32(&mut self, v: u32) {
+        ByteWriter::u32(self, v);
+    }
+
+    fn u64(&mut self, v: u64) {
+        ByteWriter::u64(self, v);
+    }
+
+    fn bool(&mut self, v: bool) {
+        ByteWriter::bool(self, v);
     }
 }
 

@@ -8,8 +8,9 @@
 //! runs — which keeps the hot path fast *and* reproducible.
 //!
 //! Determinism note: nothing in the simulator may iterate a hash map in a
-//! behavior-affecting order (snapshots sort, digests hash sorted bytes),
-//! so the hasher choice cannot change semantics — only speed. These maps
+//! behavior-affecting order (checkpoint snapshots sort; state digests fold
+//! order-independent sums, see [`crate::digest`]), so the hasher choice
+//! cannot change semantics — only speed. These maps
 //! are keyed by trusted simulator-internal values (page numbers, group
 //! ids), not attacker-controlled input, so HashDoS resistance is not a
 //! concern.

@@ -1,15 +1,18 @@
 //! The workspace's one FNV-1a 64 implementation.
 //!
 //! FNV-1a is the integrity and identity hash everywhere bytes need a
-//! stable 64-bit fingerprint: checkpoint trailer checksums and per-epoch
-//! state digests ([`crate::codec`]), per-record sweep-journal checksums
+//! stable 64-bit fingerprint: checkpoint trailer checksums
+//! ([`crate::codec`]), the golden snapshot digests that pin simulation
+//! semantics across versions, per-record sweep-journal checksums
 //! ([`crate::journal`]), sweep-identity tags (fuzz/inject/verify-replay),
 //! and the sweep server's content-addressed result-cache keys. Before this
 //! module the same two constants were hand-rolled at several call-sites;
 //! they now live here once, pinned by reference vectors, so digests,
 //! checkpoints, journals, and cache keys stay bit-identical across
 //! refactors. (This is distinct from [`crate::fxhash`], the *non-stable*
-//! rustc-fx hasher used only for in-memory index maps.)
+//! rustc-fx hasher used only for in-memory index maps, and from
+//! [`crate::digest`], which builds the per-epoch state digest from words
+//! instead of bytes.)
 //!
 //! The constants are the published FNV-1a 64 parameters; changing either
 //! invalidates every checkpoint, journal, golden digest fixture, and cache
@@ -20,8 +23,8 @@ pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 /// FNV-1a 64-bit prime (the published constant).
 pub const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-/// Streaming FNV-1a 64-bit hasher, used both for checkpoint/journal
-/// checksums and for per-epoch state digests.
+/// Streaming FNV-1a 64-bit hasher, used for checkpoint and journal
+/// checksums and for the golden snapshot digests.
 #[derive(Debug, Clone, Copy)]
 pub struct Fnv1a {
     state: u64,
@@ -65,7 +68,7 @@ mod tests {
     use super::*;
 
     /// The published FNV-1a 64 test vectors. These pin the constants:
-    /// if either `FNV_OFFSET` or `FNV_PRIME` drifts, every digest,
+    /// if either `FNV_OFFSET` or `FNV_PRIME` drifts, every snapshot digest,
     /// checkpoint checksum, journal record, sweep tag, and cache key in
     /// the wild silently stops matching — so this test failing means a
     /// data-compatibility break, not a bug in the test.

@@ -20,6 +20,7 @@
 
 pub mod channel;
 pub mod codec;
+pub mod digest;
 pub mod error;
 pub mod failpoint;
 pub mod fsio;
@@ -38,8 +39,9 @@ pub mod trace;
 pub use channel::{Channel, Transfer};
 pub use codec::{
     emit_checkpoint, ByteReader, ByteWriter, CheckpointReader, CheckpointWriter, CodecError,
-    Restore, Snapshot,
+    Encoder, Restore, Snapshot,
 };
+pub use digest::{DigestMap, SetDigest, StateHasher};
 pub use error::{
     ErrorPolicy, EvictionError, FaultError, InvariantViolation, MigrationError, SimError,
     SimResult, TableError, TraceError,

@@ -7,7 +7,7 @@
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use crate::codec::{ByteReader, ByteWriter, CodecError, Restore, Snapshot};
+use crate::codec::{ByteReader, CodecError, Encoder, Restore, Snapshot};
 use crate::time::Time;
 
 /// A scheduled event carrying an arbitrary payload.
@@ -142,7 +142,7 @@ impl<T> Default for EventQueue<T> {
 /// them: segment-local queues empty out before every epoch boundary, the
 /// only points where checkpoints are taken.
 impl<T> Snapshot for EventQueue<T> {
-    fn snapshot(&self, w: &mut ByteWriter) {
+    fn snapshot<E: Encoder + ?Sized>(&self, w: &mut E) {
         debug_assert!(
             self.heap.is_empty(),
             "checkpointed an event queue with {} in-flight events",
@@ -167,6 +167,7 @@ impl<T> Restore for EventQueue<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::ByteWriter;
     use crate::time::Duration;
 
     fn at(ns: u64) -> Time {

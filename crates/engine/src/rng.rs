@@ -10,7 +10,7 @@
 //! step number for every failure, and replaying that seed must reproduce the
 //! failure bit-for-bit.
 
-use crate::codec::{ByteReader, ByteWriter, CodecError, Restore, Snapshot};
+use crate::codec::{ByteReader, CodecError, Encoder, Restore, Snapshot};
 
 /// Deterministic xoshiro256** generator.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -19,7 +19,7 @@ pub struct SimRng {
 }
 
 impl Snapshot for SimRng {
-    fn snapshot(&self, w: &mut ByteWriter) {
+    fn snapshot<E: Encoder + ?Sized>(&self, w: &mut E) {
         for word in self.s {
             w.u64(word);
         }
@@ -134,6 +134,7 @@ impl SimRng {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::ByteWriter;
 
     #[test]
     fn same_seed_same_stream() {

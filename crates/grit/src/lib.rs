@@ -19,9 +19,8 @@
 //! The implementation plugs into the same [`oasis_uvm::UvmDriver`] as
 //! OASIS, via [`oasis_uvm::PolicyEngine`].
 
-use std::collections::HashMap;
-
-use oasis_engine::codec::{ByteReader, ByteWriter, CodecError, Restore, Snapshot};
+use oasis_engine::codec::{ByteReader, CodecError, Encoder, Restore, Snapshot};
+use oasis_engine::digest::{entry_hash, DigestMap, StateHasher};
 use oasis_engine::Duration;
 use oasis_mem::tlb::Tlb;
 use oasis_mem::types::{AccessKind, DeviceId, Vpn};
@@ -95,6 +94,24 @@ struct PageMeta {
     ever_faulted: bool,
 }
 
+impl PageMeta {
+    /// Wire byte of the NAP prediction (`0xFF` = none).
+    fn predicted_byte(&self) -> u8 {
+        self.predicted.map_or(0xFF, policy_to_byte)
+    }
+
+    /// Digest hash of the page's metadata.
+    fn hash(vpn: &Vpn, m: &PageMeta) -> u64 {
+        let packed = u64::from(m.readers)
+            | u64::from(m.writers) << 16
+            | u64::from(m.faults) << 32
+            | u64::from(policy_to_byte(m.policy)) << 40
+            | u64::from(m.predicted_byte()) << 48
+            | u64::from(m.ever_faulted) << 56;
+        entry_hash([vpn.0, packed])
+    }
+}
+
 /// The GRIT policy engine.
 ///
 /// # Example
@@ -110,7 +127,7 @@ struct PageMeta {
 #[derive(Debug)]
 pub struct GritEngine {
     config: GritConfig,
-    pages: HashMap<Vpn, PageMeta>,
+    pages: DigestMap<Vpn, PageMeta>,
     pa_cache: Tlb,
     stats: GritStats,
 }
@@ -126,7 +143,7 @@ impl GritEngine {
         GritEngine {
             pa_cache: Tlb::new(config.pa_cache_entries, config.pa_cache_entries),
             config,
-            pages: HashMap::new(),
+            pages: DigestMap::new(PageMeta::hash),
             stats: GritStats::default(),
         }
     }
@@ -155,7 +172,19 @@ impl GritEngine {
     /// In-memory metadata footprint per the paper's accounting
     /// (48 bits/page of faulted pages).
     pub fn metadata_bits(&self) -> u64 {
-        self.pages.values().filter(|m| m.ever_faulted).count() as u64 * 48
+        self.pages.iter().filter(|(_, m)| m.ever_faulted).count() as u64 * 48
+    }
+
+    /// The behaviour counters as checkpoint and digest words.
+    fn stats_words(&self) -> [u64; 6] {
+        [
+            self.stats.faults,
+            self.stats.evaluations,
+            self.stats.policy_changes,
+            self.stats.predictions_used,
+            self.stats.pa_hits,
+            self.stats.pa_misses,
+        ]
     }
 
     /// Policy Decision Selection: sharers and read/write mix to policy.
@@ -194,45 +223,49 @@ impl PolicyEngine for GritEngine {
             self.config.attribute_fetch
         };
 
-        let meta = self.pages.entry(fault.vpn).or_default();
-        match fault.kind {
-            AccessKind::Read => meta.readers |= 1 << fault.gpu.0,
-            AccessKind::Write => meta.writers |= 1 << fault.gpu.0,
-        }
-        if !meta.ever_faulted {
-            meta.ever_faulted = true;
-            if let Some(p) = meta.predicted.take() {
-                meta.policy = p;
-                self.stats.predictions_used += 1;
+        let trigger = self.config.fault_trigger;
+        let stats = &mut self.stats;
+        let (policy, decided) = self.pages.update(fault.vpn, PageMeta::default(), |meta| {
+            match fault.kind {
+                AccessKind::Read => meta.readers |= 1 << fault.gpu.0,
+                AccessKind::Write => meta.writers |= 1 << fault.gpu.0,
             }
-        }
-        meta.faults += 1;
+            if !meta.ever_faulted {
+                meta.ever_faulted = true;
+                if let Some(p) = meta.predicted.take() {
+                    meta.policy = p;
+                    stats.predictions_used += 1;
+                }
+            }
+            meta.faults += 1;
 
-        let mut decided: Option<GritPolicy> = None;
-        if meta.faults >= self.config.fault_trigger {
-            meta.faults = 0;
-            let new_policy = Self::pds(meta);
-            self.stats.evaluations += 1;
-            if new_policy != meta.policy {
-                self.stats.policy_changes += 1;
+            let mut decided: Option<GritPolicy> = None;
+            if meta.faults >= trigger {
+                meta.faults = 0;
+                let new_policy = Self::pds(meta);
+                stats.evaluations += 1;
+                if new_policy != meta.policy {
+                    stats.policy_changes += 1;
+                }
+                meta.policy = new_policy;
+                // Start a fresh observation window so the page can adapt
+                // to later phases.
+                meta.readers = 0;
+                meta.writers = 0;
+                decided = Some(new_policy);
             }
-            meta.policy = new_policy;
-            // Start a fresh observation window so the page can adapt to
-            // later phases.
-            meta.readers = 0;
-            meta.writers = 0;
-            decided = Some(new_policy);
-        }
-        let policy = meta.policy;
+            (meta.policy, decided)
+        });
 
         // NAP: propagate the freshly decided policy to spatial neighbors.
         if let Some(p) = decided {
             for i in 1..=self.config.neighbor_window {
                 let neighbor = Vpn(fault.vpn.0 + i);
-                let m = self.pages.entry(neighbor).or_default();
-                if !m.ever_faulted {
-                    m.predicted = Some(p);
-                }
+                self.pages.update(neighbor, PageMeta::default(), |m| {
+                    if !m.ever_faulted {
+                        m.predicted = Some(p);
+                    }
+                });
             }
         }
 
@@ -260,7 +293,7 @@ impl PolicyEngine for GritEngine {
 
     /// Serializes the per-page attribute store, the PA-Cache, and the
     /// behaviour counters. Configuration comes from construction.
-    fn snapshot_state(&self, w: &mut ByteWriter) {
+    fn snapshot_state(&self, w: &mut dyn Encoder) {
         let mut pages: Vec<(Vpn, PageMeta)> = self.pages.iter().map(|(k, v)| (*k, *v)).collect();
         pages.sort_unstable_by_key(|(v, _)| v.0);
         w.u64(pages.len() as u64);
@@ -270,28 +303,28 @@ impl PolicyEngine for GritEngine {
             w.u16(m.writers);
             w.u8(m.faults);
             w.u8(policy_to_byte(m.policy));
-            match m.predicted {
-                None => w.u8(0xFF),
-                Some(p) => w.u8(policy_to_byte(p)),
-            }
+            w.u8(m.predicted_byte());
             w.bool(m.ever_faulted);
         }
         self.pa_cache.snapshot(w);
-        for v in [
-            self.stats.faults,
-            self.stats.evaluations,
-            self.stats.policy_changes,
-            self.stats.predictions_used,
-            self.stats.pa_hits,
-            self.stats.pa_misses,
-        ] {
+        for v in self.stats_words() {
             w.u64(v);
+        }
+    }
+
+    /// The per-page map by its running sum, so no epoch sorts or walks
+    /// it; the PA-Cache and counters word by word.
+    fn digest(&self, h: &mut StateHasher) {
+        self.pages.digest_into(h, format_args!("grit page map"));
+        self.pa_cache.snapshot(h);
+        for v in self.stats_words() {
+            h.word(v);
         }
     }
 
     fn restore_state(&mut self, r: &mut ByteReader<'_>) -> Result<(), CodecError> {
         let n = r.usize()?;
-        self.pages = HashMap::with_capacity(n);
+        self.pages.clear();
         for _ in 0..n {
             let vpn = Vpn(r.u64()?);
             let readers = r.u16()?;
@@ -349,6 +382,7 @@ fn policy_from_byte(r: &ByteReader<'_>, b: u8) -> Result<GritPolicy, CodecError>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use oasis_engine::codec::ByteWriter;
     use oasis_mem::page::HostEntry;
     use oasis_mem::types::{GpuId, PageSize, Va};
 

@@ -16,7 +16,7 @@
 use std::collections::BTreeSet;
 use std::fmt;
 
-use oasis_engine::codec::{ByteReader, ByteWriter, CodecError, Restore, Snapshot};
+use oasis_engine::codec::{ByteReader, ByteWriter, CodecError, Encoder, Restore, Snapshot};
 use oasis_engine::SimRng;
 
 /// A typed fault-plan spec failure, naming the offending clause or token.
@@ -571,7 +571,7 @@ impl FaultState {
 }
 
 impl Snapshot for FaultState {
-    fn snapshot(&self, w: &mut ByteWriter) {
+    fn snapshot<E: Encoder + ?Sized>(&self, w: &mut E) {
         self.rng.snapshot(w);
         w.u64(self.epoch);
         w.u64(self.down.len() as u64);

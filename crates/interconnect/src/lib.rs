@@ -16,7 +16,7 @@
 
 pub mod fault;
 
-use oasis_engine::codec::{ByteReader, ByteWriter, CodecError, Restore, Snapshot};
+use oasis_engine::codec::{ByteReader, CodecError, Encoder, Restore, Snapshot};
 use oasis_engine::{Channel, Duration, Time, Transfer};
 use oasis_mem::types::DeviceId;
 
@@ -319,7 +319,7 @@ pub struct LinkStats {
 }
 
 impl Snapshot for Fabric {
-    fn snapshot(&self, w: &mut ByteWriter) {
+    fn snapshot<E: Encoder + ?Sized>(&self, w: &mut E) {
         w.u64(self.nvlink.len() as u64);
         for c in self.nvlink.iter().chain(self.pcie.iter()) {
             c.snapshot(w);
@@ -346,6 +346,7 @@ impl Restore for Fabric {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use oasis_engine::codec::ByteWriter;
     use oasis_mem::types::GpuId;
 
     fn gpu(i: u8) -> DeviceId {

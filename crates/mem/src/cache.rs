@@ -7,7 +7,7 @@
 //! tagged with the owning memory location epoch so invalidations on page
 //! migration can drop stale lines.
 
-use oasis_engine::codec::{ByteReader, ByteWriter, CodecError, Restore, Snapshot};
+use oasis_engine::codec::{ByteReader, CodecError, Encoder, Restore, Snapshot};
 use oasis_engine::FxHashSet;
 
 use crate::types::{PageSize, Va, Vpn};
@@ -171,7 +171,7 @@ impl Cache {
 }
 
 impl Snapshot for Cache {
-    fn snapshot(&self, w: &mut ByteWriter) {
+    fn snapshot<E: Encoder + ?Sized>(&self, w: &mut E) {
         w.u64(self.stamp);
         w.u64(self.hits);
         w.u64(self.misses);
@@ -229,6 +229,7 @@ impl Restore for Cache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use oasis_engine::codec::ByteWriter;
 
     #[test]
     fn first_access_misses_second_hits() {

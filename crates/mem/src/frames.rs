@@ -12,8 +12,19 @@
 //! assigned monotonically and only ever at the list tail, so list order and
 //! stamp order are the same order — snapshots serialize the list front to
 //! back and produce exactly the stamp-sorted byte stream of the old layout.
+//!
+//! The state digest covers the resident `(vpn, stamp)` pairs through a
+//! running [`SetDigest`] of the pages stamped before a *settle point*.
+//! Pages stamped since then form the MRU end of the list (stamps are only
+//! assigned at the tail), so the digest adds them by walking back from the
+//! tail, and [`FrameAllocator::settle_digest`] folds them into the sum at
+//! each epoch boundary. A touch therefore costs one comparison, plus one
+//! hash the first time a page is touched after a settle.
 
-use oasis_engine::codec::{ByteReader, ByteWriter, CodecError, Restore, Snapshot};
+use std::fmt;
+
+use oasis_engine::codec::{ByteReader, CodecError, Encoder, Restore, Snapshot};
+use oasis_engine::digest::{entry_hash, SetDigest, StateHasher};
 use oasis_engine::FxHashMap;
 
 use crate::types::Vpn;
@@ -64,6 +75,11 @@ pub struct FrameAllocator {
     /// Frames retired after ECC poisoning; each reduces the effective
     /// capacity by one for the rest of the run.
     quarantined: u64,
+    /// Running digest of the resident pages stamped before `settled`.
+    sum: SetDigest,
+    /// The settle point: resident pages with a stamp at or above it are
+    /// not in `sum` and sit at the MRU end of the list.
+    settled: u64,
 }
 
 impl FrameAllocator {
@@ -80,6 +96,8 @@ impl FrameAllocator {
             next_stamp: 0,
             evictions: 0,
             quarantined: 0,
+            sum: SetDigest::default(),
+            settled: 0,
         }
     }
 
@@ -154,6 +172,7 @@ impl FrameAllocator {
             self.slots[h as usize].resident = false;
             self.resident_count -= 1;
             self.evictions += 1;
+            self.forget(h);
             Some(self.slots[h as usize].vpn)
         } else {
             None
@@ -184,6 +203,7 @@ impl FrameAllocator {
                 self.unlink(s);
                 self.slots[s as usize].resident = false;
                 self.resident_count -= 1;
+                self.forget(s);
                 return true;
             }
         }
@@ -217,9 +237,64 @@ impl FrameAllocator {
         .map(move |s| self.slots[s as usize].vpn)
     }
 
+    /// Folds the allocator into a state digest under `name`: its counters
+    /// and the digest of its resident pages, or a recomputation over every
+    /// resident page for a reference hasher.
+    pub fn digest_into(&self, h: &mut StateHasher, name: fmt::Arguments<'_>) {
+        h.word(self.next_stamp);
+        h.word(self.evictions);
+        h.word(self.quarantined);
+        h.table(
+            name,
+            self.resident_count as usize,
+            self.running_sum(),
+            || {
+                self.slots
+                    .iter()
+                    .filter(|s| s.resident)
+                    .map(|s| frame_hash(s.vpn, s.stamp))
+                    .collect()
+            },
+        );
+    }
+
+    /// Folds the pages stamped since the last settle into the running
+    /// digest sum, so the next digest need not walk them. The simulator
+    /// calls this at every epoch boundary; skipping it costs time, not
+    /// correctness.
+    pub fn settle_digest(&mut self) {
+        self.sum = self.running_sum();
+        self.settled = self.next_stamp;
+    }
+
+    /// The digest of every resident page: the settled sum plus the pages
+    /// stamped since, which are the MRU end of the list, walked back from
+    /// the tail.
+    fn running_sum(&self) -> SetDigest {
+        let mut sum = self.sum;
+        let mut s = self.tail;
+        while s != NIL && self.slots[s as usize].stamp >= self.settled {
+            let slot = &self.slots[s as usize];
+            sum.add(frame_hash(slot.vpn, slot.stamp));
+            s = slot.prev;
+        }
+        sum
+    }
+
+    /// Takes slot `s`, which is leaving its stamp behind, out of the
+    /// running sum if that stamp was settled.
+    #[inline]
+    fn forget(&mut self, s: u32) {
+        let slot = &self.slots[s as usize];
+        if slot.stamp < self.settled {
+            self.sum.remove(frame_hash(slot.vpn, slot.stamp));
+        }
+    }
+
     /// Re-stamps resident slot `s` as most recent: unlink, bump, relink at
     /// the tail. O(1), replacing the old ordered-map remove+insert.
     fn refresh(&mut self, s: u32) {
+        self.forget(s);
         self.unlink(s);
         let stamp = self.bump();
         self.slots[s as usize].stamp = stamp;
@@ -280,8 +355,14 @@ impl FrameAllocator {
     }
 }
 
+/// Digest hash of one resident page.
+#[inline]
+fn frame_hash(vpn: Vpn, stamp: u64) -> u64 {
+    entry_hash([vpn.0, stamp])
+}
+
 impl Snapshot for FrameAllocator {
-    fn snapshot(&self, w: &mut ByteWriter) {
+    fn snapshot<E: Encoder + ?Sized>(&self, w: &mut E) {
         w.u64(self.next_stamp);
         w.u64(self.evictions);
         w.u64(self.quarantined);
@@ -320,6 +401,9 @@ impl Restore for FrameAllocator {
         self.head = NIL;
         self.tail = NIL;
         self.resident_count = 0;
+        // Nothing settled: the first digest walks every restored page.
+        self.sum = SetDigest::default();
+        self.settled = 0;
         let n = r.usize()?;
         // Accept pairs in any order (matching the old map-based restore):
         // collect, validate, then rebuild the list in ascending stamp order.
@@ -368,6 +452,7 @@ impl Restore for FrameAllocator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use oasis_engine::codec::ByteWriter;
 
     #[test]
     fn unlimited_never_evicts() {

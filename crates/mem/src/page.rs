@@ -13,8 +13,17 @@
 //! index entry) is reused if the page is mapped again, so the arena never
 //! churns allocation on migration ping-pong. Iteration and snapshots walk
 //! the dense vectors instead of hash buckets.
+//!
+//! Each table also keeps a running [`SetDigest`] of its live entries,
+//! updated by every mutation, so the per-epoch state digest never walks or
+//! sorts a table. That is why [`HostPageTable`] hands out no `&mut`
+//! entry: writes go through [`HostPageTable::update`], which sees the
+//! entry before and after.
 
-use oasis_engine::codec::{ByteReader, ByteWriter, CodecError, Restore, Snapshot};
+use std::fmt;
+
+use oasis_engine::codec::{ByteReader, CodecError, Encoder, Restore, Snapshot};
+use oasis_engine::digest::{entry_hash, SetDigest, StateHasher};
 use oasis_engine::error::TableError;
 use oasis_engine::FxHashMap;
 
@@ -95,6 +104,8 @@ pub struct LocalPageTable {
     vpns: Vec<Vpn>,
     ptes: Vec<Option<Pte>>,
     live: usize,
+    /// Running digest of the valid translations.
+    sum: SetDigest,
     /// Count of inserts + successful invalidations. Observational only:
     /// excluded from snapshots/digests (metrics must not perturb replay).
     updates: u64,
@@ -116,11 +127,16 @@ impl LocalPageTable {
 
     /// Installs (or replaces) the translation for `vpn`.
     pub fn insert(&mut self, vpn: Vpn, pte: Pte) {
+        let new = pte_hash(vpn, &pte);
         match self.index.get(&vpn) {
             Some(&i) => {
                 let slot = &mut self.ptes[i as usize];
-                if slot.is_none() {
-                    self.live += 1;
+                match slot {
+                    Some(old) => self.sum.replace(pte_hash(vpn, old), new),
+                    None => {
+                        self.live += 1;
+                        self.sum.add(new);
+                    }
                 }
                 *slot = Some(pte);
             }
@@ -130,6 +146,7 @@ impl LocalPageTable {
                 self.vpns.push(vpn);
                 self.ptes.push(Some(pte));
                 self.live += 1;
+                self.sum.add(new);
             }
         }
         self.updates += 1;
@@ -141,11 +158,20 @@ impl LocalPageTable {
             .index
             .get(&vpn)
             .and_then(|&i| self.ptes[i as usize].take());
-        if removed.is_some() {
+        if let Some(pte) = &removed {
             self.live -= 1;
             self.updates += 1;
+            self.sum.remove(pte_hash(vpn, pte));
         }
         removed
+    }
+
+    /// Folds the table into a state digest under `name`: the running sum
+    /// of its translations, or a recomputation for a reference hasher.
+    pub fn digest_into(&self, h: &mut StateHasher, name: fmt::Arguments<'_>) {
+        h.table(name, self.live, self.sum, || {
+            self.iter().map(|(vpn, pte)| pte_hash(*vpn, pte)).collect()
+        });
     }
 
     /// Total PTE mutations (inserts + removals). Not snapshotted — feeds
@@ -177,14 +203,23 @@ impl LocalPageTable {
         self.vpns.clear();
         self.ptes.clear();
         self.live = 0;
+        self.sum = SetDigest::default();
     }
 }
 
+/// Digest hash of one translation.
+fn pte_hash(vpn: Vpn, pte: &Pte) -> u64 {
+    let flags = u64::from(device_to_byte(pte.location))
+        | u64::from(pte.writable) << 8
+        | u64::from(pte.policy.bits()) << 16;
+    entry_hash([vpn.0, flags])
+}
+
 impl Snapshot for LocalPageTable {
-    fn snapshot(&self, w: &mut ByteWriter) {
+    fn snapshot<E: Encoder + ?Sized>(&self, w: &mut E) {
         // Sort by VPN: slot order is insertion history, which is not part
         // of the semantic state, and the bytes feed both checkpoints and
-        // state digests.
+        // the golden snapshot digest.
         let mut entries: Vec<(&Vpn, &Pte)> = self.iter().collect();
         entries.sort_by_key(|(vpn, _)| **vpn);
         w.u64(entries.len() as u64);
@@ -212,13 +247,15 @@ impl Restore for LocalPageTable {
             if self.index.insert(vpn, i).is_some() {
                 return Err(r.malformed(format!("page {vpn:?} mapped twice")));
             }
-            self.vpns.push(vpn);
-            self.ptes.push(Some(Pte {
+            let pte = Pte {
                 location,
                 writable,
                 policy,
-            }));
+            };
+            self.vpns.push(vpn);
+            self.ptes.push(Some(pte));
             self.live += 1;
+            self.sum.add(pte_hash(vpn, &pte));
         }
         Ok(())
     }
@@ -342,6 +379,8 @@ pub struct HostPageTable {
     vpns: Vec<Vpn>,
     entries: Vec<Option<HostEntry>>,
     live: usize,
+    /// Running digest of the registered entries.
+    sum: SetDigest,
 }
 
 impl HostPageTable {
@@ -358,13 +397,17 @@ impl HostPageTable {
             .and_then(|&i| self.entries[i as usize].as_ref())
     }
 
-    /// Mutable access to the entry for `vpn`.
+    /// Applies `f` to the entry for `vpn` and returns its result, or
+    /// `None` if the page is not registered. The only way to change an
+    /// entry in place, so the table's digest sees every write.
     #[inline]
-    pub fn get_mut(&mut self, vpn: Vpn) -> Option<&mut HostEntry> {
-        match self.index.get(&vpn) {
-            Some(&i) => self.entries[i as usize].as_mut(),
-            None => None,
-        }
+    pub fn update<R>(&mut self, vpn: Vpn, f: impl FnOnce(&mut HostEntry) -> R) -> Option<R> {
+        let &i = self.index.get(&vpn)?;
+        let e = self.entries[i as usize].as_mut()?;
+        let old = host_entry_hash(vpn, e);
+        let r = f(e);
+        self.sum.replace(old, host_entry_hash(vpn, e));
+        Some(r)
     }
 
     /// Registers a freshly allocated page.
@@ -372,6 +415,7 @@ impl HostPageTable {
     /// Refuses a page that is already registered (overlapping allocation)
     /// without modifying the existing entry.
     pub fn register(&mut self, vpn: Vpn, entry: HostEntry) -> Result<(), TableError> {
+        let new = host_entry_hash(vpn, &entry);
         match self.index.get(&vpn) {
             Some(&i) => {
                 let slot = &mut self.entries[i as usize];
@@ -388,6 +432,7 @@ impl HostPageTable {
             }
         }
         self.live += 1;
+        self.sum.add(new);
         Ok(())
     }
 
@@ -397,10 +442,21 @@ impl HostPageTable {
             .index
             .get(&vpn)
             .and_then(|&i| self.entries[i as usize].take());
-        if removed.is_some() {
+        if let Some(e) = &removed {
             self.live -= 1;
+            self.sum.remove(host_entry_hash(vpn, e));
         }
         removed
+    }
+
+    /// Folds the table into a state digest: the running sum of its
+    /// entries, or a recomputation for a reference hasher.
+    pub fn digest_into(&self, h: &mut StateHasher) {
+        h.table(format_args!("host page table"), self.live, self.sum, || {
+            self.iter()
+                .map(|(vpn, e)| host_entry_hash(*vpn, e))
+                .collect()
+        });
     }
 
     /// Number of registered pages.
@@ -426,11 +482,21 @@ impl HostPageTable {
         self.vpns.clear();
         self.entries.clear();
         self.live = 0;
+        self.sum = SetDigest::default();
     }
 }
 
+/// Digest hash of one host-table entry.
+fn host_entry_hash(vpn: Vpn, e: &HostEntry) -> u64 {
+    let masks = u64::from(e.copy_mask) | u64::from(e.mapper_mask) << 32;
+    let rest = u64::from(device_to_byte(e.owner))
+        | u64::from(e.policy.bits()) << 8
+        | u64::from(e.touched_by) << 32;
+    entry_hash([vpn.0, masks, rest])
+}
+
 impl Snapshot for HostPageTable {
-    fn snapshot(&self, w: &mut ByteWriter) {
+    fn snapshot<E: Encoder + ?Sized>(&self, w: &mut E) {
         let mut entries: Vec<(&Vpn, &HostEntry)> = self.iter().collect();
         entries.sort_by_key(|(vpn, _)| **vpn);
         w.u64(entries.len() as u64);
@@ -462,15 +528,17 @@ impl Restore for HostPageTable {
             if self.index.insert(vpn, i).is_some() {
                 return Err(r.malformed(format!("page {vpn:?} registered twice")));
             }
-            self.vpns.push(vpn);
-            self.entries.push(Some(HostEntry {
+            let entry = HostEntry {
                 owner,
                 copy_mask,
                 mapper_mask,
                 policy,
                 touched_by,
-            }));
+            };
+            self.vpns.push(vpn);
+            self.entries.push(Some(entry));
             self.live += 1;
+            self.sum.add(host_entry_hash(vpn, &entry));
         }
         Ok(())
     }
@@ -479,6 +547,7 @@ impl Restore for HostPageTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use oasis_engine::codec::ByteWriter;
 
     #[test]
     fn policy_bits_round_trip() {
@@ -571,7 +640,8 @@ mod tests {
             .unwrap();
         assert_eq!(ht.len(), 2);
         assert_eq!(ht.get(Vpn(2)).unwrap().owner, DeviceId::Gpu(GpuId(2)));
-        ht.get_mut(Vpn(1)).unwrap().policy = PolicyBits::Duplication;
+        ht.update(Vpn(1), |e| e.policy = PolicyBits::Duplication)
+            .unwrap();
         assert_eq!(ht.get(Vpn(1)).unwrap().policy, PolicyBits::Duplication);
         assert!(ht.unregister(Vpn(1)).is_some());
         assert!(ht.get(Vpn(1)).is_none());

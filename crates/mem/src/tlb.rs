@@ -12,7 +12,7 @@
 //! for shootdowns was pure redundancy — the target set of any VPN is
 //! directly computable — and is gone entirely.
 
-use oasis_engine::codec::{ByteReader, ByteWriter, CodecError, Restore, Snapshot};
+use oasis_engine::codec::{ByteReader, CodecError, Encoder, Restore, Snapshot};
 use oasis_engine::error::SimError;
 use oasis_engine::FxHashSet;
 
@@ -265,7 +265,7 @@ impl Tlb {
 }
 
 impl Snapshot for Tlb {
-    fn snapshot(&self, w: &mut ByteWriter) {
+    fn snapshot<E: Encoder + ?Sized>(&self, w: &mut E) {
         w.u64(self.stamp);
         w.u64(self.hits);
         w.u64(self.misses);
@@ -329,6 +329,7 @@ impl Restore for Tlb {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use oasis_engine::codec::ByteWriter;
 
     #[test]
     fn miss_then_fill_then_hit() {

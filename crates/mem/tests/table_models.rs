@@ -1,0 +1,298 @@
+//! Op-sequence tests of the page tables and the frame allocator against a
+//! `BTreeMap` reference model, driven by the in-tree deterministic
+//! [`SimRng`] (the build is offline, so there is no property-testing
+//! crate). After every operation the running digest must equal its
+//! from-scratch recomputation and the snapshot bytes must equal the
+//! model's encoding; a snapshot -> restore round trip must leave the digest
+//! unchanged. A failing case index pins the exact op sequence.
+
+use std::collections::BTreeMap;
+
+use oasis_engine::codec::{ByteReader, ByteWriter, Restore, Snapshot};
+use oasis_engine::{SimRng, StateHasher};
+use oasis_mem::frames::FrameAllocator;
+use oasis_mem::page::{device_to_byte, HostEntry, HostPageTable, LocalPageTable, PolicyBits, Pte};
+use oasis_mem::types::{DeviceId, GpuId, Vpn};
+
+const CASES: u64 = 40;
+const OPS: u64 = 300;
+
+/// The running digest folded by `fold`, after checking that a reference
+/// hasher recomputes the same value and finds no stale sum.
+fn checked_digest(fold: impl Fn(&mut StateHasher)) -> u64 {
+    let mut running = StateHasher::new();
+    fold(&mut running);
+    let mut reference = StateHasher::reference();
+    fold(&mut reference);
+    assert_eq!(reference.verify(), Ok(running.finish()));
+    running.finish()
+}
+
+fn snapshot_bytes(t: &impl Snapshot) -> Vec<u8> {
+    let mut w = ByteWriter::new();
+    t.snapshot(&mut w);
+    w.into_vec()
+}
+
+/// Restores `bytes` into `fresh` and returns it, checking every byte was
+/// consumed.
+fn restored<T: Restore>(mut fresh: T, bytes: &[u8]) -> T {
+    let mut r = ByteReader::new("table", bytes);
+    fresh.restore(&mut r).expect("own snapshot restores");
+    assert!(r.is_empty());
+    fresh
+}
+
+fn device(rng: &mut SimRng) -> DeviceId {
+    match rng.gen_range(0..5) {
+        4 => DeviceId::Host,
+        g => DeviceId::Gpu(GpuId(g as u8)),
+    }
+}
+
+fn policy(rng: &mut SimRng) -> PolicyBits {
+    match rng.gen_range(0..3) {
+        0 => PolicyBits::OnTouch,
+        1 => PolicyBits::AccessCounter,
+        _ => PolicyBits::Duplication,
+    }
+}
+
+fn local_model_bytes(model: &BTreeMap<u64, Pte>) -> Vec<u8> {
+    let mut w = ByteWriter::new();
+    w.u64(model.len() as u64);
+    for (&vpn, pte) in model {
+        w.u64(vpn);
+        w.u8(device_to_byte(pte.location));
+        w.bool(pte.writable);
+        w.u8(pte.policy.bits());
+    }
+    w.into_vec()
+}
+
+#[test]
+fn local_page_table_matches_its_model() {
+    for case in 0..CASES {
+        let mut rng = SimRng::seed_from_u64(0x10CA_1000 + case);
+        let mut table = LocalPageTable::new();
+        let mut model: BTreeMap<u64, Pte> = BTreeMap::new();
+        let digest = |t: &LocalPageTable| checked_digest(|h| t.digest_into(h, format_args!("t")));
+        for op in 0..OPS {
+            let vpn = rng.gen_range(0..48);
+            if rng.gen_range(0..3) < 2 {
+                let pte = Pte {
+                    location: device(&mut rng),
+                    writable: rng.gen_range(0..2) == 1,
+                    policy: policy(&mut rng),
+                };
+                table.insert(Vpn(vpn), pte);
+                model.insert(vpn, pte);
+            } else {
+                assert_eq!(
+                    table.invalidate(Vpn(vpn)),
+                    model.remove(&vpn),
+                    "case {case} op {op}"
+                );
+            }
+            assert_eq!(table.len(), model.len(), "case {case} op {op}");
+            assert_eq!(table.get(Vpn(vpn)), model.get(&vpn), "case {case} op {op}");
+            assert_eq!(
+                snapshot_bytes(&table),
+                local_model_bytes(&model),
+                "case {case} op {op}"
+            );
+            digest(&table);
+        }
+        let back = restored(LocalPageTable::new(), &snapshot_bytes(&table));
+        assert_eq!(digest(&back), digest(&table), "case {case}");
+    }
+}
+
+fn host_model_bytes(model: &BTreeMap<u64, HostEntry>) -> Vec<u8> {
+    let mut w = ByteWriter::new();
+    w.u64(model.len() as u64);
+    for (&vpn, e) in model {
+        w.u64(vpn);
+        w.u8(device_to_byte(e.owner));
+        w.u32(e.copy_mask);
+        w.u32(e.mapper_mask);
+        w.u8(e.policy.bits());
+        w.u32(e.touched_by);
+    }
+    w.into_vec()
+}
+
+/// One random in-place edit of a host entry.
+fn edit(rng: &mut SimRng) -> impl Fn(&mut HostEntry) {
+    let field = rng.gen_range(0..5);
+    let dev = device(rng);
+    let bits = policy(rng);
+    let mask = rng.gen_range(0..16) as u32;
+    move |e: &mut HostEntry| match field {
+        0 => e.owner = dev,
+        1 => e.copy_mask = mask,
+        2 => e.mapper_mask ^= mask,
+        3 => e.policy = bits,
+        _ => e.mark_touched(GpuId(mask as u8 % 4)),
+    }
+}
+
+#[test]
+fn host_page_table_matches_its_model() {
+    for case in 0..CASES {
+        let mut rng = SimRng::seed_from_u64(0x4057_0000 + case);
+        let mut table = HostPageTable::new();
+        let mut model: BTreeMap<u64, HostEntry> = BTreeMap::new();
+        let digest = |t: &HostPageTable| checked_digest(|h| t.digest_into(h));
+        for op in 0..OPS {
+            let vpn = rng.gen_range(0..48);
+            match rng.gen_range(0..4) {
+                0 => {
+                    let entry = HostEntry::new_at(device(&mut rng));
+                    let registered = table.register(Vpn(vpn), entry).is_ok();
+                    assert_eq!(registered, !model.contains_key(&vpn), "case {case} op {op}");
+                    model.entry(vpn).or_insert(entry);
+                }
+                1 => {
+                    assert_eq!(
+                        table.unregister(Vpn(vpn)),
+                        model.remove(&vpn),
+                        "case {case} op {op}"
+                    );
+                }
+                _ => {
+                    let f = edit(&mut rng);
+                    let applied = table.update(Vpn(vpn), &f);
+                    assert_eq!(applied.is_some(), model.contains_key(&vpn));
+                    if let Some(e) = model.get_mut(&vpn) {
+                        f(e);
+                    }
+                }
+            }
+            assert_eq!(table.len(), model.len(), "case {case} op {op}");
+            assert_eq!(table.get(Vpn(vpn)), model.get(&vpn), "case {case} op {op}");
+            assert_eq!(
+                snapshot_bytes(&table),
+                host_model_bytes(&model),
+                "case {case} op {op}"
+            );
+            digest(&table);
+        }
+        let back = restored(HostPageTable::new(), &snapshot_bytes(&table));
+        assert_eq!(digest(&back), digest(&table), "case {case}");
+    }
+}
+
+/// The frame allocator's reference model: resident pages with their
+/// stamps, plus the counters a snapshot carries.
+struct FramesModel {
+    capacity: Option<u64>,
+    resident: BTreeMap<u64, u64>,
+    next_stamp: u64,
+    evictions: u64,
+    quarantined: u64,
+}
+
+impl FramesModel {
+    fn stamp(&mut self, vpn: u64) {
+        self.resident.insert(vpn, self.next_stamp);
+        self.next_stamp += 1;
+    }
+
+    fn insert(&mut self, vpn: u64) -> Option<Vpn> {
+        if self.resident.contains_key(&vpn) {
+            self.stamp(vpn);
+            return None;
+        }
+        let full = self
+            .capacity
+            .is_some_and(|cap| self.resident.len() as u64 >= cap.saturating_sub(self.quarantined));
+        let victim = if full {
+            let lru = self
+                .resident
+                .iter()
+                .min_by_key(|(_, &stamp)| stamp)
+                .map(|(&v, _)| v);
+            lru.inspect(|v| {
+                self.resident.remove(v);
+                self.evictions += 1;
+            })
+        } else {
+            None
+        };
+        self.stamp(vpn);
+        victim.map(Vpn)
+    }
+
+    fn bytes(&self) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        w.u64(self.next_stamp);
+        w.u64(self.evictions);
+        w.u64(self.quarantined);
+        w.u64(self.resident.len() as u64);
+        let mut by_stamp: Vec<(u64, u64)> = self.resident.iter().map(|(&v, &s)| (s, v)).collect();
+        by_stamp.sort_unstable();
+        for (stamp, vpn) in by_stamp {
+            w.u64(stamp);
+            w.u64(vpn);
+        }
+        w.into_vec()
+    }
+}
+
+#[test]
+fn frame_allocator_matches_its_model() {
+    for case in 0..CASES {
+        let mut rng = SimRng::seed_from_u64(0xF4A3_0000 + case);
+        let capacity = (case % 3 != 0).then(|| rng.gen_range(2..24));
+        let mut frames = FrameAllocator::new(capacity);
+        let mut model = FramesModel {
+            capacity,
+            resident: BTreeMap::new(),
+            next_stamp: 0,
+            evictions: 0,
+            quarantined: 0,
+        };
+        let digest = |f: &FrameAllocator| checked_digest(|h| f.digest_into(h, format_args!("f")));
+        for op in 0..OPS {
+            let vpn = rng.gen_range(0..40);
+            match rng.gen_range(0..10) {
+                0..=3 => assert_eq!(
+                    frames.insert(Vpn(vpn)),
+                    model.insert(vpn),
+                    "case {case} op {op}"
+                ),
+                4..=6 => {
+                    frames.touch(Vpn(vpn));
+                    if model.resident.contains_key(&vpn) {
+                        model.stamp(vpn);
+                    }
+                }
+                7 => assert_eq!(
+                    frames.remove(Vpn(vpn)),
+                    model.resident.remove(&vpn).is_some(),
+                    "case {case} op {op}"
+                ),
+                8 if model.quarantined < 2 => {
+                    let hit = model.resident.remove(&vpn).is_some();
+                    model.quarantined += u64::from(hit);
+                    assert_eq!(frames.quarantine(Vpn(vpn)), hit, "case {case} op {op}");
+                }
+                _ => {
+                    let before = digest(&frames);
+                    frames.settle_digest();
+                    assert_eq!(digest(&frames), before, "settling changed the digest");
+                }
+            }
+            assert_eq!(frames.resident(), model.resident.len() as u64);
+            assert_eq!(
+                snapshot_bytes(&frames),
+                model.bytes(),
+                "case {case} op {op}"
+            );
+            digest(&frames);
+        }
+        let back = restored(FrameAllocator::new(capacity), &snapshot_bytes(&frames));
+        assert_eq!(digest(&back), digest(&frames), "case {case}");
+    }
+}

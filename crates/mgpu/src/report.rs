@@ -86,10 +86,11 @@ pub struct RunReport {
     /// The first few recorded errors, verbatim, each prefixed with its
     /// step number for replay.
     pub error_samples: Vec<String>,
-    /// FNV-1a digest of the full simulation state at the end of each epoch
-    /// (kernel launch), in epoch order. Two runs of the same trace under
-    /// the same configuration must produce identical trails; a resumed run
-    /// keeps the trail of the epochs that ran before the checkpoint.
+    /// [`System::digest`](crate::System::digest) of the full simulation
+    /// state at the end of each epoch (kernel launch), in epoch order. Two
+    /// runs of the same trace under the same configuration must produce
+    /// identical trails; a resumed run keeps the trail of the epochs that
+    /// ran before the checkpoint.
     pub digest_trail: Vec<u64>,
     /// Host-side wall-clock and checkpoint-latency measurements (not part
     /// of the deterministic result).

@@ -5,8 +5,9 @@ use std::time::Instant;
 
 use oasis_core::tracker::ObjectTracker;
 use oasis_engine::codec::{
-    fnv1a, ByteWriter, CheckpointReader, CheckpointWriter, CodecError, Restore, Snapshot,
+    fnv1a, ByteWriter, CheckpointReader, CheckpointWriter, CodecError, Encoder, Restore, Snapshot,
 };
+use oasis_engine::digest::StateHasher;
 use oasis_engine::error::{ErrorPolicy, FaultError, SimError, SimResult, TraceError};
 use oasis_engine::{
     CounterHandle, Duration, Endpoint, EventQueue, HistogramHandle, Observer, Time, TraceEvent,
@@ -528,7 +529,7 @@ impl System {
             self.global = self.run_segment(self.global, cphase, &bounds)?;
         }
         if self.config.guard == GuardMode::Epoch {
-            self.check_guard().map_err(|error| RunError {
+            self.validate().map_err(|error| RunError {
                 step: self.step,
                 error,
             })?;
@@ -540,6 +541,7 @@ impl System {
             accesses: self.accesses - accesses_before,
             uvm: self.driver.stats.minus(&uvm_before),
         });
+        self.driver.settle_digests();
         self.digest_trail.push(self.digest());
         Ok(())
     }
@@ -737,11 +739,11 @@ impl System {
         }
     }
 
-    /// Serializes every piece of mutable simulation state (not the
-    /// configuration) in a fixed order. This is both the payload of the
-    /// state digest and the bulk of a checkpoint, so "identical digests"
-    /// and "identical checkpoints" mean the same thing.
-    fn snapshot_state_into(&self, w: &mut ByteWriter) {
+    /// Encodes the mutable state outside the driver and the policy engine,
+    /// in a fixed order: the progress scalars, tracker, fabric, fault
+    /// state, and every GPU's TLBs, L2 cache and DRAM channel. Small and
+    /// fixed-size, so both digests take it from scratch.
+    fn encode_platform<E: Encoder + ?Sized>(&self, w: &mut E) {
         w.u64(self.global.as_ps());
         w.u64(self.next_epoch);
         w.u64(self.step);
@@ -761,17 +763,44 @@ impl System {
             g.l2_cache.snapshot(w);
             g.dram.snapshot(w);
         }
-        self.driver.snapshot(w);
-        self.driver.policy.snapshot_state(w);
     }
 
-    /// FNV-1a digest of the full mutable simulation state. Two systems
-    /// with the same configuration that executed the same accesses have
-    /// the same digest; recorded once per epoch, the trail pins down the
-    /// first epoch at which a replay diverged.
+    /// Folds every piece of mutable simulation state (not the
+    /// configuration) into `h`: the platform word by word, the driver's
+    /// tables by their running sums, the policy through its digest hook.
+    fn fold_digest(&self, mut h: StateHasher) -> StateHasher {
+        self.encode_platform(&mut h);
+        self.driver.digest_into(&mut h);
+        self.driver.policy.digest(&mut h);
+        h
+    }
+
+    /// Digest of the full mutable simulation state, composed from
+    /// component digests with no serialization, sort or allocation. Two
+    /// systems with the same configuration that executed the same accesses
+    /// have the same digest; recorded once per epoch, the trail pins down
+    /// the first epoch at which a replay diverged.
     pub fn digest(&self) -> u64 {
+        self.fold_digest(StateHasher::new()).finish()
+    }
+
+    /// [`System::digest`] computed in one pass from scratch, every table
+    /// sum recomputed from the table's entries: the reference the running
+    /// sums are checked against.
+    pub fn reference_digest(&self) -> u64 {
+        self.fold_digest(StateHasher::reference()).finish()
+    }
+
+    /// FNV-1a over the serialized mutable state: the per-epoch digest
+    /// format before [`System::digest`]. It follows the simulated state but
+    /// not the digest format, so the golden trails pin it as the
+    /// cross-version fixture for simulation semantics. No run path calls
+    /// it.
+    pub fn snapshot_digest(&self) -> u64 {
         let mut w = ByteWriter::new();
-        self.snapshot_state_into(&mut w);
+        self.encode_platform(&mut w);
+        self.driver.snapshot(&mut w);
+        self.driver.policy.snapshot_state(&mut w);
         fnv1a(w.as_slice())
     }
 
@@ -1002,9 +1031,15 @@ impl System {
         &self.policy
     }
 
-    /// Runs the sim-guard sweep on demand (tests, post-run validation).
+    /// Runs the sim-guard sweep plus the digest reference check on
+    /// demand (tests, post-run validation; `GuardMode::Epoch` runs it at
+    /// every epoch boundary). The reference check recomputes every running
+    /// table sum and fails with the `digest-running-sum` invariant naming
+    /// the first table whose sum disagrees.
     pub fn validate(&self) -> SimResult<()> {
-        self.check_guard()
+        self.check_guard()?;
+        self.fold_digest(StateHasher::reference()).verify()?;
+        Ok(())
     }
 
     /// The address space built from the trace's allocations.
@@ -1184,15 +1219,20 @@ mod tests {
 
     #[test]
     fn guarded_runs_match_unguarded_results() {
-        let trace = small(App::Mm);
-        let plain = simulate(&SystemConfig::default(), Policy::oasis(), &trace);
-        let cfg = SystemConfig {
-            guard: GuardMode::Epoch,
-            ..SystemConfig::default()
-        };
-        let guarded = simulate(&cfg, Policy::oasis(), &trace);
-        assert_eq!(plain.total_time, guarded.total_time);
-        assert_eq!(plain.uvm, guarded.uvm);
+        // C2D's 9 epochs make the epoch guard check running digest sums
+        // that earlier epochs settled.
+        for app in [App::Mm, App::C2d] {
+            let trace = small(app);
+            let plain = simulate(&SystemConfig::default(), Policy::oasis(), &trace);
+            let cfg = SystemConfig {
+                guard: GuardMode::Epoch,
+                ..SystemConfig::default()
+            };
+            let guarded = simulate(&cfg, Policy::oasis(), &trace);
+            assert_eq!(plain.total_time, guarded.total_time);
+            assert_eq!(plain.uvm, guarded.uvm);
+            assert_eq!(plain.digest_trail, guarded.digest_trail);
+        }
     }
 
     #[test]
@@ -1319,6 +1359,8 @@ mod tests {
         sys.checkpoint(&mut buf).expect("checkpoint");
         let resumed = System::resume(&mut buf.as_slice(), &trace).expect("resume");
         assert_eq!(resumed.digest(), expected, "restored state must hash alike");
+        assert_eq!(resumed.reference_digest(), expected);
+        assert_eq!(resumed.snapshot_digest(), sys.snapshot_digest());
     }
 
     #[test]
@@ -1381,6 +1423,27 @@ mod tests {
                 SimError::Codec(CodecError::UnsupportedVersion { found: 99, .. })
             ),
             "expected unsupported version, got {err}"
+        );
+    }
+
+    /// Version 3 checkpoints embed a digest trail in the previous format;
+    /// resuming one would mix the two formats in one trail.
+    #[test]
+    fn version_3_checkpoint_fails_typed() {
+        let trace = small(App::Mt);
+        let mut sys = System::new(SystemConfig::default(), &Policy::OnTouch);
+        sys.run_prefix(&trace, 1).expect("first epoch");
+        let mut buf = Vec::new();
+        sys.checkpoint(&mut buf).expect("checkpoint");
+        buf[8..12].copy_from_slice(&3u32.to_le_bytes());
+        let err = System::resume(&mut buf.as_slice(), &trace)
+            .expect_err("a version 3 checkpoint must not resume");
+        assert_eq!(
+            err,
+            SimError::Codec(CodecError::UnsupportedVersion {
+                found: 3,
+                expected: 4
+            })
         );
     }
 

@@ -12,10 +12,11 @@
 //! [`SimError`](oasis_engine::SimError) so callers can fail fast, record and
 //! continue, or feed the failure back to the fault-injection harness.
 
-use oasis_engine::codec::{ByteReader, ByteWriter, CodecError, Restore, Snapshot};
+use oasis_engine::codec::{ByteReader, CodecError, Encoder, Restore, Snapshot};
+use oasis_engine::digest::{entry_hash, DigestMap, StateHasher};
 use oasis_engine::error::{EvictionError, FaultError, MigrationError, SimError, SimResult};
 use oasis_engine::{
-    CounterHandle, Duration, Endpoint, FxHashMap, HistogramHandle, Observer, Time, TraceEvent,
+    CounterHandle, Duration, Endpoint, HistogramHandle, Observer, Time, TraceEvent,
 };
 use oasis_interconnect::Fabric;
 use oasis_mem::frames::FrameAllocator;
@@ -194,10 +195,11 @@ pub struct UvmDriver {
     /// not isolate it); exposed for the ablation study.
     pub prefetch_group: bool,
     group_shift: u32,
-    counters: FxHashMap<(u8, u64), u32>,
+    /// Raw access counters per `(gpu, 64 KiB group)`.
+    counters: DigestMap<(u8, u64), u32>,
     /// Per-page (migration count in window, window start) for thrash
     /// detection.
-    thrash: FxHashMap<Vpn, (u32, Time)>,
+    thrash: DigestMap<Vpn, (u32, Time)>,
     /// When the serialized host fault-handling pipeline frees up.
     driver_free: Time,
     /// Observability sink (tracer + metrics). Purely observational:
@@ -265,10 +267,14 @@ impl UvmDriver {
             thrash_threshold: 4,
             thrash_window: Duration::from_ms(1),
             prefetch_group: false,
-            thrash: FxHashMap::default(),
+            thrash: DigestMap::new(|vpn, &(count, start)| {
+                entry_hash([vpn.0, u64::from(count), start.as_ps()])
+            }),
             stats: UvmStats::default(),
             group_shift: pages_per_group.trailing_zeros(),
-            counters: FxHashMap::default(),
+            counters: DigestMap::new(|&(gpu, group), &count| {
+                entry_hash([u64::from(gpu), group, u64::from(count)])
+            }),
             driver_free: Time::ZERO,
             obs: Observer::disabled(),
             mh: FaultMetricHandles::bind(&mut oasis_engine::MetricsRegistry::disabled()),
@@ -292,11 +298,12 @@ impl UvmDriver {
             .ok_or_else(|| MigrationError::SourceMissing { vpn: vpn.0 }.into())
     }
 
-    /// Mutable host-table entry for `vpn`, or a migration error.
-    fn entry_mut(&mut self, vpn: Vpn) -> SimResult<&mut HostEntry> {
+    /// Applies `f` to the host-table entry for `vpn`, or returns a
+    /// migration error if the page vanished mid-mechanic.
+    fn update_entry<R>(&mut self, vpn: Vpn, f: impl FnOnce(&mut HostEntry) -> R) -> SimResult<R> {
         self.state
             .host_table
-            .get_mut(vpn)
+            .update(vpn, f)
             .ok_or_else(|| MigrationError::SourceMissing { vpn: vpn.0 }.into())
     }
 
@@ -304,12 +311,14 @@ impl UvmDriver {
     /// and reports whether the page is now considered thrashing.
     fn thrash_check(&mut self, now: Time, vpn: Vpn) -> bool {
         let window = self.thrash_window;
-        let e = self.thrash.entry(vpn).or_insert((0, now));
-        if now.since(e.1.min(now)) > window {
-            *e = (0, now);
-        }
-        e.0 += 1;
-        e.0 > self.thrash_threshold
+        let moves = self.thrash.update(vpn, (0, now), |e| {
+            if now.since(e.1.min(now)) > window {
+                *e = (0, now);
+            }
+            e.0 += 1;
+            e.0
+        });
+        moves > self.thrash_threshold
     }
 
     /// Reserves the serialized driver pipeline at `now`, returning the
@@ -354,11 +363,11 @@ impl UvmDriver {
                         // victim back to the host so residency and the host
                         // table stay in agreement.
                         self.state.local_tables[g.index()].invalidate(victim);
-                        if let Some(e) = self.state.host_table.get_mut(victim) {
+                        self.state.host_table.update(victim, |e| {
                             e.owner = DeviceId::Host;
                             e.copy_mask = 0;
                             e.mapper_mask = 0;
-                        }
+                        });
                         self.stats.evictions += 1;
                     }
                     self.state.local_tables[g.index()].insert(
@@ -421,14 +430,18 @@ impl UvmDriver {
             }
             .into());
         }
-        let Some(faulted) = self.state.host_table.get_mut(fault.vpn) else {
+        if self
+            .state
+            .host_table
+            .update(fault.vpn, |e| e.mark_touched(fault.gpu))
+            .is_none()
+        {
             return Err(FaultError::UnregisteredPage {
                 vpn: fault.vpn.0,
                 gpu: fault.gpu.0,
             }
             .into());
-        };
-        faulted.mark_touched(fault.gpu);
+        }
         match fault.fault_type {
             FaultType::Far => self.stats.far_faults += 1,
             FaultType::Protection => self.stats.protection_faults += 1,
@@ -541,9 +554,9 @@ impl UvmDriver {
                 // bits switch to access-counter so *later* sharers get
                 // remote mappings instead of new duplicates.
                 out = Outcome::new(OutcomeKind::CollapsedToWriter);
-                let e = self.entry_mut(fault.vpn)?;
-                let old_bits = e.policy;
-                e.policy = PolicyBits::AccessCounter;
+                let old_bits = self.update_entry(fault.vpn, |e| {
+                    std::mem::replace(&mut e.policy, PolicyBits::AccessCounter)
+                })?;
                 self.note_policy(now, fault.vpn, old_bits, PolicyBits::AccessCounter);
                 self.do_collapse_to_writer(now, fault.gpu, fault.vpn, fabric, &mut out)?;
             }
@@ -569,12 +582,18 @@ impl UvmDriver {
         fabric: &mut Fabric,
     ) -> SimResult<Option<Outcome>> {
         let group = vpn.0 >> self.group_shift;
-        let c = self.counters.entry((gpu.0, group)).or_insert(0);
-        *c = c.saturating_add(self.counter_weight);
-        if *c < self.counter_threshold {
+        let (weight, threshold) = (self.counter_weight, self.counter_threshold);
+        let tripped = self.counters.update((gpu.0, group), 0, |c| {
+            *c = c.saturating_add(weight);
+            let tripped = *c >= threshold;
+            if tripped {
+                *c = 0;
+            }
+            tripped
+        });
+        if !tripped {
             return Ok(None);
         }
-        *c = 0;
         self.obs.metrics.add("uvm.counter.trip", 1);
         let mut out = Outcome::new(OutcomeKind::CounterMigrated { pages: 0 });
         // Counter notifications go through the same serialized driver
@@ -645,8 +664,7 @@ impl UvmDriver {
     /// Not used by normal simulation — this is the fault-injection hook for
     /// modelling mid-phase policy flips.
     pub fn set_page_policy(&mut self, vpn: Vpn, bits: PolicyBits) -> SimResult<()> {
-        self.entry_mut(vpn)?.policy = bits;
-        Ok(())
+        self.update_entry(vpn, |e| e.policy = bits)
     }
 
     /// Applies an ECC poison event to the frame holding `vpn` on `gpu`:
@@ -690,7 +708,7 @@ impl UvmDriver {
             let mut out = Outcome::new(OutcomeKind::EccReplicaDropped);
             self.invalidate_at(now, gpu, vpn, false, &mut out);
             self.charge_invalidation(1, &mut out);
-            self.entry_mut(vpn)?.copy_mask &= !(1 << gpu.0);
+            self.update_entry(vpn, |e| e.copy_mask &= !(1 << gpu.0))?;
             return Ok(Some(out));
         }
         // The poisoned frame held the authoritative copy: fall back to the
@@ -707,10 +725,11 @@ impl UvmDriver {
         self.invalidate_at(now, gpu, vpn, false, &mut out);
         inv += 1;
         self.charge_invalidation(inv, &mut out);
-        let e = self.entry_mut(vpn)?;
-        e.owner = DeviceId::Host;
-        e.copy_mask = 0;
-        e.mapper_mask = 0;
+        self.update_entry(vpn, |e| {
+            e.owner = DeviceId::Host;
+            e.copy_mask = 0;
+            e.mapper_mask = 0;
+        })?;
         let mut reserviced = self.reservice_poisoned(now, gpu, vpn, fabric)?;
         reserviced.latency += out.latency;
         reserviced.shootdown_time += out.shootdown_time;
@@ -921,12 +940,12 @@ impl UvmDriver {
         if let Some(victim) = self.state.frames[to.index()].insert(vpn) {
             self.do_evict(now, to, victim, fabric, out)?;
         }
-        let e = self.entry_mut(vpn)?;
-        let old_bits = e.policy;
-        e.owner = DeviceId::Gpu(to);
-        e.copy_mask = 0;
-        e.mapper_mask = 0;
-        e.policy = bits;
+        let old_bits = self.update_entry(vpn, |e| {
+            e.owner = DeviceId::Gpu(to);
+            e.copy_mask = 0;
+            e.mapper_mask = 0;
+            std::mem::replace(&mut e.policy, bits)
+        })?;
         self.state.local_tables[to.index()].insert(
             vpn,
             Pte {
@@ -963,7 +982,7 @@ impl UvmDriver {
                 inv += 1;
             }
             self.charge_invalidation(inv, out);
-            self.entry_mut(vpn)?.copy_mask = 0;
+            self.update_entry(vpn, |e| e.copy_mask = 0)?;
         }
         let owner = self.entry(vpn)?.owner;
         if owner == DeviceId::Gpu(gpu) {
@@ -995,10 +1014,10 @@ impl UvmDriver {
                 },
             );
         }
-        let e = self.entry_mut(vpn)?;
-        let old_bits = e.policy;
-        e.mapper_mask |= 1 << gpu.0;
-        e.policy = PolicyBits::AccessCounter;
+        let old_bits = self.update_entry(vpn, |e| {
+            e.mapper_mask |= 1 << gpu.0;
+            std::mem::replace(&mut e.policy, PolicyBits::AccessCounter)
+        })?;
         self.state.local_tables[gpu.index()].insert(
             vpn,
             Pte {
@@ -1056,11 +1075,11 @@ impl UvmDriver {
         if let Some(victim) = self.state.frames[gpu.index()].insert(vpn) {
             self.do_evict(now, gpu, victim, fabric, out)?;
         }
-        let e = self.entry_mut(vpn)?;
-        let old_bits = e.policy;
-        e.mapper_mask = 0;
-        e.copy_mask |= 1 << gpu.0;
-        e.policy = PolicyBits::Duplication;
+        let old_bits = self.update_entry(vpn, |e| {
+            e.mapper_mask = 0;
+            e.copy_mask |= 1 << gpu.0;
+            std::mem::replace(&mut e.policy, PolicyBits::Duplication)
+        })?;
         self.state.local_tables[gpu.index()].insert(
             vpn,
             Pte {
@@ -1114,11 +1133,12 @@ impl UvmDriver {
         if let Some(victim) = self.state.frames[writer.index()].insert(vpn) {
             self.do_evict(now, writer, victim, fabric, out)?;
         }
-        let e = self.entry_mut(vpn)?;
-        let bits = e.policy;
-        e.owner = DeviceId::Gpu(writer);
-        e.copy_mask = 0;
-        e.mapper_mask = 0;
+        let bits = self.update_entry(vpn, |e| {
+            e.owner = DeviceId::Gpu(writer);
+            e.copy_mask = 0;
+            e.mapper_mask = 0;
+            e.policy
+        })?;
         self.state.local_tables[writer.index()].insert(
             vpn,
             Pte {
@@ -1148,7 +1168,7 @@ impl UvmDriver {
         if let Some(victim) = self.state.frames[gpu.index()].insert(vpn) {
             self.do_evict(now, gpu, victim, fabric, out)?;
         }
-        self.entry_mut(vpn)?.copy_mask |= 1 << gpu.0;
+        self.update_entry(vpn, |e| e.copy_mask |= 1 << gpu.0)?;
         self.state.local_tables[gpu.index()].insert(
             vpn,
             Pte {
@@ -1214,7 +1234,7 @@ impl UvmDriver {
             if let Some(victim) = self.state.frames[gpu.index()].insert(candidate) {
                 self.do_evict(now, gpu, victim, fabric, out)?;
             }
-            self.entry_mut(candidate)?.owner = DeviceId::Gpu(gpu);
+            self.update_entry(candidate, |e| e.owner = DeviceId::Gpu(gpu))?;
             self.state.local_tables[gpu.index()].insert(
                 candidate,
                 Pte {
@@ -1258,7 +1278,7 @@ impl UvmDriver {
             // drop it, no data movement needed.
             self.invalidate_at(now, gpu, victim, false, out);
             self.charge_invalidation(1, out);
-            self.entry_mut(victim)?.copy_mask &= !(1 << gpu.0);
+            self.update_entry(victim, |e| e.copy_mask &= !(1 << gpu.0))?;
             return Ok(());
         }
         // Full eviction of an owned page: every holder is invalidated and
@@ -1292,16 +1312,45 @@ impl UvmDriver {
             bytes,
             busy,
         });
-        let e = self.entry_mut(victim)?;
-        e.owner = DeviceId::Host;
-        e.copy_mask = 0;
-        e.mapper_mask = 0;
-        // e.policy intentionally retained (Section VI-D).
-        Ok(())
+        self.update_entry(victim, |e| {
+            e.owner = DeviceId::Host;
+            e.copy_mask = 0;
+            e.mapper_mask = 0;
+            // e.policy intentionally retained (Section VI-D).
+        })
     }
 
     fn page_bytes(&self) -> u64 {
         self.state.page_size.bytes()
+    }
+
+    /// Folds each GPU's recently stamped frames into its running digest
+    /// sum ([`FrameAllocator::settle_digest`]), so the digest at an epoch
+    /// boundary walks nothing.
+    pub fn settle_digests(&mut self) {
+        self.state
+            .frames
+            .iter_mut()
+            .for_each(FrameAllocator::settle_digest);
+    }
+
+    /// Folds the state that [`Snapshot`] writes into a state digest, in the
+    /// same order: the tables and maps by their running sums (or, for a
+    /// reference hasher, recomputed), everything else word by word. The
+    /// policy engine's state is folded separately
+    /// ([`PolicyEngine::digest`]).
+    pub fn digest_into(&self, h: &mut StateHasher) {
+        h.word(self.state.gpu_count() as u64);
+        self.state.host_table.digest_into(h);
+        for g in 0..self.state.gpu_count() {
+            self.state.local_tables[g].digest_into(h, format_args!("gpu {g} local page table"));
+            self.state.frames[g].digest_into(h, format_args!("gpu {g} frames"));
+        }
+        self.counters
+            .digest_into(h, format_args!("access counters"));
+        self.thrash.digest_into(h, format_args!("thrash windows"));
+        h.word(self.driver_free.as_ps());
+        self.stats.snapshot(h);
     }
 }
 
@@ -1313,7 +1362,7 @@ impl Snapshot for UvmDriver {
     /// this section — they come from construction and from the policy's
     /// [`PolicyEngine::snapshot_state`](crate::policy::PolicyEngine)
     /// respectively.
-    fn snapshot(&self, w: &mut ByteWriter) {
+    fn snapshot<E: Encoder + ?Sized>(&self, w: &mut E) {
         w.u64(self.state.gpu_count() as u64);
         self.state.host_table.snapshot(w);
         for g in 0..self.state.gpu_count() {
@@ -1322,7 +1371,7 @@ impl Snapshot for UvmDriver {
         }
         // HashMap iteration order is nondeterministic: emit access counters
         // and thrash windows sorted by key so identical states serialize to
-        // identical bytes (the digest contract).
+        // identical bytes (checkpoints and the golden snapshot digest).
         let mut counters: Vec<((u8, u64), u32)> =
             self.counters.iter().map(|(k, v)| (*k, *v)).collect();
         counters.sort_unstable_by_key(|(k, _)| *k);
@@ -1361,7 +1410,7 @@ impl Restore for UvmDriver {
             self.state.frames[g].restore(r)?;
         }
         let n = r.usize()?;
-        self.counters = FxHashMap::with_capacity_and_hasher(n, Default::default());
+        self.counters.clear();
         for _ in 0..n {
             let gpu = r.u8()?;
             let group = r.u64()?;
@@ -1373,7 +1422,7 @@ impl Restore for UvmDriver {
             }
         }
         let n = r.usize()?;
-        self.thrash = FxHashMap::with_capacity_and_hasher(n, Default::default());
+        self.thrash.clear();
         for _ in 0..n {
             let vpn = Vpn(r.u64()?);
             let count = r.u32()?;
@@ -1394,6 +1443,7 @@ mod tests {
     use crate::policy::{
         AccessCounterPolicy, Decision, DuplicationPolicy, IdealPolicy, OnTouchPolicy,
     };
+    use oasis_engine::codec::ByteWriter;
     use oasis_engine::SimError;
     use oasis_interconnect::FabricConfig;
     use oasis_mem::types::AccessKind;
@@ -1443,7 +1493,7 @@ mod tests {
 
     /// Edits a registered page's host-table entry in place.
     fn with_entry(d: &mut UvmDriver, v: Vpn, edit: impl FnOnce(&mut HostEntry)) {
-        edit(d.state.host_table.get_mut(v).expect("page registered"));
+        d.state.host_table.update(v, edit).expect("page registered");
     }
 
     #[test]

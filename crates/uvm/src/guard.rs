@@ -283,9 +283,8 @@ mod tests {
         let (mut d, _) = driver(Box::new(OnTouchPolicy));
         d.state
             .host_table
-            .get_mut(vpn(0))
-            .expect("registered")
-            .copy_mask = 1 << 7; // GPU 7 of 4
+            .update(vpn(0), |e| e.copy_mask = 1 << 7) // GPU 7 of 4
+            .expect("registered");
         let err = check_mem_state(&d.state, false).expect_err("divergence detected");
         assert!(err.to_string().contains("mask-bounds"), "{err}");
     }

@@ -6,7 +6,8 @@
 //! page, plus the hypothetical "Ideal" configuration of Section IV-A.
 //! OASIS (`oasis-core`) and GRIT (`oasis-grit`) implement the same trait.
 
-use oasis_engine::codec::{ByteReader, ByteWriter, CodecError};
+use oasis_engine::codec::{ByteReader, CodecError, Encoder};
+use oasis_engine::digest::StateHasher;
 use oasis_engine::error::SimResult;
 use oasis_engine::{Duration, MetricsRegistry};
 use oasis_mem::types::{DeviceId, ObjectId, Va};
@@ -92,11 +93,20 @@ pub trait PolicyEngine {
     /// have nothing to publish.
     fn publish_metrics(&self, _m: &mut MetricsRegistry) {}
 
+    /// Folds the engine's mutable state into the per-epoch state digest.
+    /// The default hashes [`PolicyEngine::snapshot_state`] word by word,
+    /// which suits small state such as the O-Table. An engine with a table
+    /// that grows with the footprint keeps a running sum for it and
+    /// overrides this hook (GRIT's per-page map), so no epoch sorts it.
+    fn digest(&self, h: &mut StateHasher) {
+        self.snapshot_state(h);
+    }
+
     /// Serializes the engine's mutable state into a checkpoint section.
     /// The uniform policies are stateless, so the default writes nothing;
     /// stateful engines (OASIS's O-Table and learning statistics) override
     /// both hooks as a pair.
-    fn snapshot_state(&self, _w: &mut ByteWriter) {}
+    fn snapshot_state(&self, _w: &mut dyn Encoder) {}
 
     /// Restores state written by [`PolicyEngine::snapshot_state`]. The
     /// default accepts only an empty payload, so resuming a checkpoint

@@ -1,6 +1,6 @@
 //! Counters collected by the UVM driver.
 
-use oasis_engine::codec::{ByteReader, ByteWriter, CodecError, Restore, Snapshot};
+use oasis_engine::codec::{ByteReader, CodecError, Encoder, Restore, Snapshot};
 
 /// Event counters accumulated while the driver resolves faults.
 ///
@@ -106,7 +106,7 @@ impl UvmStats {
 }
 
 impl Snapshot for UvmStats {
-    fn snapshot(&self, w: &mut ByteWriter) {
+    fn snapshot<E: Encoder + ?Sized>(&self, w: &mut E) {
         for v in [
             self.far_faults,
             self.protection_faults,

@@ -10,7 +10,7 @@
 # suite (unit + property-style + integration, including the
 # fault-injection campaign and the sim-guard consistency sweeps), the
 # bench-smoke throughput gate, three determinism audits (checkpoint
-# replay, byte-identical trace files, and byte-identical fuzz reports
+# replay on C2D and LeNet, byte-identical trace files, and byte-identical fuzz reports
 # at any --jobs count), a parallel corpus replay with skip-hardening and
 # failure-propagation probes, and — in strict mode — the pinned
 # golden-digest gate (two fixed-seed scenarios cmp'd against fixtures in
@@ -66,6 +66,9 @@ cargo test -q --workspace
 
 step "checkpoint/resume determinism (verify-replay)"
 cargo run -q --release -p oasis-cli -- verify-replay --app C2D --footprint-mb 4
+# LeNet's 129 epochs put the kill at epoch 64: the resumed run rebuilds
+# every running digest sum from the checkpoint and must still match.
+cargo run -q --release -p oasis-cli -- verify-replay --app LeNet --footprint-mb 4
 
 step "trace determinism (same seed, byte-identical chrome trace)"
 T1="$(mktemp)" T2="$(mktemp)"
@@ -79,12 +82,15 @@ echo "traces are byte-identical ($(wc -c <"$T1") bytes)"
 
 step "golden digest trails (pinned cross-version determinism fixtures)"
 if [ "$STRICT" = "1" ]; then
-    # Two fixed-seed scenarios re-run from scratch; their per-epoch FNV-1a
-    # digest trails must cmp byte-identical against fixtures pinned in
-    # tests/golden/. Unlike the same-binary determinism audits above, this
-    # gate spans versions: any semantic drift in the access pipeline —
-    # however subtle — shows up here even when the run still agrees with
-    # itself. Refreshing a fixture is a deliberate, reviewed act.
+    # Two fixed-seed scenarios re-run from scratch; their per-epoch state
+    # digest trails (System::digest, composed from component digests) must
+    # cmp byte-identical against fixtures pinned in tests/golden/. Unlike
+    # the same-binary determinism audits above, this gate spans versions:
+    # any semantic drift in the access pipeline — however subtle — shows
+    # up here even when the run still agrees with itself. Refreshing a
+    # fixture is a deliberate, reviewed act; tests/golden_digests.rs pins
+    # the same runs' trails in the older snapshot-digest format, which
+    # does not change with the digest format.
     D1="$(mktemp)" D2="$(mktemp)"
     ./target/release/oasis-sim run --app C2D --policy oasis --footprint-mb 4 \
         --digest-out "$D1" >/dev/null

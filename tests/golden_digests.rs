@@ -1,0 +1,150 @@
+//! Pinned golden digest trails: the bit-identity contract for simulation
+//! semantics, across versions.
+//!
+//! Each trail is the per-epoch [`System::snapshot_digest`], FNV-1a over the
+//! full serialized state (tracker, fabric, fault state, TLBs, caches, DRAM
+//! channels, driver tables, policy state), collected by stepping the run
+//! one epoch at a time. The trails below were captured before the
+//! pre-resolved access pipeline landed and are asserted byte-for-byte
+//! since; the last test pins what the CI golden fixtures held before the
+//! run's own digest changed format. Any change to simulation semantics
+//! (an extra fault, a different eviction victim, a reordered shootdown)
+//! shows up here by name. Performance work must keep every one green.
+
+use oasis::mgpu::{Policy, System, SystemConfig};
+use oasis::workloads::{generate, App, Trace, WorkloadParams};
+
+/// The snapshot digest after each epoch of `trace`.
+fn snapshot_trail(trace: &Trace, policy: Policy) -> Vec<u64> {
+    let mut sys = System::new(SystemConfig::default(), &policy);
+    (1..=trace.phases.len() as u64)
+        .map(|epoch| {
+            sys.run_prefix(trace, epoch).expect("epoch runs");
+            sys.snapshot_digest()
+        })
+        .collect()
+}
+
+fn trail(app: App, policy: Policy) -> Vec<u64> {
+    snapshot_trail(&generate(app, &WorkloadParams::small(app, 4)), policy)
+}
+
+#[test]
+fn c2d_on_touch_trail_is_pinned() {
+    assert_eq!(
+        trail(App::C2d, Policy::OnTouch),
+        vec![
+            0x40b96e601bd36c95,
+            0x3ea16853d151722f,
+            0xad8c45b05a0db0f1,
+            0x66d55e065be71f3a,
+            0xb8c9700e6fbe7755,
+            0x7c9f710eec461662,
+            0xe71d643219203298,
+            0x5c6ad647bb250c4d,
+            0x61e7fb49f621ba43,
+        ]
+    );
+}
+
+#[test]
+fn c2d_access_counter_trail_is_pinned() {
+    assert_eq!(
+        trail(App::C2d, Policy::AccessCounter),
+        vec![
+            0x32a292a51fa43759,
+            0x57f15cd8df0dd9c0,
+            0xccb25dc477b643ab,
+            0xf8127348dbbd2d4e,
+            0x5f63319abc84ab14,
+            0xe970528867fb196c,
+            0x099e880c951b8e32,
+            0xdb7792c8ccb6f0d7,
+            0x109bc2b5f64d10fe,
+        ]
+    );
+}
+
+#[test]
+fn c2d_duplication_trail_is_pinned() {
+    assert_eq!(
+        trail(App::C2d, Policy::Duplication),
+        vec![
+            0x2247f4b65a83e6df,
+            0x029b99288e8f001e,
+            0xdbb5d95b13c7d4cc,
+            0x863b14422a60844f,
+            0x62a375c7e8fcd9cc,
+            0xd781aae41c308800,
+            0x70e821b75f71588c,
+            0xf6543f798193e71e,
+            0xa322f3dde7485ac4,
+        ]
+    );
+}
+
+#[test]
+fn c2d_oasis_trail_is_pinned() {
+    assert_eq!(
+        trail(App::C2d, Policy::oasis()),
+        vec![
+            0xed1264e858b97900,
+            0xbae9807e83af2b1c,
+            0x1e2683a92fa83443,
+            0xfb9bfd7938cde3e1,
+            0x6d478187a7e39218,
+            0x981b5af1b19a7727,
+            0xdf52ff9164b7c876,
+            0xf2e4e3ebf4a0812d,
+            0x7b7861cb80f1773b,
+        ]
+    );
+}
+
+#[test]
+fn mm_trails_are_pinned_for_all_four_policies() {
+    assert_eq!(trail(App::Mm, Policy::OnTouch), vec![0x640657b856e6a885]);
+    assert_eq!(
+        trail(App::Mm, Policy::AccessCounter),
+        vec![0x0f7ed771fdf07d5d]
+    );
+    assert_eq!(
+        trail(App::Mm, Policy::Duplication),
+        vec![0x11dc90e309892a4f]
+    );
+    assert_eq!(trail(App::Mm, Policy::oasis()), vec![0xb137fa2e4e5e3050]);
+}
+
+/// The trails of the two runs the CI golden step makes
+/// (`run --app C2D --policy oasis --footprint-mb 4` and
+/// `run --app MM --policy duplication --footprint-mb 4`), as
+/// `tests/golden/*.digests` held them before the per-epoch digest changed
+/// format.
+#[test]
+fn ci_fixture_runs_keep_their_legacy_trails() {
+    let cli_trail = |app: App, policy: Policy| {
+        let params = WorkloadParams {
+            footprint_mb: 4,
+            ..WorkloadParams::paper(app, 4)
+        };
+        snapshot_trail(&generate(app, &params), policy)
+    };
+    assert_eq!(
+        cli_trail(App::C2d, Policy::oasis()),
+        vec![
+            0xd5fe78bfd06473b1,
+            0x49ae106535418300,
+            0x817a2182ea069b4d,
+            0xe6baa45dc6637036,
+            0xa69a04b1f6c86495,
+            0x95e8742102de8aa1,
+            0x72ec9922fbfc0fb6,
+            0xbf100d0c7089de10,
+            0xfe0f13d11e72f89d,
+        ]
+    );
+    assert_eq!(
+        cli_trail(App::Mm, Policy::Duplication),
+        vec![0x11dc90e309892a4f]
+    );
+}

@@ -57,8 +57,8 @@ pub use journal::{
 pub use metrics::{CounterHandle, Histogram, HistogramHandle, MetricsRegistry, HISTOGRAM_BUCKETS};
 pub use obs::Observer;
 pub use pool::{
-    run_sweep, run_sweep_controlled, Job, JobCtx, JobError, JobOutcome, JobRecord, PoolConfig,
-    StopHandle, SweepControl, SweepReport,
+    open_feed, run_sweep, run_sweep_controlled, supervise, Feed, Intake, Job, JobCtx, JobError,
+    JobOutcome, JobRecord, PoolConfig, StopHandle, SweepControl, SweepReport,
 };
 pub use queue::{Event, EventQueue};
 pub use rng::SimRng;

@@ -1,9 +1,9 @@
-//! Supervised parallel sweep executor.
+//! Supervised job pool: an open job feed served by long-lived workers.
 //!
 //! Every multi-scenario workflow in the workspace — the fuzzer, the
-//! fault-injection campaign, the replay audit, the bench matrix — fans a
-//! set of independent simulations across cores. The unit of work here is a
-//! *supervised job*, not a bare closure:
+//! fault-injection campaign, the replay audit, the bench matrix, the sweep
+//! server — fans a set of independent simulations across cores. The unit
+//! of work here is a *supervised job*, not a bare closure:
 //!
 //! * **Panic isolation** — each attempt runs under `catch_unwind`; a panic
 //!   becomes a typed [`JobError::Panicked`] carrying the payload message,
@@ -24,9 +24,16 @@
 //!   (panic or deadline) is quarantined rather than lost: the sweep always
 //!   completes and [`SweepReport::quarantined`] names the casualties.
 //!
-//! **Determinism.** Jobs are numbered by submission order and dispatched
-//! in id order, and [`SweepReport::jobs`] is collected in id order — so
-//! given deterministic job bodies, everything in the report except the
+//! **The feed.** [`open_feed`] returns a [`Feed`], through which any
+//! thread submits jobs under ids of its choosing while the pool runs, and
+//! an [`Intake`] that [`supervise`] serves. The supervisor spawns workers
+//! as jobs arrive, up to [`PoolConfig::workers`], and keeps them until it
+//! returns, so a worker outlives many jobs. [`run_sweep`] is the same loop
+//! over a fixed list: a feed that is closed after its last job.
+//!
+//! **Determinism.** Jobs are dispatched in the order they are fed, and
+//! [`SweepReport::jobs`] is collected in id order — so given
+//! deterministic job bodies, everything in the report except the
 //! explicitly wall-clock fields (`wall_clock_us`, `worker`) is
 //! byte-identical regardless of worker count or completion order.
 //!
@@ -36,21 +43,22 @@
 //! without locks on the hot path. (A worker abandoned to a hung job takes
 //! its registry down with it — by design: nothing blocks on a wedge.)
 //!
-//! **Cooperative stop.** A sweep launched through [`run_sweep_controlled`]
-//! can carry a [`StopHandle`]: once stopped (a signal handler, a server's
-//! shutdown path), the supervisor drains the queue without dispatching
-//! further attempts, lets in-flight attempts finish or hit their deadline,
-//! and returns an *interrupted* [`SweepReport`] — adjudicated jobs in
-//! [`SweepReport::jobs`], never-run ones named in [`SweepReport::halted`].
-//! [`SweepControl`] also carries dispatch/adjudication observers, which is
-//! how the write-ahead sweep journal ([`crate::journal`]) sees one
-//! `Dispatched` record per attempt and one `Adjudicated` per outcome
-//! without the pool knowing anything about files.
+//! **Cooperative stop.** A [`SweepControl`] can carry a [`StopHandle`]:
+//! once stopped (a signal handler, a server's shutdown path), the
+//! supervisor halts queued jobs and every job fed after the stop, lets
+//! in-flight attempts finish or hit their deadline, and returns an
+//! *interrupted* [`SweepReport`] — adjudicated jobs in
+//! [`SweepReport::jobs`], halted ones named in [`SweepReport::halted`] —
+//! even while the feed is still open. [`SweepControl`] also carries
+//! dispatch/adjudication observers, which is how the write-ahead sweep
+//! journal ([`crate::journal`]) sees one `Dispatched` record per attempt
+//! and one `Adjudicated` per outcome without the pool knowing anything
+//! about files.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -61,7 +69,8 @@ use crate::metrics::MetricsRegistry;
 /// one worker, no deadline, one attempt.
 #[derive(Debug, Clone)]
 pub struct PoolConfig {
-    /// Worker threads (clamped to at least 1 and at most the job count).
+    /// Worker threads (at least 1; spawned as jobs arrive, so a fixed list
+    /// never gets more workers than jobs).
     pub workers: usize,
     /// Wall-clock budget per attempt; `None` trusts jobs to finish.
     pub deadline: Option<Duration>,
@@ -139,11 +148,12 @@ pub type AdjudicationObserver<'cb, T> = &'cb mut dyn FnMut(&JobRecord<T>);
 /// points. Both hooks run on the supervisor thread, so observers need no
 /// synchronization and their call order is the adjudication order.
 pub struct SweepControl<'cb, T> {
-    /// Cooperative stop flag; `None` means the sweep runs to completion.
+    /// Cooperative stop flag; `None` means the pool runs until its feed
+    /// closes and drains.
     pub stop: Option<StopHandle>,
     /// Called with `(job_id, attempt)` when an attempt is committed for
-    /// dispatch — every initial fan-out entry and every retry, *before*
-    /// the attempt can run.
+    /// dispatch — every job as it is taken from the feed and every retry,
+    /// *before* the attempt can run.
     pub on_dispatch: Option<DispatchObserver<'cb>>,
     /// Called with the final [`JobRecord`] the moment a job is
     /// adjudicated (completed, failed, or quarantined).
@@ -245,7 +255,7 @@ impl<T> JobOutcome<T> {
 /// just releases the thread).
 #[derive(Debug)]
 pub struct JobCtx {
-    /// The job's sweep-wide id (submission order).
+    /// The id the job was fed under (its index, for a fixed list).
     pub job_id: u64,
     /// 1-based attempt number.
     pub attempt: u32,
@@ -292,7 +302,7 @@ impl<T> std::fmt::Debug for Job<T> {
 /// Everything known about one job after the sweep.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JobRecord<T> {
-    /// Sweep-wide id: the job's index in the submitted list.
+    /// The id the job was fed under: its index in a fixed list.
     pub id: u64,
     /// The label the job was submitted with.
     pub label: String,
@@ -319,7 +329,7 @@ pub struct SweepReport<T> {
     /// completion order. Equals the submitted set unless the sweep was
     /// stopped, in which case [`SweepReport::halted`] names the rest.
     pub jobs: Vec<JobRecord<T>>,
-    /// Worker threads the sweep started with.
+    /// Worker threads spawned for jobs (replacements not counted).
     pub workers: usize,
     /// Replacement workers spawned after deadline abandonments.
     pub workers_respawned: u64,
@@ -373,7 +383,13 @@ struct Shared<T> {
     in_flight: Mutex<BTreeMap<u64, InFlight>>,
 }
 
-enum WorkerMsg<T> {
+/// Everything the supervisor hears, on one channel: jobs from the feed and
+/// reports from the workers and the watchdog.
+enum Msg<T> {
+    /// A job fed under the caller's id.
+    Submit { id: u64, job: Job<T> },
+    /// The feed was dropped: no further job will come.
+    Closed,
     /// An attempt finished (value, typed failure, or caught panic).
     Done {
         worker: u64,
@@ -395,6 +411,40 @@ enum WorkerMsg<T> {
     },
 }
 
+/// The submitting side of an open job feed. Any thread may hold it;
+/// dropping it closes the feed.
+pub struct Feed<T> {
+    tx: Sender<Msg<T>>,
+}
+
+impl<T> Feed<T> {
+    /// Feeds `job` under `id`, which must differ from every id fed before.
+    /// Returns false once the supervisor has returned: the job is dropped
+    /// unrun.
+    pub fn submit(&self, id: u64, job: Job<T>) -> bool {
+        self.tx.send(Msg::Submit { id, job }).is_ok()
+    }
+}
+
+impl<T> Drop for Feed<T> {
+    fn drop(&mut self) {
+        let _ = self.tx.send(Msg::Closed);
+    }
+}
+
+/// The supervising side of a feed, served by [`supervise`].
+pub struct Intake<T> {
+    tx: Sender<Msg<T>>,
+    rx: Receiver<Msg<T>>,
+}
+
+/// Opens a job feed: jobs go in through the [`Feed`], and [`supervise`]
+/// runs them from the [`Intake`].
+pub fn open_feed<T>() -> (Feed<T>, Intake<T>) {
+    let (tx, rx) = channel();
+    (Feed { tx: tx.clone() }, Intake { tx, rx })
+}
+
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
@@ -408,7 +458,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 fn spawn_worker<T: Send + 'static>(
     token: u64,
     shared: Arc<Shared<T>>,
-    tx: Sender<WorkerMsg<T>>,
+    tx: Sender<Msg<T>>,
     abandoned: Arc<AtomicBool>,
 ) -> JoinHandle<()> {
     std::thread::Builder::new()
@@ -425,7 +475,7 @@ fn spawn_worker<T: Send + 'static>(
                         if shared.shutdown.load(Ordering::Relaxed) {
                             // Retire: hand the registry back (the receiver
                             // may already be gone; that is fine).
-                            let _ = tx.send(WorkerMsg::Retired {
+                            let _ = tx.send(Msg::Retired {
                                 worker: token,
                                 metrics,
                             });
@@ -482,7 +532,7 @@ fn spawn_worker<T: Send + 'static>(
                     break;
                 }
                 if tx
-                    .send(WorkerMsg::Done {
+                    .send(Msg::Done {
                         worker: token,
                         job_id: task.job_id,
                         attempt: task.attempt,
@@ -498,15 +548,57 @@ fn spawn_worker<T: Send + 'static>(
         .expect("spawning a pool worker failed")
 }
 
-/// Supervisor-side view of one job's progress.
-struct JobState<T> {
+/// The shared watchdog: scans in-flight attempts and reports the ones past
+/// the deadline. Adjudication stays with the supervisor so there is
+/// exactly one decision point per attempt.
+fn spawn_watchdog<T: Send + 'static>(
+    deadline: Duration,
+    poll: Duration,
+    shared: &Arc<Shared<T>>,
+    tx: &Sender<Msg<T>>,
+) -> JoinHandle<()> {
+    let (shared, tx) = (Arc::clone(shared), tx.clone());
+    let poll = poll.max(Duration::from_millis(1));
+    std::thread::Builder::new()
+        .name("oasis-pool-watchdog".to_string())
+        .spawn(move || {
+            let mut reported: BTreeMap<u64, (u64, u32)> = BTreeMap::new();
+            while !shared.shutdown.load(Ordering::Relaxed) {
+                std::thread::sleep(poll);
+                let expired: Vec<(u64, u64, u32)> = {
+                    let inf = shared.in_flight.lock().expect("in-flight poisoned");
+                    inf.iter()
+                        .filter(|(token, f)| {
+                            f.started.elapsed() > deadline
+                                && reported.get(token) != Some(&(f.job_id, f.attempt))
+                        })
+                        .map(|(&token, f)| (token, f.job_id, f.attempt))
+                        .collect()
+                };
+                for (worker, job_id, attempt) in expired {
+                    reported.insert(worker, (job_id, attempt));
+                    let msg = Msg::Expired {
+                        worker,
+                        job_id,
+                        attempt,
+                    };
+                    if tx.send(msg).is_err() {
+                        return;
+                    }
+                }
+            }
+        })
+        .expect("spawning the pool watchdog failed")
+}
+
+/// Supervisor-side view of a job that is queued, running, or waiting for
+/// its retry.
+struct Live<T> {
     label: String,
     work: Arc<Work<T>>,
     attempts: u32,
     backoff_ms: u64,
     wall_clock_us: u64,
-    record: Option<JobRecord<T>>,
-    halted: bool,
 }
 
 /// Runs `jobs` to completion under `config` and returns the structured
@@ -519,131 +611,69 @@ pub fn run_sweep<T: Send + 'static>(config: &PoolConfig, jobs: Vec<Job<T>>) -> S
 }
 
 /// [`run_sweep`] with a [`SweepControl`]: cooperative stop plus
-/// dispatch/adjudication observers. With a stop handle attached the
-/// supervisor polls the flag between messages (a few-ms wakeup) instead
-/// of blocking indefinitely on the channel; without one this is exactly
-/// `run_sweep`.
+/// dispatch/adjudication observers. The list is fed under ids `0..n` and
+/// the feed is closed behind it, so the supervisor is [`supervise`]'s and
+/// the workers never outnumber the jobs.
 pub fn run_sweep_controlled<T: Send + 'static>(
     config: &PoolConfig,
     jobs: Vec<Job<T>>,
+    ctrl: SweepControl<'_, T>,
+) -> SweepReport<T> {
+    let (feed, intake) = open_feed();
+    for (id, job) in jobs.into_iter().enumerate() {
+        feed.submit(id as u64, job);
+    }
+    drop(feed);
+    supervise(config, intake, ctrl)
+}
+
+/// Serves the feed behind `intake`, with the calling thread as its
+/// supervisor. Workers are spawned as jobs arrive, up to
+/// [`PoolConfig::workers`], and live until the supervisor returns: once
+/// the feed is closed and every job it carried is adjudicated, or, after a
+/// stop, once every in-flight attempt has settled, even while the feed is
+/// still open. Each job is observed dispatched when the supervisor takes
+/// it from the feed, before it can run; a job taken after the stop is
+/// halted.
+pub fn supervise<T: Send + 'static>(
+    config: &PoolConfig,
+    intake: Intake<T>,
     mut ctrl: SweepControl<'_, T>,
 ) -> SweepReport<T> {
     let sweep_started = Instant::now();
-    let job_count = jobs.len();
-    let workers = config.workers.clamp(1, job_count.max(1));
+    let Intake { tx, rx } = intake;
+    let max_workers = config.workers.max(1);
     let max_attempts = config.max_attempts.max(1);
-
-    let mut states: Vec<JobState<T>> = jobs
-        .into_iter()
-        .map(|j| JobState {
-            label: j.label,
-            work: j.work,
-            attempts: 0,
-            backoff_ms: 0,
-            wall_clock_us: 0,
-            record: None,
-            halted: false,
-        })
-        .collect();
-
     let shared: Arc<Shared<T>> = Arc::new(Shared {
         queue: Mutex::new(VecDeque::new()),
         available: Condvar::new(),
         shutdown: AtomicBool::new(false),
         in_flight: Mutex::new(BTreeMap::new()),
     });
-    // Deterministic fan-out: the initial queue is in job-id order. The
-    // dispatch observer fires before workers exist, so every intent is
-    // journaled before any attempt can possibly run.
-    {
-        let mut q = shared.queue.lock().expect("pool queue poisoned");
-        for (id, state) in states.iter().enumerate() {
-            if let Some(cb) = ctrl.on_dispatch.as_mut() {
-                cb(id as u64, 1);
-            }
-            q.push_back(Attempt {
-                job_id: id as u64,
-                attempt: 1,
-                work: Arc::clone(&state.work),
-            });
-        }
-    }
-
-    let (tx, rx): (Sender<WorkerMsg<T>>, Receiver<WorkerMsg<T>>) = channel();
-    let mut next_token = 0u64;
-    let mut handles: Vec<(u64, Arc<AtomicBool>, JoinHandle<()>)> = Vec::new();
-    // A stop raised before the sweep starts means "dispatch nothing":
-    // skipping worker spawn entirely makes the all-halted outcome
-    // deterministic instead of racing the drain against eager workers.
-    let workers = if ctrl.stop.as_ref().is_some_and(|s| s.is_stopped()) {
-        0
-    } else {
-        workers
-    };
-    for _ in 0..workers {
-        let abandoned = Arc::new(AtomicBool::new(false));
-        let h = spawn_worker(
-            next_token,
-            Arc::clone(&shared),
-            tx.clone(),
-            Arc::clone(&abandoned),
-        );
-        handles.push((next_token, abandoned, h));
-        next_token += 1;
-    }
-
-    // The shared watchdog: scans in-flight attempts and reports the ones
-    // past the deadline. Adjudication stays with the supervisor so there
-    // is exactly one decision point per attempt.
-    let watchdog = config.deadline.map(|deadline| {
-        let shared = Arc::clone(&shared);
-        let tx = tx.clone();
-        let poll = config.watchdog_poll.max(Duration::from_millis(1));
-        std::thread::Builder::new()
-            .name("oasis-pool-watchdog".to_string())
-            .spawn(move || {
-                let mut reported: BTreeMap<u64, (u64, u32)> = BTreeMap::new();
-                while !shared.shutdown.load(Ordering::Relaxed) {
-                    std::thread::sleep(poll);
-                    let expired: Vec<(u64, u64, u32)> = {
-                        let inf = shared.in_flight.lock().expect("in-flight poisoned");
-                        inf.iter()
-                            .filter(|(token, f)| {
-                                f.started.elapsed() > deadline
-                                    && reported.get(token) != Some(&(f.job_id, f.attempt))
-                            })
-                            .map(|(&token, f)| (token, f.job_id, f.attempt))
-                            .collect()
-                    };
-                    for (worker, job_id, attempt) in expired {
-                        reported.insert(worker, (job_id, attempt));
-                        if tx
-                            .send(WorkerMsg::Expired {
-                                worker,
-                                job_id,
-                                attempt,
-                            })
-                            .is_err()
-                        {
-                            return;
-                        }
-                    }
-                }
-            })
-            .expect("spawning the pool watchdog failed")
-    });
+    let watchdog = config
+        .deadline
+        .map(|deadline| spawn_watchdog(deadline, config.watchdog_poll, &shared, &tx));
 
     let deadline_ms = config.deadline.map_or(0, |d| d.as_millis() as u64);
-    let mut finalized = 0usize;
-    let mut retries = 0u64;
-    let mut workers_respawned = 0u64;
+    let mut live: BTreeMap<u64, Live<T>> = BTreeMap::new();
+    let mut records: BTreeMap<u64, JobRecord<T>> = BTreeMap::new();
+    let mut halted: Vec<u64> = Vec::new();
     let mut delayed: Vec<(Instant, Attempt<T>)> = Vec::new();
+    // Every worker ever spawned, indexed by its token, with its
+    // abandonment flag.
+    let mut handles: Vec<(Arc<AtomicBool>, JoinHandle<()>)> = Vec::new();
     let mut worker_metrics: BTreeMap<u64, MetricsRegistry> = BTreeMap::new();
+    let (mut workers, mut workers_respawned, mut retries) = (0usize, 0u64, 0u64);
+    let (mut closed, mut stopped) = (false, false);
     let stop = ctrl.stop.clone();
-    let mut stopped = false;
-    let mut halted_count = 0usize;
 
-    let enqueue = |shared: &Shared<T>, attempt: Attempt<T>| {
+    let spawn = |token: usize| {
+        let abandoned = Arc::new(AtomicBool::new(false));
+        let flag = Arc::clone(&abandoned);
+        let handle = spawn_worker(token as u64, Arc::clone(&shared), tx.clone(), flag);
+        (abandoned, handle)
+    };
+    let enqueue = |attempt: Attempt<T>| {
         shared
             .queue
             .lock()
@@ -652,27 +682,33 @@ pub fn run_sweep_controlled<T: Send + 'static>(
         shared.available.notify_one();
     };
 
-    while finalized + halted_count < job_count {
-        // Cooperative stop: drain everything not yet handed to a worker.
+    while !((closed || stopped) && live.is_empty()) {
+        // Block when no retry is waiting on its backoff and no stop handle
+        // needs polling: the feed and the workers are the only wakeups
+        // then. The supervisor holds a sender, so the channel never
+        // disconnects under it.
+        let msg = if delayed.is_empty() && stop.is_none() {
+            rx.recv().ok()
+        } else {
+            rx.recv_timeout(Duration::from_millis(10)).ok()
+        };
+
+        // Cooperative stop: halt everything not yet handed to a worker.
         // In-flight attempts are left to finish (or hit the deadline) and
-        // are adjudicated normally; queued and backoff-delayed attempts
-        // are halted without a record and named in the report.
+        // are adjudicated normally; jobs fed from now on are halted.
         if !stopped && stop.as_ref().is_some_and(|s| s.is_stopped()) {
             stopped = true;
-            let drained: Vec<Attempt<T>> = {
-                let mut q = shared.queue.lock().expect("pool queue poisoned");
-                q.drain(..).collect()
-            };
-            let delayed_attempts: Vec<Attempt<T>> =
-                delayed.drain(..).map(|(_, attempt)| attempt).collect();
-            for a in drained.into_iter().chain(delayed_attempts) {
-                let st = &mut states[a.job_id as usize];
-                if st.record.is_none() && !st.halted {
-                    st.halted = true;
-                    halted_count += 1;
+            let queued: Vec<Attempt<T>> = shared
+                .queue
+                .lock()
+                .expect("pool queue poisoned")
+                .drain(..)
+                .collect();
+            for a in queued.into_iter().chain(delayed.drain(..).map(|(_, a)| a)) {
+                if live.remove(&a.job_id).is_some() {
+                    halted.push(a.job_id);
                 }
             }
-            continue; // re-check the loop condition before blocking
         }
 
         // Release retries whose (optional) real backoff has elapsed.
@@ -680,47 +716,68 @@ pub fn run_sweep_controlled<T: Send + 'static>(
         let mut i = 0;
         while i < delayed.len() {
             if delayed[i].0 <= now {
-                let (_, attempt) = delayed.swap_remove(i);
-                enqueue(&shared, attempt);
+                enqueue(delayed.swap_remove(i).1);
             } else {
                 i += 1;
             }
         }
 
-        // Block indefinitely when no retry is waiting on its backoff and
-        // no stop handle needs polling — worker/watchdog messages are the
-        // only possible wakeups then. Poll with a short timeout while
-        // `delayed` holds retries whose (real) backoff has yet to elapse,
-        // or while a stop handle could be raised behind our back.
-        let msg = if delayed.is_empty() && stop.is_none() {
-            match rx.recv() {
-                Ok(m) => m,
-                Err(_) => break, // all senders gone
-            }
-        } else {
-            match rx.recv_timeout(Duration::from_millis(10)) {
-                Ok(m) => m,
-                Err(RecvTimeoutError::Timeout) => continue,
-                Err(RecvTimeoutError::Disconnected) => break, // all senders gone
-            }
-        };
         let (worker, job_id, attempt, result, elapsed_us) = match msg {
-            WorkerMsg::Done {
+            None => continue,
+            Some(Msg::Submit { id, job }) => {
+                // Observed before it can run, so a write-ahead journal
+                // records every intent first.
+                if let Some(cb) = ctrl.on_dispatch.as_mut() {
+                    cb(id, 1);
+                }
+                if stopped {
+                    halted.push(id);
+                    continue;
+                }
+                live.insert(
+                    id,
+                    Live {
+                        label: job.label,
+                        work: Arc::clone(&job.work),
+                        attempts: 0,
+                        backoff_ms: 0,
+                        wall_clock_us: 0,
+                    },
+                );
+                enqueue(Attempt {
+                    job_id: id,
+                    attempt: 1,
+                    work: job.work,
+                });
+                if workers < max_workers {
+                    handles.push(spawn(handles.len()));
+                    workers += 1;
+                }
+                continue;
+            }
+            Some(Msg::Closed) => {
+                closed = true;
+                continue;
+            }
+            Some(Msg::Retired { worker, metrics }) => {
+                worker_metrics.insert(worker, metrics);
+                continue;
+            }
+            Some(Msg::Done {
                 worker,
                 job_id,
                 attempt,
                 result,
                 elapsed_us,
-            } => (worker, job_id, attempt, result, elapsed_us),
-            WorkerMsg::Expired {
+            }) => (worker, job_id, attempt, result, elapsed_us),
+            Some(Msg::Expired {
                 worker,
                 job_id,
                 attempt,
-            } => {
+            }) => {
                 // Stale if the attempt was already adjudicated (the worker
                 // squeaked a result in just before the deadline fired).
-                let state = &states[job_id as usize];
-                if state.record.is_some() || state.attempts >= attempt {
+                if live.get(&job_id).is_none_or(|s| s.attempts >= attempt) {
                     continue;
                 }
                 // The watchdog's report may also be behind the worker: if
@@ -742,24 +799,12 @@ pub fn run_sweep_controlled<T: Send + 'static>(
                     if !matches {
                         continue; // stale: the attempt beat the deadline
                     }
-                    if let Some((_, abandoned, _)) =
-                        handles.iter().find(|(token, _, _)| *token == worker)
-                    {
-                        abandoned.store(true, Ordering::Relaxed);
-                    }
+                    handles[worker as usize].0.store(true, Ordering::Relaxed);
                     let f = inf.remove(&worker).expect("entry matched above");
                     f.cancel.store(true, Ordering::Relaxed);
                 }
-                // Respawn so the sweep keeps its configured parallelism.
-                let abandoned = Arc::new(AtomicBool::new(false));
-                let h = spawn_worker(
-                    next_token,
-                    Arc::clone(&shared),
-                    tx.clone(),
-                    Arc::clone(&abandoned),
-                );
-                handles.push((next_token, abandoned, h));
-                next_token += 1;
+                // Respawn so the pool keeps its configured parallelism.
+                handles.push(spawn(handles.len()));
                 workers_respawned += 1;
                 (
                     worker,
@@ -769,35 +814,18 @@ pub fn run_sweep_controlled<T: Send + 'static>(
                     deadline_ms.saturating_mul(1000),
                 )
             }
-            WorkerMsg::Retired { worker, metrics } => {
-                worker_metrics.insert(worker, metrics);
-                continue;
-            }
         };
 
-        let state = &mut states[job_id as usize];
-        if state.record.is_some() || state.attempts >= attempt {
+        let Some(state) = live.get_mut(&job_id) else {
+            continue; // stale: a late result for a settled or halted job
+        };
+        if state.attempts >= attempt {
             continue; // stale: a late result from an abandoned attempt
         }
         state.attempts = attempt;
         state.wall_clock_us = state.wall_clock_us.saturating_add(elapsed_us);
         match result {
-            Ok(value) => {
-                state.record = Some(JobRecord {
-                    id: job_id,
-                    label: state.label.clone(),
-                    outcome: JobOutcome::Completed(value),
-                    attempts: state.attempts,
-                    backoff_ms: state.backoff_ms,
-                    wall_clock_us: state.wall_clock_us,
-                    worker,
-                });
-                finalized += 1;
-                if let Some(cb) = ctrl.on_adjudicated.as_mut() {
-                    cb(state.record.as_ref().expect("record just set"));
-                }
-            }
-            // A stopped sweep spends no further attempts: a failure that
+            // A stopped pool spends no further attempts: a failure that
             // would have retried is finalized with what it has.
             Err(_retryable) if state.attempts < max_attempts && !stopped => {
                 // Deterministic doubling backoff, recorded always and
@@ -815,34 +843,33 @@ pub fn run_sweep_controlled<T: Send + 'static>(
                 } else {
                     Instant::now()
                 };
-                delayed.push((
-                    due,
-                    Attempt {
-                        job_id,
-                        attempt: next_attempt,
-                        work: Arc::clone(&state.work),
-                    },
-                ));
-            }
-            Err(err) => {
-                let outcome = if err.crashed_worker() {
-                    JobOutcome::Quarantined(err)
-                } else {
-                    JobOutcome::Failed(err)
+                let attempt = Attempt {
+                    job_id,
+                    attempt: next_attempt,
+                    work: Arc::clone(&state.work),
                 };
-                state.record = Some(JobRecord {
+                delayed.push((due, attempt));
+            }
+            result => {
+                let state = live.remove(&job_id).expect("looked up above");
+                let outcome = match result {
+                    Ok(value) => JobOutcome::Completed(value),
+                    Err(err) if err.crashed_worker() => JobOutcome::Quarantined(err),
+                    Err(err) => JobOutcome::Failed(err),
+                };
+                let record = JobRecord {
                     id: job_id,
-                    label: state.label.clone(),
+                    label: state.label,
                     outcome,
                     attempts: state.attempts,
                     backoff_ms: state.backoff_ms,
                     wall_clock_us: state.wall_clock_us,
                     worker,
-                });
-                finalized += 1;
+                };
                 if let Some(cb) = ctrl.on_adjudicated.as_mut() {
-                    cb(state.record.as_ref().expect("record just set"));
+                    cb(&record);
                 }
+                records.insert(job_id, record);
             }
         }
     }
@@ -852,40 +879,42 @@ pub fn run_sweep_controlled<T: Send + 'static>(
     // job ever returns or polls its cancel flag).
     shared.shutdown.store(true, Ordering::Relaxed);
     shared.available.notify_all();
-    drop(tx);
     if let Some(h) = watchdog {
         let _ = h.join(); // exits within one poll interval
     }
-    for (_, abandoned, handle) in handles {
+    for (abandoned, handle) in handles {
         if !abandoned.load(Ordering::Relaxed) {
             let _ = handle.join();
         }
     }
-    // Collect the registries retired workers sent on their way out.
+    // Collect the registries retired workers sent on their way out. Jobs
+    // still in the channel were fed after a stop: observed, then halted.
     while let Ok(msg) = rx.try_recv() {
-        if let WorkerMsg::Retired { worker, metrics } = msg {
-            worker_metrics.insert(worker, metrics);
+        match msg {
+            Msg::Retired { worker, metrics } => {
+                worker_metrics.insert(worker, metrics);
+            }
+            Msg::Submit { id, .. } => {
+                if let Some(cb) = ctrl.on_dispatch.as_mut() {
+                    cb(id, 1);
+                }
+                halted.push(id);
+            }
+            _ => {}
         }
     }
+    halted.sort_unstable();
 
     let mut metrics = MetricsRegistry::enabled();
     for reg in worker_metrics.values() {
         metrics.merge_from(reg);
     }
-    metrics.set("pool.jobs", job_count as u64);
+    metrics.set("pool.jobs", (records.len() + halted.len()) as u64);
     metrics.set("pool.retries", retries);
     metrics.set("pool.workers", workers as u64);
     metrics.set("pool.workers_respawned", workers_respawned);
 
-    let mut jobs: Vec<JobRecord<T>> = Vec::with_capacity(finalized);
-    let mut halted: Vec<u64> = Vec::with_capacity(halted_count);
-    for (id, s) in states.into_iter().enumerate() {
-        match s.record {
-            Some(rec) => jobs.push(rec),
-            None if s.halted => halted.push(id as u64),
-            None => unreachable!("job {id} finished the sweep without a record"),
-        }
-    }
+    let jobs: Vec<JobRecord<T>> = records.into_values().collect();
     let quarantined: Vec<u64> = jobs
         .iter()
         .filter(|j| matches!(j.outcome, JobOutcome::Quarantined(_)))

@@ -8,9 +8,9 @@
 //!
 //! 1. [`Sweep::open`] creates the journal, or resumes it after its tag
 //!    check and merges every job it already adjudicates;
-//! 2. [`Sweep::run`] dispatches a batch of pending ids, journals each
-//!    dispatch and adjudication under its sweep id (pool ids are
-//!    batch-local), and stops the sweep on the first failed append;
+//! 2. [`Sweep::run`] feeds a batch of pending ids to the pool under their
+//!    sweep ids, journals each dispatch and adjudication, and stops the
+//!    sweep on the first failed append;
 //! 3. [`Sweep::finish`] writes the `Interrupted` trailer after a drain and
 //!    returns every settled job in id order, with the [`SweepStats`] every
 //!    caller's report carries.
@@ -20,9 +20,10 @@
 //! journals their rendered supervision error itself. The record grammar
 //! is the journal's: a caller that changes its payload encoding bumps its
 //! tag string, so an old journal is refused with a tag mismatch instead
-//! of being decoded wrongly. The serve scheduler is deliberately not a
-//! caller (DESIGN.md §16): it degrades instead of stopping on a failed
-//! append, and its job ids come from `Enqueued` admission records.
+//! of being decoded wrongly. The sweep server is deliberately not a
+//! caller (DESIGN.md §16): it shares the pool's feed, not this runner,
+//! because it degrades instead of stopping on a failed append and its job
+//! ids come from `Enqueued` admission records.
 
 use std::cell::RefCell;
 use std::collections::BTreeSet;
@@ -32,7 +33,7 @@ use std::path::PathBuf;
 use crate::codec::{ByteReader, ByteWriter, CodecError};
 use crate::journal::{AdjudicatedOutcome, JournalError, JournalWriter};
 use crate::pool::{
-    run_sweep_controlled, Job, JobOutcome, JobRecord, PoolConfig, StopHandle, SweepControl,
+    open_feed, supervise, Job, JobOutcome, JobRecord, PoolConfig, StopHandle, SweepControl,
 };
 
 /// How a batch sweep runs, apart from its jobs.
@@ -251,9 +252,9 @@ impl<C: SweepCodec> Sweep<C> {
         self.stats.interrupted
     }
 
-    /// Runs the pending jobs `ids` as one pool sweep, `job(id)` building
-    /// each. Returns once every dispatched job settled or a stop drained
-    /// the batch.
+    /// Runs the pending jobs `ids` on one pool, fed under their sweep ids,
+    /// `job(id)` building each. Returns once every dispatched job settled
+    /// or a stop drained the batch.
     ///
     /// # Errors
     ///
@@ -271,7 +272,11 @@ impl<C: SweepCodec> Sweep<C> {
             self.stats.interrupted = true;
             return Ok(());
         }
-        let jobs: Vec<Job<C::Value>> = ids.iter().map(|&id| job(id)).collect();
+        let (feed, intake) = open_feed();
+        for &id in ids {
+            feed.submit(id, job(id));
+        }
+        drop(feed);
         let journal = RefCell::new(self.journal.take());
         let failure: RefCell<Option<JournalError>> = RefCell::new(None);
         let (codec, stop) = (&self.codec, &self.stop);
@@ -288,8 +293,8 @@ impl<C: SweepCodec> Sweep<C> {
                 }
             }
         };
-        let mut on_dispatch = |pool_id: u64, attempt: u32| {
-            append(&mut |w| w.dispatched(ids[pool_id as usize], attempt));
+        let mut on_dispatch = |id: u64, attempt: u32| {
+            append(&mut |w| w.dispatched(id, attempt));
         };
         let mut on_adjudicated = |rec: &JobRecord<C::Value>| {
             append(&mut |w| {
@@ -300,13 +305,13 @@ impl<C: SweepCodec> Sweep<C> {
                         payload.str(&clip(&e.to_string()));
                     }
                 }
-                let (id, verdict) = (ids[rec.id as usize], AdjudicatedOutcome::of(&rec.outcome));
-                w.adjudicated(id, verdict, rec.attempts, payload.as_slice())
+                let verdict = AdjudicatedOutcome::of(&rec.outcome);
+                w.adjudicated(rec.id, verdict, rec.attempts, payload.as_slice())
             });
         };
-        let report = run_sweep_controlled(
+        let report = supervise(
             &self.pool,
-            jobs,
+            intake,
             SweepControl {
                 stop: Some(self.stop.clone()),
                 on_dispatch: Some(&mut on_dispatch),
@@ -327,7 +332,7 @@ impl<C: SweepCodec> Sweep<C> {
                 }
             };
             self.settled.push(Settled {
-                id: ids[rec.id as usize],
+                id: rec.id,
                 outcome,
                 attempts: rec.attempts,
             });

@@ -5,15 +5,18 @@
 //! asserts the *deterministic* part of the resulting `SweepReport`
 //! (outcomes, attempt counts, backoff bookkeeping, quarantine list,
 //! job-id ordering). The wall-clock and worker-id fields are explicitly
-//! nondeterministic and are never asserted on.
+//! nondeterministic and are never asserted on. The open-feed cases gate
+//! their jobs with channels, not sleeps.
 
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::{Arc, Mutex};
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 use oasis_engine::pool::{
-    run_sweep, run_sweep_controlled, Job, JobError, JobOutcome, PoolConfig, StopHandle,
-    SweepControl,
+    open_feed, run_sweep, run_sweep_controlled, supervise, Intake, Job, JobError, JobOutcome,
+    JobRecord, PoolConfig, StopHandle, SweepControl, SweepReport,
 };
 
 /// The failure repertoire a supervised job can exercise.
@@ -438,4 +441,135 @@ fn an_unstopped_controlled_sweep_matches_run_sweep_and_journals_every_step() {
     assert_eq!(dispatched, vec![(0, 1), (1, 1), (1, 2)]);
     adjudicated.sort_unstable();
     assert_eq!(adjudicated, vec![(0, 1), (1, 2)]);
+}
+
+/// A job that signals `started` and then holds its worker until `release`
+/// fires.
+fn held(started: Sender<()>, release: Receiver<()>) -> Job<u64> {
+    let release = Mutex::new(release);
+    Job::new("held", move |_ctx| {
+        let _ = started.send(());
+        let _ = release.lock().expect("release lock").recv();
+        Ok(0)
+    })
+}
+
+/// Runs `supervise` on a thread of its own, reporting each adjudicated
+/// job id on the returned channel.
+fn spawn_supervisor(
+    config: PoolConfig,
+    intake: Intake<u64>,
+    stop: Option<StopHandle>,
+) -> (JoinHandle<SweepReport<u64>>, Receiver<u64>) {
+    let (settled_tx, settled_rx) = channel();
+    let handle = std::thread::spawn(move || {
+        let mut on_adjudicated = |rec: &JobRecord<u64>| {
+            let _ = settled_tx.send(rec.id);
+        };
+        let ctrl = SweepControl {
+            stop,
+            on_dispatch: None,
+            on_adjudicated: Some(&mut on_adjudicated),
+        };
+        supervise(&config, intake, ctrl)
+    });
+    (handle, settled_rx)
+}
+
+#[test]
+fn a_job_fed_while_another_is_held_runs_and_settles_first() {
+    let (feed, intake) = open_feed();
+    let (supervisor, settled) = spawn_supervisor(PoolConfig::with_workers(2), intake, None);
+    let (started_tx, started) = channel();
+    let (release, release_rx) = channel();
+    feed.submit(0, held(started_tx, release_rx));
+    started.recv().expect("the held job starts");
+    feed.submit(1, job("fed", JobKind::Ok { value: 11 }));
+    assert_eq!(settled.recv().expect("a settlement"), 1);
+    release.send(()).expect("release the held job");
+    assert_eq!(settled.recv().expect("a settlement"), 0);
+    drop(feed);
+    let report = supervisor.join().expect("supervisor");
+    assert!(!report.interrupted);
+    let ids: Vec<u64> = report.jobs.iter().map(|j| j.id).collect();
+    assert_eq!(ids, vec![0, 1]);
+    assert_eq!(report.jobs[1].outcome.value(), Some(&11));
+}
+
+#[test]
+fn jobs_fed_after_a_stop_are_halted_and_the_held_job_is_adjudicated() {
+    let stop = StopHandle::new();
+    let (feed, intake) = open_feed();
+    let (supervisor, settled) =
+        spawn_supervisor(PoolConfig::with_workers(1), intake, Some(stop.clone()));
+    let (started_tx, started) = channel();
+    let (release, release_rx) = channel();
+    feed.submit(0, held(started_tx, release_rx));
+    started.recv().expect("the held job starts");
+    stop.stop();
+    feed.submit(1, job("late-1", JobKind::Ok { value: 1 }));
+    feed.submit(2, job("late-2", JobKind::Ok { value: 2 }));
+    release.send(()).expect("release the held job");
+    // The supervisor returns once the held job settles, with the feed
+    // still open.
+    let report = supervisor.join().expect("supervisor");
+    assert_eq!(settled.try_iter().collect::<Vec<_>>(), vec![0]);
+    assert!(report.interrupted);
+    assert_eq!(report.jobs.len(), 1);
+    assert_eq!(report.jobs[0].outcome.value(), Some(&0));
+    assert_eq!(report.halted, vec![1, 2]);
+    assert!(!feed.submit(3, job("after", JobKind::Ok { value: 3 })));
+}
+
+#[test]
+fn a_fed_list_reports_exactly_what_the_fixed_list_reports() {
+    let build = || {
+        vec![
+            job("ok-0", JobKind::Ok { value: 100 }),
+            job("panics", JobKind::PanicAfter { ms: 0 }),
+            job("flaky", JobKind::FailNTimes { n: 1, value: 102 }),
+            job("doomed", JobKind::FailNTimes { n: 9, value: 0 }),
+            job("ok-4", JobKind::Ok { value: 104 }),
+        ]
+    };
+    let config = PoolConfig {
+        workers: 2,
+        max_attempts: 2,
+        backoff_base_ms: 3,
+        ..PoolConfig::default()
+    };
+    let fixed = run_sweep(&config, build());
+    // The same jobs fed one by one, each after the previous settled, to a
+    // pool that is already running.
+    let (feed, intake) = open_feed();
+    let (supervisor, settled) = spawn_supervisor(config.clone(), intake, None);
+    for (id, job) in build().into_iter().enumerate() {
+        feed.submit(id as u64, job);
+        assert_eq!(settled.recv().expect("a settlement"), id as u64);
+    }
+    drop(feed);
+    let fed = supervisor.join().expect("supervisor");
+    let deterministic = |r: &SweepReport<u64>| {
+        let jobs: Vec<_> = r
+            .jobs
+            .iter()
+            .map(|j| {
+                (
+                    j.id,
+                    j.label.clone(),
+                    j.outcome.clone(),
+                    j.attempts,
+                    j.backoff_ms,
+                )
+            })
+            .collect();
+        (
+            jobs,
+            r.retries,
+            r.quarantined.clone(),
+            r.halted.clone(),
+            r.interrupted,
+        )
+    };
+    assert_eq!(deterministic(&fed), deterministic(&fixed));
 }

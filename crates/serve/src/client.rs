@@ -8,6 +8,9 @@
 //! progress events, cache-hit markers, counter snapshots — goes to the
 //! progress stream (the CLI prints it to stderr). That split is what lets
 //! the kill/restart gates `cmp` two runs byte for byte.
+//!
+//! Each request line goes out with its newline in one `write(2)`: written
+//! apart they would leave as two TCP segments under `TCP_NODELAY`.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::io::Write;
@@ -89,7 +92,9 @@ pub fn submit_batch(
         let fresh = !slots.contains_key(&digest);
         slots.entry(digest).or_default().push(idx);
         if fresh {
-            writeln!(writer, "{}", to_json_line(scenario))
+            let line = format!("{}\n", to_json_line(scenario));
+            writer
+                .write_all(line.as_bytes())
                 .map_err(|e| format!("submit: send: {e}"))?;
             sent += 1;
         }
@@ -187,7 +192,9 @@ pub fn submit_batch(
             ServerEvent::Pong => {}
         }
         if want_stats && resolved.len() == slots.len() && !stats_pending && stats.is_empty() {
-            writeln!(writer, "stats").map_err(|e| format!("submit: send stats: {e}"))?;
+            writer
+                .write_all(b"stats\n")
+                .map_err(|e| format!("submit: send stats: {e}"))?;
             stats_pending = true;
         }
     }
@@ -195,7 +202,9 @@ pub fn submit_batch(
     // Handle the all-duplicates / zero-wait edge where the loop body never
     // sent the stats request.
     if want_stats && stats.is_empty() && !stats_pending {
-        writeln!(writer, "stats").map_err(|e| format!("submit: send stats: {e}"))?;
+        writer
+            .write_all(b"stats\n")
+            .map_err(|e| format!("submit: send stats: {e}"))?;
         loop {
             if Instant::now() >= deadline {
                 return Err("submit: timed out waiting for stats".to_string());

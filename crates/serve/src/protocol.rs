@@ -144,18 +144,18 @@ pub enum LinePoll {
     /// The peer closed the stream (any unterminated tail was already
     /// returned as a final [`LinePoll::Line`]).
     Eof,
-    /// No complete line yet; try again later (read timed out).
+    /// No complete line yet: the read timed out, or a line is partial.
     Pending,
 }
 
 /// Incremental, capped line framing over any [`Read`].
 ///
-/// Reads are expected to use a short OS read-timeout so callers can
-/// interleave framing with outbound event delivery; `WouldBlock`/
-/// `TimedOut` surface as [`LinePoll::Pending`]. The internal buffer never
-/// grows past the cap: a line that exceeds it without a newline is a
-/// typed [`ProtocolError::LineTooLong`], after which the caller must drop
-/// the connection.
+/// A read that times out (`WouldBlock`/`TimedOut`, under an OS read
+/// timeout) surfaces as [`LinePoll::Pending`], so a caller blocked here
+/// can still act on a deadline. The internal buffer never grows past the
+/// cap: a line that exceeds it without a newline is a typed
+/// [`ProtocolError::LineTooLong`], after which the caller must drop the
+/// connection.
 #[derive(Debug)]
 pub struct LineReader<R> {
     inner: R,

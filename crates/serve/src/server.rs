@@ -1,30 +1,51 @@
-//! The sweep server: accept loop, admission control, journaled queue,
-//! scheduler waves on the supervised pool, and graceful drain.
+//! The sweep server: blocking accept, a reader and a writer thread per
+//! connection, admission control, a journaled job feed on the supervised
+//! pool, and graceful drain.
+//!
+//! # Threads
+//!
+//! Every thread blocks on the one thing it waits for, so a result is
+//! written the moment it lands and a job starts the moment a worker is
+//! free:
+//!
+//! * **accept** — the [`run_serve`] caller blocks in `accept` and hands
+//!   each connection its two threads;
+//! * **reader**, one per connection — blocks on its socket for request
+//!   lines, answers pings, stats and cache hits, and admits submissions;
+//! * **writer**, one per connection — blocks on the connection's event
+//!   channel and writes every line queued there with one `write(2)`;
+//! * **supervisor** — serves the server's open job feed with
+//!   [`oasis_engine::pool::supervise`]; its observers journal each
+//!   dispatch and verdict, write the cache, and push `dispatched`,
+//!   `progress` and `result` lines to every subscribed connection;
+//! * **pool workers** — long-lived, each takes jobs as they are fed.
 //!
 //! # Lifecycle
 //!
 //! One [`run_serve`] call owns the whole server. It binds a localhost
 //! listener, opens (or resumes) the write-ahead queue journal and the
-//! content-addressed result cache under the state directory, spawns one
-//! scheduler thread plus one thread per connection, and runs until the
-//! [`StopHandle`] fires. On stop it closes the accept loop, refuses new
-//! admissions with a typed `draining` rejection, lets the pool adjudicate
-//! in-flight jobs (the pool's own stop handling bounds this), writes the
-//! journal's `Interrupted` trailer, and returns a [`ServeSummary`] whose
-//! `drained` flag tells the CLI to exit `EX_TEMPFAIL` with a resume hint.
+//! content-addressed result cache under the state directory, feeds the
+//! resumed jobs first, and runs until the [`StopHandle`] fires. A stop
+//! refuses new admissions with a typed `draining` rejection, halts queued
+//! jobs and lets the pool adjudicate the in-flight ones. Once the pool has
+//! settled, every waiter of an unfinished job gets a terminal `draining`
+//! line, every connection's read side is shut down (which wakes its
+//! blocked reader), and a loopback connect wakes the accept loop. The
+//! journal then gets its `Interrupted` trailer and [`run_serve`] returns
+//! a [`ServeSummary`] whose `drained` flag tells the CLI to exit
+//! `EX_TEMPFAIL` with a resume hint.
 //!
 //! # Durability
 //!
 //! Admission is write-ahead: the scenario's canonical wire line is
-//! journaled as an `Enqueued` record *before* the job becomes visible to
-//! the scheduler, and every verdict is journaled as an `Adjudicated`
-//! record *before* the result is cached or streamed. A SIGKILL at any
-//! instant therefore loses at most replies, never admitted work: the
-//! restarted server salvages the journal prefix, backfills the cache from
-//! adjudicated records, and re-runs exactly the admitted-but-unadjudicated
-//! jobs. Because the job body is a pure function of the scenario, the
-//! verdicts a client re-collects after a crash are byte-identical to an
-//! uninterrupted run.
+//! journaled as an `Enqueued` record *before* the job is fed to the pool,
+//! and every verdict is journaled as an `Adjudicated` record *before* the
+//! result is cached or streamed. A SIGKILL at any instant therefore loses
+//! at most replies, never admitted work: the restarted server salvages the
+//! journal prefix, backfills the cache from adjudicated records, and
+//! re-runs exactly the admitted-but-unadjudicated jobs. Because the job
+//! body is a pure function of the scenario, the verdicts a client
+//! re-collects after a crash are byte-identical to an uninterrupted run.
 //!
 //! # Storage-fault degradation
 //!
@@ -39,16 +60,16 @@
 //! these paths is exercised by the `chaos` subcommand's injected-fault
 //! matrix.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::BTreeMap;
 use std::io::Write;
-use std::net::{TcpListener, TcpStream};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc::{Receiver, Sender, TryRecvError};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::mpsc::{self, Receiver, Sender};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use oasis_engine::pool::{run_sweep_controlled, Job, JobOutcome, PoolConfig, SweepControl};
+use oasis_engine::pool::{open_feed, supervise, Feed, Intake, Job, JobOutcome, JobRecord};
+use oasis_engine::pool::{PoolConfig, SweepControl};
 use oasis_engine::{AdjudicatedOutcome, JournalWriter, MetricsRegistry, StopHandle};
 use oasis_fuzz::{check, from_json, scenario_digest, to_json_line, Scenario};
 use oasis_mgpu::{simulate, Policy};
@@ -80,8 +101,8 @@ pub struct ServeConfig {
     pub port: u16,
     /// State directory holding the queue journal and result cache.
     pub state_dir: PathBuf,
-    /// Admission cap: pending + in-flight jobs beyond this are rejected
-    /// with a typed `overloaded` event instead of queued.
+    /// Admission cap: admitted, unadjudicated jobs beyond this are
+    /// rejected with a typed `overloaded` event instead of queued.
     pub queue_depth: usize,
     /// Per-connection cap on unresolved jobs; beyond it submissions are
     /// rejected with `connection-inflight`.
@@ -89,7 +110,8 @@ pub struct ServeConfig {
     /// Concurrent connection cap; further accepts get a `busy` rejection
     /// line and an immediate close.
     pub max_connections: usize,
-    /// Idle cutoff for connections with no unresolved jobs.
+    /// Idle cutoff for connections with no unresolved jobs: the socket's
+    /// read timeout.
     pub idle_timeout: Duration,
     /// Request-line byte cap.
     pub max_line_bytes: usize,
@@ -141,38 +163,69 @@ struct JobResult {
 }
 
 /// One admitted, not-yet-adjudicated job.
-struct PendingJob {
-    job_id: u64,
+struct Admitted {
     digest: u64,
-    scenario: Scenario,
+    /// Connections waiting for its result (a digest submitted again while
+    /// queued or running coalesces onto this job).
+    subscribers: Vec<u64>,
 }
 
-/// What the server pushes to a connection's event channel.
-enum ConnEvent {
-    /// An intermediate line (dispatched / progress) for a subscribed job.
-    Line(String),
-    /// The final `result` line; the connection drops its subscription.
-    Result { digest: u64, line: String },
+impl Admitted {
+    fn new(digest: u64) -> Self {
+        let subscribers = Vec::new();
+        Admitted {
+            digest,
+            subscribers,
+        }
+    }
 }
 
-/// Queue and subscription state, under one lock.
+/// One live connection, as the state lock sees it.
+struct Conn {
+    /// The connection's event channel, drained by its writer thread.
+    out: Sender<String>,
+    /// A handle on the socket, so the drain can wake the blocked reader.
+    socket: TcpStream,
+    /// Admitted jobs this connection still waits for.
+    waiting: usize,
+    /// When the last result reached it: with the last request line, the
+    /// start of its idle time.
+    last_result: Instant,
+}
+
+/// Jobs, connections and subscriptions, under one lock.
 struct QueueState {
-    pending: VecDeque<PendingJob>,
-    /// Digests of jobs handed to the scheduler and not yet adjudicated.
-    inflight_digests: BTreeSet<u64>,
-    inflight: usize,
-    /// digest -> subscribed connections (a digest queued twice coalesces
-    /// onto one job with several subscribers).
-    subscribers: BTreeMap<u64, Vec<Sender<ConnEvent>>>,
+    /// Admitted, unadjudicated jobs by job id; its length is the queue
+    /// depth.
+    jobs: BTreeMap<u64, Admitted>,
+    conns: BTreeMap<u64, Conn>,
+    /// The pool's open feed. Jobs are fed under this lock, after their
+    /// `Enqueued` record and their `accepted` line.
+    feed: Feed<JobResult>,
     next_job_id: u64,
+    next_conn_id: u64,
     accepting: bool,
     adjudicated: u64,
+}
+
+/// Sends `line` to each of `subscribers` still connected; a `settled` line
+/// ends their wait for the job.
+fn tell(conns: &mut BTreeMap<u64, Conn>, subscribers: &[u64], line: &str, settled: bool) {
+    for id in subscribers {
+        if let Some(conn) = conns.get_mut(id) {
+            let _ = conn.out.send(line.to_string());
+            if settled {
+                conn.waiting -= 1;
+                conn.last_result = Instant::now();
+            }
+        }
+    }
 }
 
 struct Shared {
     cfg: ServeConfig,
     stop: StopHandle,
-    journal: Mutex<Option<JournalWriter>>,
+    journal: Mutex<JournalWriter>,
     /// First journal append failure; set once. A broken journal flips the
     /// server into degraded mode: new admissions are refused with a typed
     /// `unavailable` rejection (durability is gone for *new* work) while
@@ -183,8 +236,6 @@ struct Shared {
     cache: ResultCache,
     metrics: Mutex<MetricsRegistry>,
     state: Mutex<QueueState>,
-    work: Condvar,
-    connections: AtomicUsize,
 }
 
 impl Shared {
@@ -199,6 +250,10 @@ impl Shared {
         out
     }
 
+    fn state(&self) -> std::sync::MutexGuard<'_, QueueState> {
+        self.state.lock().expect("state lock")
+    }
+
     /// True once any journal append has failed; the server is then in
     /// degraded (admission-refusing) mode until restarted.
     fn journal_broken(&self) -> bool {
@@ -208,26 +263,11 @@ impl Shared {
             .is_some()
     }
 
-    /// Records the first journal failure and switches the server into
-    /// degraded mode. Sticky: a journal that failed once is not trusted
-    /// again until an operator restarts (and thereby recovers) it.
-    fn mark_journal_broken(&self, msg: &str) {
-        let mut failure = self.journal_failure.lock().expect("journal failure lock");
-        if failure.is_none() {
-            *failure = Some(msg.to_string());
-            eprintln!(
-                "serve: warning: {msg}; refusing new admissions with a typed `unavailable` \
-                 rejection, still serving cached results and finishing in-flight jobs"
-            );
-            drop(failure);
-            self.count("serve.journal_failed", 1);
-        }
-        self.work.notify_all();
-    }
-
     /// Journals an append. On failure the server degrades (see
     /// [`Shared::journal_failure`]) instead of stopping: the caller gets
-    /// the typed message, new admissions get `unavailable`.
+    /// the typed message, new admissions get `unavailable`. The failure is
+    /// sticky: a journal that failed once is not trusted again until an
+    /// operator restarts (and thereby recovers) it.
     fn journal_append(
         &self,
         op: impl FnOnce(&mut JournalWriter) -> Result<(), oasis_engine::JournalError>,
@@ -240,15 +280,20 @@ impl Shared {
         {
             return Err(msg);
         }
-        let result = {
-            let mut guard = self.journal.lock().expect("journal lock");
-            let Some(writer) = guard.as_mut() else {
-                return Err("journal already failed".to_string());
-            };
-            op(writer).map_err(|e| format!("journal append failed: {e}"))
-        };
+        let mut journal = self.journal.lock().expect("journal lock");
+        let result = op(&mut journal).map_err(|e| format!("journal append failed: {e}"));
+        drop(journal);
         if let Err(msg) = &result {
-            self.mark_journal_broken(msg);
+            let mut failure = self.journal_failure.lock().expect("journal failure lock");
+            if failure.is_none() {
+                *failure = Some(msg.clone());
+                eprintln!(
+                    "serve: warning: {msg}; refusing new admissions with a typed `unavailable` \
+                     rejection, still serving cached results and finishing in-flight jobs"
+                );
+                drop(failure);
+                self.count("serve.journal_failed", 1);
+            }
         }
         result
     }
@@ -293,8 +338,11 @@ fn run_job(scenario: &Scenario) -> Result<JobResult, String> {
     }
 }
 
-fn outcome_tag(outcome: &JobOutcome<JobResult>) -> AdjudicatedOutcome {
-    AdjudicatedOutcome::of(outcome)
+/// The pool job for one scenario.
+fn job(scenario: Scenario, digest: u64) -> Job<JobResult> {
+    Job::new(format!("scenario-{digest:016x}"), move |_ctx| {
+        run_job(&scenario)
+    })
 }
 
 /// Runs the sweep server until the stop handle fires.
@@ -323,7 +371,7 @@ pub fn run_serve(
     let journal_path = cfg.state_dir.join(JOURNAL_FILE);
 
     let mut metrics = MetricsRegistry::enabled();
-    let mut resumed: Vec<PendingJob> = Vec::new();
+    let mut resumed: Vec<(u64, u64, Scenario)> = Vec::new();
     let mut next_job_id = 0u64;
     let mut preadjudicated = 0u64;
 
@@ -379,11 +427,7 @@ pub fn run_serve(
             match from_json(text) {
                 Ok((scenario, _)) => {
                     let digest = scenario_digest(&scenario);
-                    resumed.push(PendingJob {
-                        job_id,
-                        digest,
-                        scenario,
-                    });
+                    resumed.push((job_id, digest, scenario));
                     metrics.add("serve.resumed_pending", 1);
                 }
                 Err(e) => {
@@ -423,71 +467,54 @@ pub fn run_serve(
         .local_addr()
         .map_err(|e| format!("serve: local_addr: {e}"))?
         .port();
-    listener
-        .set_nonblocking(true)
-        .map_err(|e| format!("serve: set_nonblocking: {e}"))?;
 
+    // Resumed jobs are fed first, before any connection can admit more.
+    let (feed, intake) = open_feed();
+    let mut jobs = BTreeMap::new();
+    for (job_id, digest, scenario) in resumed {
+        jobs.insert(job_id, Admitted::new(digest));
+        feed.submit(job_id, job(scenario, digest));
+    }
     let shared = Arc::new(Shared {
         cfg,
         stop: stop.clone(),
-        journal: Mutex::new(Some(journal)),
+        journal: Mutex::new(journal),
         journal_failure: Mutex::new(None),
         cache,
         metrics: Mutex::new(metrics),
         state: Mutex::new(QueueState {
-            pending: resumed.into(),
-            inflight_digests: BTreeSet::new(),
-            inflight: 0,
-            subscribers: BTreeMap::new(),
+            jobs,
+            conns: BTreeMap::new(),
+            feed,
             next_job_id,
+            next_conn_id: 0,
             accepting: true,
             adjudicated: 0,
         }),
-        work: Condvar::new(),
-        connections: AtomicUsize::new(0),
     });
-    shared.work.notify_all();
 
-    let scheduler = {
+    let supervisor = {
         let shared = Arc::clone(&shared);
         std::thread::Builder::new()
-            .name("serve-scheduler".to_string())
-            .spawn(move || scheduler_loop(&shared))
-            .map_err(|e| format!("serve: cannot spawn scheduler: {e}"))?
+            .name("serve-supervisor".to_string())
+            .spawn(move || {
+                run_jobs(&shared, intake);
+                drain(&shared);
+                // Wake the accept loop, which then finds admission closed.
+                let _ = TcpStream::connect(("127.0.0.1", port));
+            })
+            .map_err(|e| format!("serve: cannot spawn the supervisor: {e}"))?
     };
 
     announce(port);
 
     let mut conn_threads = Vec::new();
-    while !stop.is_stopped() {
-        match listener.accept() {
-            Ok((stream, _addr)) => {
-                let active = shared.connections.load(Ordering::Relaxed);
-                if active >= shared.cfg.max_connections {
-                    shared.count("serve.rejected_busy", 1);
-                    let mut s = stream;
-                    let _ = writeln!(
-                        s,
-                        "{}",
-                        event_rejected(0, "busy", "connection limit reached")
-                    );
-                    continue;
+    for stream in listener.incoming() {
+        match stream {
+            Ok(stream) => {
+                if !open_connection(&shared, stream, &mut conn_threads) {
+                    break;
                 }
-                shared.connections.fetch_add(1, Ordering::Relaxed);
-                shared.count("serve.connections", 1);
-                let shared = Arc::clone(&shared);
-                match std::thread::Builder::new()
-                    .name("serve-conn".to_string())
-                    .spawn(move || {
-                        connection_loop(&shared, stream);
-                        shared.connections.fetch_sub(1, Ordering::Relaxed);
-                    }) {
-                    Ok(h) => conn_threads.push(h),
-                    Err(e) => eprintln!("serve: warning: cannot spawn connection thread: {e}"),
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(25));
             }
             Err(e) => {
                 eprintln!("serve: warning: accept: {e}");
@@ -495,20 +522,13 @@ pub fn run_serve(
             }
         }
     }
-
-    // Drain: stop admissions, wake the scheduler, let everyone finish.
-    {
-        let mut st = shared.state.lock().expect("state lock");
-        st.accepting = false;
-    }
-    shared.work.notify_all();
     drop(listener);
-    let _ = scheduler.join();
+    let _ = supervisor.join();
     for h in conn_threads {
         let _ = h.join();
     }
 
-    let adjudicated_now = shared.state.lock().expect("state lock").adjudicated;
+    let adjudicated_now = shared.state().adjudicated;
     // Best-effort trailer: on a broken journal this fails (and stays
     // recorded); the summary still reports the drain so the operator gets
     // counters plus the typed journal error, not an opaque abort.
@@ -528,364 +548,243 @@ pub fn run_serve(
     })
 }
 
-/// Scheduler: collect admitted jobs into waves and run each wave on the
-/// supervised pool, journaling dispatches and adjudications and fanning
-/// results out to subscribers.
-fn scheduler_loop(shared: &Arc<Shared>) {
-    loop {
-        let wave: Vec<PendingJob> = {
-            let mut st = shared.state.lock().expect("state lock");
-            loop {
-                if !st.pending.is_empty() {
-                    let wave: Vec<PendingJob> = st.pending.drain(..).collect();
-                    st.inflight += wave.len();
-                    break wave;
-                }
-                if shared.stop.is_stopped() {
-                    return;
-                }
-                let (guard, _timeout) = shared
-                    .work
-                    .wait_timeout(st, Duration::from_millis(100))
-                    .expect("state lock");
-                st = guard;
-            }
-        };
-
-        // Wave-local pool ids are 0..n in submission order; map them back
-        // to the server's stable job ids for journaling and fan-out.
-        let ids: Vec<u64> = wave.iter().map(|p| p.job_id).collect();
-        let digests: Vec<u64> = wave.iter().map(|p| p.digest).collect();
-        let jobs: Vec<Job<JobResult>> = wave
-            .iter()
-            .map(|p| {
-                let scenario = p.scenario.clone();
-                Job::new(format!("scenario-{:016x}", p.digest), move |_ctx| {
-                    run_job(&scenario)
-                })
-            })
-            .collect();
-
-        let mut on_dispatch = |local: u64, attempt: u32| {
-            let idx = local as usize;
-            let _ = shared.journal_append(|j| j.dispatched(ids[idx], attempt));
-            fan_out(
-                shared,
-                digests[idx],
-                ConnEvent::Line(event_dispatched(digests[idx], attempt)),
-            );
-        };
-        let mut on_adjudicated = |record: &oasis_engine::pool::JobRecord<JobResult>| {
-            let idx = record.id as usize;
-            let (job_id, digest) = (ids[idx], digests[idx]);
-            let verdict = render_verdict(&record.outcome);
-            let tag = outcome_tag(&record.outcome);
-            // Journal first: the verdict is durable before anyone sees it.
-            let _ = shared.journal_append(|j| {
-                j.adjudicated(job_id, tag, record.attempts, verdict.as_bytes())
-            });
-            let entry = CachedResult {
-                outcome: tag,
-                attempts: record.attempts,
-                verdict: verdict.clone(),
-            };
-            if let Err(e) = shared.cache.write(digest, &entry) {
-                // RecordAndContinue: the verdict is journaled (or at
-                // worst recomputable); losing the cache entry costs a
-                // recompute on resubmission, never the result.
-                shared.count("serve.cache_write_failed", 1);
-                eprintln!("serve: warning: {e}; serving the result uncached");
-            }
-            shared.count(&format!("serve.jobs_{}", record.outcome.kind()), 1);
-            if let JobOutcome::Completed(r) = &record.outcome {
-                if let Some([ff, mig, dup, sd, ev]) = r.events {
-                    fan_out(
-                        shared,
-                        digest,
-                        ConnEvent::Line(event_progress(digest, ff, mig, dup, sd, ev)),
-                    );
-                }
-            }
-            let line = event_result(digest, tag.kind(), &verdict, false, record.attempts);
-            {
-                let mut st = shared.state.lock().expect("state lock");
-                st.inflight -= 1;
-                st.inflight_digests.remove(&digest);
-                st.adjudicated += 1;
-                if let Some(subs) = st.subscribers.remove(&digest) {
-                    for tx in subs {
-                        let _ = tx.send(ConnEvent::Result {
-                            digest,
-                            line: line.clone(),
-                        });
-                    }
-                }
-            }
-        };
-
-        {
-            let mut st = shared.state.lock().expect("state lock");
-            for d in &digests {
-                st.inflight_digests.insert(*d);
-            }
+/// The supervisor: serves the feed on the pool until a stop settles it.
+/// Each dispatch and verdict is journaled, each verdict cached, and every
+/// event pushed to the job's subscribers.
+fn run_jobs(shared: &Shared, intake: Intake<JobResult>) {
+    let mut on_dispatch = |id: u64, attempt: u32| {
+        let _ = shared.journal_append(|j| j.dispatched(id, attempt));
+        let mut guard = shared.state();
+        let st = &mut *guard;
+        if let Some(job) = st.jobs.get(&id) {
+            let line = event_dispatched(job.digest, attempt);
+            tell(&mut st.conns, &job.subscribers, &line, false);
         }
-
-        let control = SweepControl {
+    };
+    let mut on_adjudicated = |record: &JobRecord<JobResult>| {
+        let digest = shared
+            .state()
+            .jobs
+            .get(&record.id)
+            .expect("a fed job stays admitted until adjudicated")
+            .digest;
+        let verdict = render_verdict(&record.outcome);
+        let tag = AdjudicatedOutcome::of(&record.outcome);
+        // Journal first: the verdict is durable before anyone sees it.
+        let _ = shared
+            .journal_append(|j| j.adjudicated(record.id, tag, record.attempts, verdict.as_bytes()));
+        let entry = CachedResult {
+            outcome: tag,
+            attempts: record.attempts,
+            verdict: verdict.clone(),
+        };
+        if let Err(e) = shared.cache.write(digest, &entry) {
+            // RecordAndContinue: the verdict is journaled (or at worst
+            // recomputable); losing the cache entry costs a recompute on
+            // resubmission, never the result.
+            shared.count("serve.cache_write_failed", 1);
+            eprintln!("serve: warning: {e}; serving the result uncached");
+        }
+        shared.count(&format!("serve.jobs_{}", record.outcome.kind()), 1);
+        let mut guard = shared.state();
+        let st = &mut *guard;
+        st.adjudicated += 1;
+        let subscribers = st
+            .jobs
+            .remove(&record.id)
+            .map_or_else(Vec::new, |j| j.subscribers);
+        if let JobOutcome::Completed(JobResult {
+            events: Some([ff, mig, dup, sd, ev]),
+            ..
+        }) = record.outcome
+        {
+            let line = event_progress(digest, ff, mig, dup, sd, ev);
+            tell(&mut st.conns, &subscribers, &line, false);
+        }
+        let line = event_result(digest, tag.kind(), &verdict, false, record.attempts);
+        tell(&mut st.conns, &subscribers, &line, true);
+    };
+    supervise(
+        &shared.cfg.pool,
+        intake,
+        SweepControl {
             stop: Some(shared.stop.clone()),
             on_dispatch: Some(&mut on_dispatch),
             on_adjudicated: Some(&mut on_adjudicated),
-        };
-        let report = run_sweep_controlled(&shared.cfg.pool, jobs, control);
-
-        // A stop mid-wave leaves unadjudicated jobs; they stay journaled
-        // as Enqueued-without-Adjudicated and a restart re-runs them. The
-        // in-memory accounting still has to release them.
-        if report.interrupted {
-            let adjudicated_ids: BTreeSet<u64> =
-                report.jobs.iter().map(|r| ids[r.id as usize]).collect();
-            let mut st = shared.state.lock().expect("state lock");
-            for (pos, id) in ids.iter().enumerate() {
-                if !adjudicated_ids.contains(id) {
-                    st.inflight -= 1;
-                    st.inflight_digests.remove(&digests[pos]);
-                    drain_notice(&mut st, digests[pos]);
-                }
-            }
-            // Jobs admitted before the stop that never made a wave stay
-            // journaled (a restart re-runs them); their waiters get the
-            // same terminal notice so no connection hangs on the drain.
-            let leftover: Vec<u64> = st.pending.drain(..).map(|p| p.digest).collect();
-            for digest in leftover {
-                drain_notice(&mut st, digest);
-            }
-            return;
-        }
-    }
+        },
+    );
 }
 
-/// Sends the terminal "draining" line to every waiter of a job the drain
-/// abandoned, so clients resolve instead of hanging; the job itself stays
-/// journaled for the restarted server.
-fn drain_notice(st: &mut QueueState, digest: u64) {
-    if let Some(subs) = st.subscribers.remove(&digest) {
+/// Runs once the pool has settled after a stop. Closes admission, sends
+/// every waiter of an unfinished job a terminal `draining` line so no
+/// client hangs (the job stays journaled for the restarted server), and
+/// shuts every connection's read side, which wakes its blocked reader.
+fn drain(shared: &Shared) {
+    let mut guard = shared.state();
+    let st = &mut *guard;
+    st.accepting = false;
+    for (_, job) in std::mem::take(&mut st.jobs) {
         let line = event_rejected(
-            digest,
+            job.digest,
             "draining",
             "server draining before this job finished; it stays journaled — restart the \
              server with the same --serve-state to resume",
         );
-        for tx in subs {
-            let _ = tx.send(ConnEvent::Result {
-                digest,
-                line: line.clone(),
-            });
-        }
+        tell(&mut st.conns, &job.subscribers, &line, true);
+    }
+    for conn in st.conns.values() {
+        let _ = conn.socket.shutdown(Shutdown::Read);
     }
 }
 
-/// Sends an intermediate event to every subscriber of a digest.
-fn fan_out(shared: &Shared, digest: u64, event: ConnEvent) {
-    let ConnEvent::Line(line) = event else { return };
-    let st = shared.state.lock().expect("state lock");
-    if let Some(subs) = st.subscribers.get(&digest) {
-        for tx in subs {
-            let _ = tx.send(ConnEvent::Line(line.clone()));
-        }
+/// Registers an accepted connection and starts its threads. Returns false
+/// once the drain has closed the server to connections.
+fn open_connection(
+    shared: &Arc<Shared>,
+    mut stream: TcpStream,
+    threads: &mut Vec<std::thread::JoinHandle<()>>,
+) -> bool {
+    let mut st = shared.state();
+    if !st.accepting {
+        return false;
     }
-}
-
-/// Admission verdict for one submission, decided under the state lock.
-enum Admission {
-    /// Freshly admitted (journaled, queued) with this job id.
-    Fresh(u64),
-    /// Coalesced onto an already queued/in-flight identical job.
-    Coalesced,
-    /// Shed: (reason, detail).
-    Rejected(&'static str, String),
-}
-
-/// Admits one scenario: cache check is done by the caller; this handles
-/// queue-depth and durability. The connection's event sender is
-/// subscribed to the digest on success.
-fn admit(
-    shared: &Shared,
-    scenario: Scenario,
-    tx: &Sender<ConnEvent>,
-    conn_inflight: usize,
-) -> Admission {
-    let digest = scenario_digest(&scenario);
-    let wire = to_json_line(&scenario);
-
-    let mut st = shared.state.lock().expect("state lock");
-    if !st.accepting || shared.stop.is_stopped() {
-        return Admission::Rejected(
-            "draining",
-            "server is draining; resubmit after restart".into(),
-        );
+    if st.conns.len() >= shared.cfg.max_connections {
+        drop(st);
+        shared.count("serve.rejected_busy", 1);
+        let line = event_rejected(0, "busy", "connection limit reached");
+        let _ = stream.write_all(format!("{line}\n").as_bytes());
+        return true;
     }
-    if shared.journal_broken() {
-        // Degraded mode: admission cannot be made durable, so refusing is
-        // the only answer that never corrupts state. Typed `unavailable`
-        // (not `draining`): the server is up, the journal is not.
-        return Admission::Rejected(
-            "unavailable",
-            "admission journal is broken; restart the server to recover it".into(),
-        );
-    }
-    if conn_inflight >= shared.cfg.conn_inflight {
-        return Admission::Rejected(
-            "connection-inflight",
-            format!("connection already has {conn_inflight} unresolved job(s)"),
-        );
-    }
-    let already_queued =
-        st.inflight_digests.contains(&digest) || st.pending.iter().any(|p| p.digest == digest);
-    if already_queued {
-        st.subscribers.entry(digest).or_default().push(tx.clone());
-        return Admission::Coalesced;
-    }
-    let depth = st.pending.len() + st.inflight;
-    if depth >= shared.cfg.queue_depth {
-        return Admission::Rejected(
-            "overloaded",
-            format!("queue depth {depth} at limit {}", shared.cfg.queue_depth),
-        );
-    }
-    let job_id = st.next_job_id;
-    // Write-ahead: the admission is durable before it is visible. Holding
-    // the state lock across the append serializes journal order with
-    // queue order.
-    if let Err(e) = {
-        // journal_append takes its own lock; state lock is held — keep
-        // that ordering identical everywhere (state -> journal).
-        let mut guard = shared.journal.lock().expect("journal lock");
-        match guard.as_mut() {
-            Some(writer) => writer
-                .enqueued(job_id, wire.as_bytes())
-                .map_err(|e| format!("journal append failed: {e}")),
-            None => Err("journal already failed".to_string()),
-        }
-    } {
-        shared.mark_journal_broken(&e);
-        return Admission::Rejected("unavailable", format!("admission journal failed: {e}"));
-    }
-    st.next_job_id += 1;
-    st.subscribers.entry(digest).or_default().push(tx.clone());
-    st.pending.push_back(PendingJob {
-        job_id,
-        digest,
-        scenario,
-    });
-    drop(st);
-    shared.work.notify_all();
-    Admission::Fresh(job_id)
-}
-
-/// One connection: poll request lines and the event channel in turns,
-/// enforce the idle timeout, answer everything with typed lines.
-fn connection_loop(shared: &Arc<Shared>, stream: TcpStream) {
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(50)));
     let _ = stream.set_nodelay(true);
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
+    let socket = match stream.try_clone() {
+        Ok(socket) => socket,
         Err(e) => {
             eprintln!("serve: warning: cannot clone connection stream: {e}");
-            return;
+            return true;
         }
     };
+    let (out, events) = mpsc::channel();
+    let id = st.next_conn_id;
+    st.next_conn_id += 1;
+    let conn = Conn {
+        out: out.clone(),
+        socket,
+        waiting: 0,
+        last_result: Instant::now(),
+    };
+    st.conns.insert(id, conn);
+    drop(st);
+    shared.count("serve.connections", 1);
+    let conn_shared = Arc::clone(shared);
+    let spawned = std::thread::Builder::new()
+        .name("serve-conn".to_string())
+        .spawn(move || {
+            std::thread::scope(|s| {
+                let stream = &stream;
+                let spawned = std::thread::Builder::new()
+                    .name("serve-conn-writer".to_string())
+                    .spawn_scoped(s, move || write_events(stream, events));
+                match spawned {
+                    Ok(_) => read_requests(&conn_shared, id, stream, out),
+                    Err(e) => eprintln!("serve: warning: cannot spawn a connection writer: {e}"),
+                }
+                // Unregistering drops the connection's last sender: the
+                // writer sends what is queued, then exits.
+                conn_shared.state().conns.remove(&id);
+            });
+        });
+    match spawned {
+        Ok(h) => {
+            threads.retain(|h| !h.is_finished());
+            threads.push(h);
+        }
+        Err(e) => {
+            eprintln!("serve: warning: cannot spawn connection thread: {e}");
+            shared.state().conns.remove(&id);
+        }
+    }
+    true
+}
+
+/// Writes a connection's event lines as they arrive. Lines queued behind
+/// one go out with it, in a single `write(2)`.
+fn write_events(mut socket: &TcpStream, events: Receiver<String>) {
+    let mut batch = Vec::new();
+    while let Ok(line) = events.recv() {
+        batch.clear();
+        for line in std::iter::once(line).chain(events.try_iter()) {
+            batch.extend_from_slice(line.as_bytes());
+            batch.push(b'\n');
+        }
+        if socket.write_all(&batch).is_err() {
+            return;
+        }
+    }
+}
+
+/// Reads request lines until EOF, a fatal protocol error or the idle
+/// timeout, answering each through the writer's channel `out`.
+fn read_requests(shared: &Shared, id: u64, stream: &TcpStream, out: Sender<String>) {
+    let idle = shared.cfg.idle_timeout;
+    let least = Duration::from_millis(1);
+    let _ = stream.set_read_timeout(Some(idle.max(least)));
     let mut reader = LineReader::new(stream, shared.cfg.max_line_bytes);
-    let (tx, rx): (Sender<ConnEvent>, Receiver<ConnEvent>) = mpsc::channel();
-    // Digests this connection is waiting on (for the idle timeout and the
-    // per-connection in-flight cap).
-    let mut waiting: BTreeSet<u64> = BTreeSet::new();
-    let mut last_activity = Instant::now();
-
+    let mut last_line = Instant::now();
     loop {
-        // Outbound first: drain queued events for this connection.
-        loop {
-            match rx.try_recv() {
-                Ok(ConnEvent::Line(line)) => {
-                    if writeln!(writer, "{line}").is_err() {
-                        return;
-                    }
-                }
-                Ok(ConnEvent::Result { digest, line }) => {
-                    waiting.remove(&digest);
-                    last_activity = Instant::now();
-                    if writeln!(writer, "{line}").is_err() {
-                        return;
-                    }
-                }
-                Err(TryRecvError::Empty) => break,
-                Err(TryRecvError::Disconnected) => break,
-            }
-        }
-
-        // Drain: every outstanding job resolves (the scheduler sends a
-        // result or a terminal draining notice to each waiter), so once
-        // `waiting` is empty the conversation is over.
-        if shared.stop.is_stopped() && waiting.is_empty() {
-            return;
-        }
-
-        if waiting.is_empty() && last_activity.elapsed() >= shared.cfg.idle_timeout {
-            let err = ProtocolError::IdleTimeout {
-                secs: shared.cfg.idle_timeout.as_secs(),
-            };
-            shared.count("serve.rejected_protocol", 1);
-            let _ = writeln!(writer, "{}", event_error(&err));
-            return;
-        }
-
-        // Inbound: at most one read per iteration keeps outbound latency
-        // bounded by the read timeout.
-        match reader.poll_line() {
-            Ok(LinePoll::Pending) => {}
+        let raw = match reader.poll_line() {
+            Ok(LinePoll::Line(raw)) => raw,
             Ok(LinePoll::Eof) => return,
+            // The read timed out (or a line is still partial). The
+            // connection is idle when it waits for no job and has been
+            // silent, both ways, for the whole timeout.
+            Ok(LinePoll::Pending) => {
+                let (waiting, last_result) = shared
+                    .state()
+                    .conns
+                    .get(&id)
+                    .map_or((0, last_line), |c| (c.waiting, c.last_result));
+                let quiet = last_line.max(last_result).elapsed();
+                if waiting == 0 && quiet >= idle {
+                    let err = ProtocolError::IdleTimeout {
+                        secs: idle.as_secs(),
+                    };
+                    shared.count("serve.rejected_protocol", 1);
+                    let _ = out.send(event_error(&err));
+                    return;
+                }
+                let left = if waiting == 0 { idle - quiet } else { idle };
+                let _ = stream.set_read_timeout(Some(left.max(least)));
+                continue;
+            }
             Err(err) => {
                 shared.count("serve.rejected_protocol", 1);
-                let _ = writeln!(writer, "{}", event_error(&err));
+                let _ = out.send(event_error(&err));
                 return; // only framing damage is fatal, and this is it
             }
-            Ok(LinePoll::Line(raw)) => {
-                last_activity = Instant::now();
-                match parse_request(&raw) {
-                    Ok(None) => {}
-                    Ok(Some(Request::Ping)) => {
-                        if writeln!(writer, "{}", event_pong()).is_err() {
-                            return;
-                        }
-                    }
-                    Ok(Some(Request::Stats)) => {
-                        let line = event_stats(&shared.counters());
-                        if writeln!(writer, "{line}").is_err() {
-                            return;
-                        }
-                    }
-                    Ok(Some(Request::Submit(scenario))) => {
-                        handle_submit(shared, *scenario, &tx, &mut waiting, &mut writer);
-                    }
-                    Err(err) => {
-                        shared.count("serve.rejected_protocol", 1);
-                        let fatal = err.fatal_to_connection();
-                        if writeln!(writer, "{}", event_error(&err)).is_err() || fatal {
-                            return;
-                        }
-                    }
+        };
+        last_line = Instant::now();
+        match parse_request(&raw) {
+            Ok(None) => {}
+            Ok(Some(Request::Ping)) => {
+                let _ = out.send(event_pong());
+            }
+            Ok(Some(Request::Stats)) => {
+                let _ = out.send(event_stats(&shared.counters()));
+            }
+            Ok(Some(Request::Submit(scenario))) => submit(shared, id, &out, *scenario),
+            Err(err) => {
+                shared.count("serve.rejected_protocol", 1);
+                let _ = out.send(event_error(&err));
+                if err.fatal_to_connection() {
+                    return;
                 }
             }
         }
     }
 }
 
-/// Handles one submission end to end: cache fast path, then admission.
-fn handle_submit(
-    shared: &Arc<Shared>,
-    scenario: Scenario,
-    tx: &Sender<ConnEvent>,
-    waiting: &mut BTreeSet<u64>,
-    writer: &mut impl Write,
-) {
+/// Answers one submission on `out`: from the cache, or by admitting it.
+fn submit(shared: &Shared, conn: u64, out: &Sender<String>, scenario: Scenario) {
     let digest = scenario_digest(&scenario);
 
     // Content-addressed fast path: an identical scenario that has ever
@@ -893,19 +792,12 @@ fn handle_submit(
     match shared.cache.read(digest) {
         CacheRead::Hit(cached) => {
             shared.count("serve.cache_hits", 1);
-            let line = event_result(
-                digest,
-                cached.outcome.kind(),
-                &cached.verdict,
-                true,
-                cached.attempts,
-            );
-            let _ = writeln!(writer, "{line}");
+            let kind = cached.outcome.kind();
+            let line = event_result(digest, kind, &cached.verdict, true, cached.attempts);
+            let _ = out.send(line);
             return;
         }
-        CacheRead::Miss => {
-            shared.count("serve.cache_misses", 1);
-        }
+        CacheRead::Miss => shared.count("serve.cache_misses", 1),
         CacheRead::Corrupt(reason) => {
             shared.count("serve.cache_corrupt", 1);
             eprintln!(
@@ -914,42 +806,101 @@ fn handle_submit(
         }
     }
 
-    if waiting.contains(&digest) {
-        // This connection already awaits this digest; acknowledge without
-        // a second subscription so it gets exactly one result line.
-        let _ = writeln!(writer, "{}", event_accepted(0, digest, true));
-        shared.count("serve.coalesced", 1);
-        return;
-    }
-
-    match admit(shared, scenario, tx, waiting.len()) {
-        Admission::Fresh(job_id) => {
-            shared.count("serve.accepted", 1);
-            waiting.insert(digest);
-            let _ = writeln!(writer, "{}", event_accepted(job_id, digest, false));
-        }
-        Admission::Coalesced => {
-            shared.count("serve.coalesced", 1);
-            waiting.insert(digest);
-            let _ = writeln!(writer, "{}", event_accepted(0, digest, true));
-        }
-        Admission::Rejected(reason, detail) => {
+    let counter = match admit(shared, conn, out, digest, scenario) {
+        Ok(counter) => counter,
+        Err((reason, detail)) => {
+            let _ = out.send(event_rejected(digest, reason, &detail));
             match reason {
-                "overloaded" => shared.count("serve.rejected_overload", 1),
-                "connection-inflight" => shared.count("serve.rejected_conn_inflight", 1),
-                "unavailable" => shared.count("serve.rejected_unavailable", 1),
-                _ => shared.count("serve.rejected_other", 1),
+                "overloaded" => "serve.rejected_overload",
+                "connection-inflight" => "serve.rejected_conn_inflight",
+                "unavailable" => "serve.rejected_unavailable",
+                _ => "serve.rejected_other",
             }
-            let _ = writeln!(writer, "{}", event_rejected(digest, reason, &detail));
         }
+    };
+    shared.count(counter, 1);
+}
+
+/// Admits one submission under the state lock, in order: a digest this
+/// connection already waits for is acknowledged without a second
+/// subscription; a draining server, a broken journal and a connection at
+/// its cap reject; a digest queued or running coalesces; a full queue
+/// rejects `overloaded`; anything else is journaled (`Enqueued`,
+/// write-ahead) and fed. The `accepted` line enters the connection's
+/// channel before the pool can see the job, so no `dispatched` line can
+/// overtake it. Returns the counter to bump, or the typed rejection.
+fn admit(
+    shared: &Shared,
+    conn: u64,
+    out: &Sender<String>,
+    digest: u64,
+    scenario: Scenario,
+) -> Result<&'static str, (&'static str, String)> {
+    let mut guard = shared.state();
+    let st = &mut *guard;
+    let queued = st.jobs.iter().find(|(_, job)| job.digest == digest);
+    let queued = queued.map(|(&id, job)| (id, job.subscribers.contains(&conn)));
+    if let Some((_, true)) = queued {
+        let _ = out.send(event_accepted(0, digest, true));
+        return Ok("serve.coalesced");
     }
+    if !st.accepting || shared.stop.is_stopped() {
+        let detail = "server is draining; resubmit after restart";
+        return Err(("draining", detail.into()));
+    }
+    if shared.journal_broken() {
+        // Degraded mode: admission cannot be made durable, so refusing is
+        // the only answer that never corrupts state. Typed `unavailable`
+        // (not `draining`): the server is up, the journal is not.
+        let detail = "admission journal is broken; restart the server to recover it";
+        return Err(("unavailable", detail.into()));
+    }
+    let waiting = st.conns.get(&conn).map_or(0, |c| c.waiting);
+    if waiting >= shared.cfg.conn_inflight {
+        let detail = format!("connection already has {waiting} unresolved job(s)");
+        return Err(("connection-inflight", detail));
+    }
+    let fresh = queued.is_none();
+    let job_id = match queued {
+        Some((id, _)) => id,
+        None => {
+            let depth = st.jobs.len();
+            if depth >= shared.cfg.queue_depth {
+                let detail = format!("queue depth {depth} at limit {}", shared.cfg.queue_depth);
+                return Err(("overloaded", detail));
+            }
+            // Write-ahead: the admission is durable before the pool can
+            // see it, and holding the state lock across the append keeps
+            // journal order and feed order the same.
+            let job_id = st.next_job_id;
+            let wire = to_json_line(&scenario);
+            shared
+                .journal_append(|j| j.enqueued(job_id, wire.as_bytes()))
+                .map_err(|e| ("unavailable", format!("admission journal failed: {e}")))?;
+            st.next_job_id += 1;
+            st.jobs.insert(job_id, Admitted::new(digest));
+            job_id
+        }
+    };
+    let admitted = st.jobs.get_mut(&job_id).expect("queued or just inserted");
+    admitted.subscribers.push(conn);
+    if let Some(c) = st.conns.get_mut(&conn) {
+        c.waiting += 1;
+    }
+    if !fresh {
+        let _ = out.send(event_accepted(0, digest, true));
+        return Ok("serve.coalesced");
+    }
+    let _ = out.send(event_accepted(job_id, digest, false));
+    st.feed.submit(job_id, job(scenario, digest));
+    Ok("serve.accepted")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::ServerEvent;
     use std::io::{BufRead, BufReader};
-    use std::net::TcpStream;
 
     fn temp_state(name: &str) -> PathBuf {
         let dir =
@@ -1248,6 +1199,155 @@ mod tests {
         drop(stream);
         let summary = server.shutdown();
         assert!(summary.journal_error.is_none());
+    }
+
+    /// Generated scenarios with the smallest footprint and one kernel, so
+    /// the oracle stays quick in a debug build.
+    fn small_scenarios(n: usize) -> Vec<Scenario> {
+        (0..)
+            .map(Scenario::generate)
+            .filter(|s| s.footprint_mb == 2 && s.max_phases == 1 && !s.large_pages)
+            .take(n)
+            .collect()
+    }
+
+    /// Reads events until `results` of them are results.
+    fn events_until_results(reader: &mut BufReader<TcpStream>, results: usize) -> Vec<ServerEvent> {
+        let mut events = Vec::new();
+        while events
+            .iter()
+            .filter(|e| matches!(e, ServerEvent::Result { .. }))
+            .count()
+            < results
+        {
+            let line = read_event(reader);
+            events.push(crate::protocol::parse_event(&line).expect(&line));
+        }
+        events
+    }
+
+    /// On one connection, every event for a digest follows that digest's
+    /// `accepted`, and exactly one `result` ends them.
+    fn assert_accepted_first_result_last(events: &[ServerEvent]) {
+        let mut by_digest: BTreeMap<u64, Vec<&ServerEvent>> = BTreeMap::new();
+        for event in events {
+            let digest = match event {
+                ServerEvent::Accepted { digest, .. }
+                | ServerEvent::Dispatched { digest, .. }
+                | ServerEvent::Progress { digest, .. }
+                | ServerEvent::Result { digest, .. } => *digest,
+                other => panic!("unexpected event {other:?}"),
+            };
+            by_digest.entry(digest).or_default().push(event);
+        }
+        for seen in by_digest.values() {
+            assert!(matches!(seen[0], ServerEvent::Accepted { .. }), "{seen:?}");
+            let results = seen
+                .iter()
+                .filter(|e| matches!(e, ServerEvent::Result { .. }))
+                .count();
+            assert_eq!(results, 1, "{seen:?}");
+            assert!(
+                matches!(seen.last(), Some(ServerEvent::Result { .. })),
+                "{seen:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn accepted_comes_first_and_result_last_for_fresh_and_coalesced_jobs() {
+        let mut cfg = small_cfg(temp_state("order"));
+        cfg.pool.workers = 1;
+        let server = Server::start(cfg);
+        let (mut a_reader, mut a) = server.connect();
+        let (mut b_reader, mut b) = server.connect();
+        // One worker and four jobs: the last is still queued when the
+        // second connection submits it again.
+        let scenarios = small_scenarios(4);
+        for scenario in &scenarios {
+            writeln!(a, "{}", to_json_line(scenario)).unwrap();
+        }
+        let mut a_events = Vec::new();
+        while a_events
+            .iter()
+            .filter(|e| matches!(e, ServerEvent::Accepted { .. }))
+            .count()
+            < scenarios.len()
+        {
+            let line = read_event(&mut a_reader);
+            a_events.push(crate::protocol::parse_event(&line).expect(&line));
+        }
+        writeln!(b, "{}", to_json_line(&scenarios[3])).unwrap();
+        let b_events = events_until_results(&mut b_reader, 1);
+        assert!(
+            matches!(
+                b_events[0],
+                ServerEvent::Accepted {
+                    coalesced: true,
+                    ..
+                }
+            ),
+            "{b_events:?}"
+        );
+        let results_so_far = a_events
+            .iter()
+            .filter(|e| matches!(e, ServerEvent::Result { .. }))
+            .count();
+        a_events.extend(events_until_results(
+            &mut a_reader,
+            scenarios.len() - results_so_far,
+        ));
+        assert_accepted_first_result_last(&a_events);
+        assert_accepted_first_result_last(&b_events);
+        drop((a, b));
+        let _ = server.shutdown();
+    }
+
+    /// A reader blocked on an idle connection must not hold up the drain:
+    /// the server exits well inside the 120 s idle timeout, and the client
+    /// reads EOF.
+    #[test]
+    fn an_idle_connection_does_not_hold_up_the_drain() {
+        let server = Server::start(small_cfg(temp_state("idle-drain")));
+        let (mut reader, mut stream) = server.connect();
+        writeln!(stream, "ping").unwrap();
+        assert_eq!(read_event(&mut reader), event_pong());
+        let started = Instant::now();
+        let summary = server.shutdown();
+        assert!(summary.drained);
+        assert!(
+            started.elapsed() < Duration::from_secs(2),
+            "drain took {:?}",
+            started.elapsed()
+        );
+        let mut line = String::new();
+        assert_eq!(reader.read_line(&mut line).expect("read after drain"), 0);
+    }
+
+    /// A connection silent for the whole idle timeout, with no job
+    /// outstanding, gets a typed `idle-timeout` error and is closed.
+    #[test]
+    fn a_silent_connection_times_out_typed_then_closes() {
+        let mut cfg = small_cfg(temp_state("idle-timeout"));
+        cfg.idle_timeout = Duration::from_millis(200);
+        let server = Server::start(cfg);
+        let (mut reader, mut stream) = server.connect();
+        writeln!(stream, "ping").unwrap();
+        assert_eq!(read_event(&mut reader), event_pong());
+        let pong_at = Instant::now();
+        let err = read_event(&mut reader);
+        assert!(err.contains("idle-timeout"), "{err}");
+        // Not before the timeout, give or take the pong's own transit.
+        assert!(pong_at.elapsed() >= Duration::from_millis(150));
+        let mut line = String::new();
+        assert_eq!(reader.read_line(&mut line).expect("read after close"), 0);
+        let summary = server.shutdown();
+        let closed = summary
+            .counters
+            .iter()
+            .find(|(k, _)| k == "serve.rejected_protocol")
+            .map(|(_, v)| *v);
+        assert_eq!(closed, Some(1));
     }
 
     #[test]

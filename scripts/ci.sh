@@ -20,8 +20,9 @@
 # bounded property-fuzz smoke over the differential policy oracle, the
 # crash-durability gate (SIGKILL a journaled fuzz sweep partway, resume
 # it, and cmp the report against an uninterrupted run), the sweep
-# server smoke (duplicate batches served from the result cache, typed
-# overload rejections under a saturated queue, and a SIGKILLed server
+# server smoke (duplicate batches served from the result cache, two
+# concurrent clients admitted once per digest, typed overload rejections
+# under a saturated queue, and a SIGKILLed server
 # restarted on the same state directory with byte-identical results),
 # and the storage chaos matrix (every failpoint site x fault kind, each
 # cell holding the no-panic/no-corruption/typed-recovery triad).
@@ -202,7 +203,8 @@ step "sweep server smoke (cache, admission control, SIGKILL + restart)"
 if [ "$STRICT" = "1" ]; then
     # The crash-durable job server, end to end against the release
     # binary: duplicate submissions are answered from the result cache
-    # (byte-identical output, serve.cache_hits > 0), a saturated queue
+    # (byte-identical output, serve.cache_hits > 0), two concurrent
+    # clients share one admission per digest, a saturated queue
     # produces typed `overloaded` rejections instead of hanging, and a
     # server SIGKILLed mid-batch resumes from its journal after a
     # restart with results byte-identical to an uninterrupted server's.
@@ -235,6 +237,29 @@ if [ "$STRICT" = "1" ]; then
         echo "serve smoke: rerun was not served from the cache" >&2
         exit 1
     }
+    kill -9 "$SRV_PID" 2>/dev/null || true
+    wait "$SRV_PID" 2>/dev/null || true
+
+    # Two clients at once against a fresh server: each must print the
+    # reference bytes, and each digest must be admitted exactly once across
+    # the two connections (the other one coalesces or hits the cache).
+    start_server "$SRV_DIR/pair-state" --jobs 2
+    PAIR_PIDS=""
+    for c in 1 2; do
+        ./target/release/oasis-sim submit --port "$PORT" --seed 21 --cases 6 \
+            --submit-stats >"$SRV_DIR/pair$c.txt" 2>"$SRV_DIR/pair$c.err" &
+        PAIR_PIDS="$PAIR_PIDS $!"
+    done
+    for pid in $PAIR_PIDS; do
+        wait "$pid"
+    done
+    for c in 1 2; do
+        cmp "$SRV_DIR/ref.txt" "$SRV_DIR/pair$c.txt"
+        grep -q '^submit: stat serve\.accepted = 6$' "$SRV_DIR/pair$c.err" || {
+            echo "serve smoke: client $c saw a digest admitted twice (or not at all)" >&2
+            exit 1
+        }
+    done
     kill -9 "$SRV_PID" 2>/dev/null || true
     wait "$SRV_PID" 2>/dev/null || true
 
@@ -281,7 +306,7 @@ if [ "$STRICT" = "1" ]; then
         echo "serve smoke: drained server exited $RC, want 75" >&2
         exit 1
     }
-    echo "serve smoke passed (cache hits, typed overload, SIGKILL + restart cmp, drain rc=75)"
+    echo "serve smoke passed (cache hits, two clients, typed overload, SIGKILL + restart cmp, drain rc=75)"
     rm -rf "$SRV_DIR"
 else
     echo "developer mode (CI_STRICT unset); skipping the sweep server smoke"

@@ -45,7 +45,11 @@ pub const MAGIC: [u8; 8] = *b"OASISCKP";
 /// v4 keeps v3's layout but changes what the `progress` section's digest
 /// trail holds (the composed digest of [`crate::digest`] instead of FNV-1a
 /// over the snapshot bytes), so a resumed run never mixes the two.
-pub const FORMAT_VERSION: u32 = 4;
+/// v5 keeps v4's layout but changes the trace fingerprint the `progress`
+/// section opens with (streamed through the digest mixer instead of
+/// FNV-1a over the serialized trace), so a v4 file would refuse every
+/// trace as a different one.
+pub const FORMAT_VERSION: u32 = 5;
 
 // The checksum hash lives in `crate::hash` (one FNV-1a implementation for
 // the whole workspace); re-exported here because the codec is where every

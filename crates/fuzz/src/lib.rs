@@ -41,7 +41,7 @@ pub use corpus::{
     from_json, load_dir, parse_flat_object, scenario_digest, to_json, to_json_line, write_repro,
     Corpus, CorpusEntry, JsonValue, SkippedFile,
 };
-pub use oracle::{check, OracleKind, Violation};
+pub use oracle::{check, check_runs, OracleKind, Violation};
 pub use scenario::{Scenario, FUZZ_APPS};
 pub use shrink::{shrink, ShrinkResult, DEFAULT_SHRINK_BUDGET};
 

@@ -145,16 +145,23 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// choice — which policy is replayed, where the kill lands — derives from
 /// `scenario.seed`.
 pub fn check(scenario: &Scenario) -> Option<Violation> {
+    check_runs(scenario).err()
+}
+
+/// [`check`], keeping the straight runs' reports: for a clean scenario,
+/// one [`RunReport`] per policy of [`Policy::core`], in that order.
+///
+/// # Errors
+///
+/// The first violation, as [`check`] reports it.
+pub fn check_runs(scenario: &Scenario) -> Result<[RunReport; 4], Violation> {
     let trace = scenario.trace();
     let policies = Policy::core();
 
     // Per-policy oracles: completes, no panic, guard-clean.
     let mut runs = Vec::with_capacity(policies.len());
     for policy in &policies {
-        match run_policy(scenario, policy, &trace) {
-            Ok(run) => runs.push(run),
-            Err(v) => return Some(v),
-        }
+        runs.push(run_policy(scenario, policy, &trace)?);
     }
 
     // Differential oracles: functional state must agree across policies.
@@ -162,7 +169,7 @@ pub fn check(scenario: &Scenario) -> Option<Violation> {
     let fault_free = scenario.fault_plan.ecc.is_empty();
     for (policy, run) in policies.iter().zip(&runs).skip(1) {
         if run.pages != reference.pages {
-            return Some(Violation {
+            return Err(Violation {
                 kind: OracleKind::PageSetMismatch,
                 detail: format!(
                     "{} registers {} pages, {} registers {}",
@@ -174,7 +181,7 @@ pub fn check(scenario: &Scenario) -> Option<Violation> {
             });
         }
         if fault_free && run.report.accesses != reference.report.accesses {
-            return Some(Violation {
+            return Err(Violation {
                 kind: OracleKind::AccessCountMismatch,
                 detail: format!(
                     "{} retired {} accesses, {} retired {}",
@@ -189,7 +196,7 @@ pub fn check(scenario: &Scenario) -> Option<Violation> {
     if fault_free {
         for (policy, run) in policies.iter().zip(&runs) {
             if run.report.errors_recorded != 0 {
-                return Some(Violation {
+                return Err(Violation {
                     kind: OracleKind::UnexpectedErrors,
                     detail: format!(
                         "{}: {} errors recorded with no ECC events scheduled (first: {})",
@@ -212,46 +219,37 @@ pub fn check(scenario: &Scenario) -> Option<Violation> {
     let straight = &runs[pick].report;
 
     // Replay: a fresh same-config run must be bit-identical.
-    match run_policy(scenario, policy, &trace) {
-        Ok(again) => {
-            if again.report.check_digests_against(straight).is_err()
-                || !again.report.same_simulation(straight)
-            {
-                return Some(Violation {
-                    kind: OracleKind::ReplayDivergence,
-                    detail: format!("{}: same-seed re-run diverged", policy.name()),
-                });
-            }
-        }
-        Err(mut v) => {
-            v.detail = format!("replay leg: {}", v.detail);
-            return Some(v);
-        }
+    let again = run_policy(scenario, policy, &trace).map_err(|mut v| {
+        v.detail = format!("replay leg: {}", v.detail);
+        v
+    })?;
+    if again.report.check_digests_against(straight).is_err()
+        || !again.report.same_simulation(straight)
+    {
+        return Err(Violation {
+            kind: OracleKind::ReplayDivergence,
+            detail: format!("{}: same-seed re-run diverged", policy.name()),
+        });
     }
 
     // Kill/resume: checkpoint mid-run, drop the system, resume, finish.
     let epochs = trace.phases.len() as u64;
     if epochs >= 2 {
         let kill_at = rng.gen_range(1..epochs);
-        match kill_and_resume(scenario, policy, &trace, kill_at) {
-            Ok(resumed) => {
-                if resumed.check_digests_against(straight).is_err()
-                    || !resumed.same_simulation(straight)
-                {
-                    return Some(Violation {
-                        kind: OracleKind::ResumeDivergence,
-                        detail: format!(
-                            "{}: killed at epoch {kill_at}/{epochs}, resumed run diverged",
-                            policy.name()
-                        ),
-                    });
-                }
-            }
-            Err(v) => return Some(v),
+        let resumed = kill_and_resume(scenario, policy, &trace, kill_at)?;
+        if resumed.check_digests_against(straight).is_err() || !resumed.same_simulation(straight) {
+            return Err(Violation {
+                kind: OracleKind::ResumeDivergence,
+                detail: format!(
+                    "{}: killed at epoch {kill_at}/{epochs}, resumed run diverged",
+                    policy.name()
+                ),
+            });
         }
     }
 
-    None
+    let reports: Vec<RunReport> = runs.into_iter().map(|run| run.report).collect();
+    Ok(reports.try_into().expect("one run per core policy"))
 }
 
 fn kill_and_resume(

@@ -101,7 +101,7 @@ impl SweepCodec for VerdictCodec {
 /// checkpoint pins its own identity with.
 fn replay_tag(trace: &Trace, config: &SystemConfig) -> u64 {
     let mut w = ByteWriter::new();
-    w.str("oasis-verify-replay-v2");
+    w.str("oasis-verify-replay-v3");
     w.u64(trace_fingerprint(trace));
     config.encode(&mut w);
     fnv1a(w.as_slice())

@@ -906,12 +906,12 @@ impl System {
 
         let mut sec = cr.section("progress")?;
         let fingerprint = sec.u64()?;
-        if fingerprint != trace_fingerprint(trace) {
+        let expected = trace_fingerprint(trace);
+        if fingerprint != expected {
             return Err(sec
                 .malformed(format!(
                     "checkpoint was taken against a different trace \
-                     (fingerprint {fingerprint:#018x}, trace {:#018x})",
-                    trace_fingerprint(trace)
+                     (fingerprint {fingerprint:#018x}, trace {expected:#018x})"
                 ))
                 .into());
         }
@@ -1061,41 +1061,65 @@ fn device_endpoint(dev: DeviceId) -> Endpoint {
     }
 }
 
-/// FNV-1a fingerprint of a trace's full content — app, object layout,
+/// Fingerprint of a trace's full content: app, GPU count, object layout,
 /// every access, every barrier. Stored in checkpoints so a resume against
 /// the wrong trace (or a mutated one) fails loudly instead of silently
 /// diverging.
+///
+/// The trace streams word by word through the digest mixer, with no
+/// buffer. Each access is two words on two independent chains, so the
+/// mixer's latency overlaps: its object, kind and size packed into one
+/// word (`obj | write << 16 | bytes << 32`, lossless) on the layout
+/// chain, and its offset on the offset chain. Every string is prefixed
+/// with its length and every list with its count, so the layout chain
+/// alone fixes which access each offset belongs to. The offset chain's
+/// hash is folded into the layout chain last.
 pub(crate) fn trace_fingerprint(trace: &Trace) -> u64 {
-    let mut w = ByteWriter::new();
-    w.str(trace.app);
-    w.u64(trace.gpu_count as u64);
-    w.u64(trace.objects.len() as u64);
+    let mut layout = StateHasher::new();
+    let mut offsets = StateHasher::new();
+    str_words(&mut layout, trace.app);
+    layout.word(trace.gpu_count as u64);
+    layout.word(trace.objects.len() as u64);
     for obj in &trace.objects {
-        w.str(&obj.name);
-        w.u64(obj.bytes);
+        str_words(&mut layout, &obj.name);
+        layout.word(obj.bytes);
     }
-    w.u64(trace.phases.len() as u64);
+    layout.word(trace.phases.len() as u64);
     for phase in &trace.phases {
-        w.str(&phase.name);
-        w.u64(phase.per_gpu.len() as u64);
+        str_words(&mut layout, &phase.name);
+        layout.word(phase.per_gpu.len() as u64);
         for stream in &phase.per_gpu {
-            w.u64(stream.len() as u64);
+            layout.word(stream.len() as u64);
             for a in stream {
-                w.u16(a.obj.0);
-                w.u64(a.offset);
-                w.bool(a.kind.is_write());
-                w.u32(a.bytes);
+                layout.word(
+                    u64::from(a.obj.0)
+                        | u64::from(a.kind.is_write()) << 16
+                        | u64::from(a.bytes) << 32,
+                );
+                offsets.word(a.offset);
             }
         }
-        w.u64(phase.barriers.len() as u64);
+        layout.word(phase.barriers.len() as u64);
         for b in &phase.barriers {
-            w.u64(b.len() as u64);
+            layout.word(b.len() as u64);
             for &pos in b {
-                w.u64(pos as u64);
+                layout.word(pos as u64);
             }
         }
     }
-    fnv1a(w.as_slice())
+    layout.word(offsets.finish());
+    layout.finish()
+}
+
+/// Folds a string as its byte length, then its bytes eight to a word
+/// (little-endian, the last word zero-padded).
+fn str_words(h: &mut StateHasher, s: &str) {
+    h.word(s.len() as u64);
+    for chunk in s.as_bytes().chunks(8) {
+        let mut word = [0u8; 8];
+        word[..chunk.len()].copy_from_slice(chunk);
+        h.word(u64::from_le_bytes(word));
+    }
 }
 
 /// Builds a system, runs `trace`, and returns the report.
@@ -1426,24 +1450,38 @@ mod tests {
         );
     }
 
-    /// Version 3 checkpoints embed a digest trail in the previous format;
-    /// resuming one would mix the two formats in one trail.
+    /// Version 3 checkpoints embed a digest trail in the previous format
+    /// and version 4 ones a trace fingerprint in the previous format;
+    /// resuming either would mix two formats in one run.
     #[test]
-    fn version_3_checkpoint_fails_typed() {
+    fn older_format_versions_fail_typed() {
         let trace = small(App::Mt);
         let mut sys = System::new(SystemConfig::default(), &Policy::OnTouch);
         sys.run_prefix(&trace, 1).expect("first epoch");
         let mut buf = Vec::new();
         sys.checkpoint(&mut buf).expect("checkpoint");
-        buf[8..12].copy_from_slice(&3u32.to_le_bytes());
-        let err = System::resume(&mut buf.as_slice(), &trace)
-            .expect_err("a version 3 checkpoint must not resume");
-        assert_eq!(
-            err,
-            SimError::Codec(CodecError::UnsupportedVersion {
-                found: 3,
-                expected: 4
-            })
+        for found in [3u32, 4] {
+            let mut old = buf.clone();
+            old[8..12].copy_from_slice(&found.to_le_bytes());
+            let err = System::resume(&mut old.as_slice(), &trace)
+                .expect_err("an older format version must not resume");
+            assert_eq!(
+                err,
+                SimError::Codec(CodecError::UnsupportedVersion { found, expected: 5 })
+            );
+        }
+    }
+
+    /// Asserts `err` is the typed refusal of a checkpoint taken against
+    /// another trace.
+    fn assert_different_trace(err: &SimError) {
+        assert!(
+            matches!(
+                err,
+                SimError::Codec(CodecError::Malformed { section, detail })
+                    if section == "progress" && detail.contains("different trace")
+            ),
+            "unexpected error: {err}"
         );
     }
 
@@ -1457,10 +1495,112 @@ mod tests {
         let other = small(App::Bfs);
         let err = System::resume(&mut buf.as_slice(), &other)
             .expect_err("checkpoint is bound to its trace");
-        assert!(
-            err.to_string().contains("different trace"),
-            "unexpected error: {err}"
-        );
+        assert_different_trace(&err);
+
+        // One access's offset, in the epoch the checkpoint has not run
+        // yet, is enough.
+        let mut nudged = trace.clone();
+        let last = nudged.phases.len() - 1;
+        nudged.phases[last].per_gpu[0][0].offset += 64;
+        let err = System::resume(&mut buf.as_slice(), &nudged)
+            .expect_err("one moved offset makes another trace");
+        assert_different_trace(&err);
+        System::resume(&mut buf.as_slice(), &trace.clone()).expect("an identical clone resumes");
+    }
+
+    /// A small hand-built trace with two objects, two phases, two GPUs and
+    /// one barrier: every field the fingerprint covers, independent of the
+    /// generators.
+    fn fixed_trace() -> Trace {
+        use oasis_mem::types::AccessKind;
+        use oasis_workloads::trace::{Access, ObjectSpec, Phase};
+        let access = |obj: u16, offset: u64, kind: AccessKind, bytes: u32| Access {
+            obj: ObjectId(obj),
+            offset,
+            kind,
+            bytes,
+        };
+        Trace {
+            app: "MT",
+            gpu_count: 2,
+            objects: vec![
+                ObjectSpec {
+                    name: "MT_Input".into(),
+                    bytes: 8192,
+                },
+                ObjectSpec {
+                    name: "MT_Output".into(),
+                    bytes: 4096,
+                },
+            ],
+            phases: vec![
+                Phase {
+                    name: "transpose".into(),
+                    per_gpu: vec![
+                        vec![
+                            access(0, 0, AccessKind::Read, 64),
+                            access(1, 64, AccessKind::Write, 64),
+                            access(0, 4096, AccessKind::Read, 32),
+                        ],
+                        vec![access(0, 128, AccessKind::Read, 64)],
+                    ],
+                    barriers: vec![vec![2], vec![1]],
+                },
+                Phase {
+                    name: "check".into(),
+                    per_gpu: vec![vec![access(1, 0, AccessKind::Read, 64)], vec![]],
+                    barriers: vec![vec![], vec![]],
+                },
+            ],
+        }
+    }
+
+    /// Pins the fingerprint: checkpoints and verify-replay journal tags
+    /// embed it, so a change here is a format change. The value was
+    /// cross-checked against an independent implementation of the
+    /// definition on `trace_fingerprint`.
+    #[test]
+    fn trace_fingerprint_is_pinned() {
+        assert_eq!(trace_fingerprint(&fixed_trace()), 0x1bd3_8740_7435_06ee);
+    }
+
+    /// A one-field edit of a trace, named after the field.
+    type Mutation = (&'static str, fn(&mut Trace));
+
+    #[test]
+    fn every_covered_field_moves_the_fingerprint() {
+        use oasis_mem::types::AccessKind;
+        let base = fixed_trace();
+        let pinned = trace_fingerprint(&base);
+        assert_eq!(trace_fingerprint(&base.clone()), pinned);
+        let mutations: [Mutation; 12] = [
+            ("app", |t| t.app = "MM"),
+            ("gpu_count", |t| t.gpu_count = 4),
+            ("object name", |t| t.objects[1].name.push('2')),
+            ("object size", |t| t.objects[0].bytes += 4096),
+            ("phase name", |t| t.phases[1].name = "checK".into()),
+            ("stream length", |t| t.phases[0].per_gpu[1].clear()),
+            ("access obj", |t| {
+                t.phases[0].per_gpu[0][2].obj = ObjectId(1)
+            }),
+            ("access offset", |t| t.phases[0].per_gpu[0][1].offset = 0),
+            ("access kind", |t| {
+                t.phases[0].per_gpu[1][0].kind = AccessKind::Write;
+            }),
+            ("access bytes", |t| t.phases[1].per_gpu[0][0].bytes = 128),
+            ("barrier position", |t| t.phases[0].barriers[0][0] = 1),
+            ("barrier count", |t| t.phases[1].barriers[1].push(0)),
+        ];
+        for (field, mutate) in mutations {
+            let mut t = base.clone();
+            mutate(&mut t);
+            assert_ne!(t, base, "{field}: the mutation changed nothing");
+            assert_ne!(
+                trace_fingerprint(&t),
+                pinned,
+                "{field} left the fingerprint"
+            );
+        }
     }
 
     #[test]

@@ -71,8 +71,8 @@ use std::time::{Duration, Instant};
 use oasis_engine::pool::{open_feed, supervise, Feed, Intake, Job, JobOutcome, JobRecord};
 use oasis_engine::pool::{PoolConfig, SweepControl};
 use oasis_engine::{AdjudicatedOutcome, JournalWriter, MetricsRegistry, StopHandle};
-use oasis_fuzz::{check, from_json, scenario_digest, to_json_line, Scenario};
-use oasis_mgpu::{simulate, Policy};
+use oasis_fuzz::{check_runs, from_json, scenario_digest, to_json_line, Scenario};
+use oasis_mgpu::Policy;
 
 use crate::cache::{CacheRead, CachedResult, ResultCache};
 use crate::protocol::{
@@ -309,11 +309,11 @@ fn render_verdict(outcome: &JobOutcome<JobResult>) -> String {
 }
 
 /// The deterministic job body: run the differential oracle; for a clean
-/// scenario, additionally run it once under the oasis policy to harvest
-/// the `TraceEvent`-taxonomy activity counts the `progress` event streams.
+/// scenario, the oracle's own oasis run supplies the `TraceEvent`-taxonomy
+/// activity counts the `progress` event streams.
 fn run_job(scenario: &Scenario) -> Result<JobResult, String> {
-    match check(scenario) {
-        Some(violation) => Ok(JobResult {
+    match check_runs(scenario) {
+        Err(violation) => Ok(JobResult {
             verdict: sanitize(&format!(
                 "violation {}: {}",
                 violation.kind.as_str(),
@@ -321,8 +321,13 @@ fn run_job(scenario: &Scenario) -> Result<JobResult, String> {
             )),
             events: None,
         }),
-        None => {
-            let report = simulate(&scenario.config(), Policy::oasis(), &scenario.trace());
+        Ok(reports) => {
+            let oasis = Policy::oasis();
+            let (_, report) = Policy::core()
+                .into_iter()
+                .zip(&reports)
+                .find(|(policy, _)| *policy == oasis)
+                .expect("oasis is a core policy");
             let uvm = &report.uvm;
             Ok(JobResult {
                 verdict: "clean".to_string(),
@@ -900,6 +905,7 @@ fn admit(
 mod tests {
     use super::*;
     use crate::protocol::ServerEvent;
+    use oasis_mgpu::simulate;
     use std::io::{BufRead, BufReader};
 
     fn temp_state(name: &str) -> PathBuf {
@@ -995,13 +1001,29 @@ mod tests {
         writeln!(stream, "{wire}").unwrap();
         let accepted = read_event(&mut reader);
         assert!(accepted.contains("\"accepted\""), "{accepted}");
+        let mut progress = Vec::new();
         let result = loop {
             let line = read_event(&mut reader);
             if line.contains("\"result\"") {
                 break line;
             }
+            if line.contains("\"progress\"") {
+                progress.push(line);
+            }
         };
         assert!(result.contains("\"cached\": false"), "{result}");
+        assert!(result.contains("\"verdict\": \"clean\""), "{result}");
+        // A clean job's activity counts are those of a plain oasis run.
+        let uvm = simulate(&scenario.config(), Policy::oasis(), &scenario.trace()).uvm;
+        let expected = event_progress(
+            scenario_digest(&scenario),
+            uvm.far_faults,
+            uvm.migrations,
+            uvm.duplications,
+            uvm.invalidations,
+            uvm.evictions,
+        );
+        assert_eq!(progress, [expected]);
 
         // Resubmitting the identical scenario is a cache hit: the result
         // line arrives immediately, marked cached, with no accept first.

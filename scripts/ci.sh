@@ -9,9 +9,10 @@
 # formatting, lints (warnings are errors), a release build, the full test
 # suite (unit + property-style + integration, including the
 # fault-injection campaign and the sim-guard consistency sweeps), the
-# bench-smoke throughput gate, three determinism audits (checkpoint
-# replay on C2D and LeNet, byte-identical trace files, and byte-identical fuzz reports
-# at any --jobs count), a parallel corpus replay with skip-hardening and
+# bench-smoke throughput gate, four determinism audits (checkpoint
+# replay on C2D and LeNet, a CLI checkpoint resumed from its file with a
+# cmp'd digest trail, byte-identical trace files, and byte-identical fuzz
+# reports at any --jobs count), a parallel corpus replay with skip-hardening and
 # failure-propagation probes, and — in strict mode — the pinned
 # golden-digest gate (two fixed-seed scenarios cmp'd against fixtures in
 # tests/golden/, catching cross-version semantic drift), the
@@ -70,6 +71,31 @@ cargo run -q --release -p oasis-cli -- verify-replay --app C2D --footprint-mb 4
 # LeNet's 129 epochs put the kill at epoch 64: the resumed run rebuilds
 # every running digest sum from the checkpoint and must still match.
 cargo run -q --release -p oasis-cli -- verify-replay --app LeNet --footprint-mb 4
+
+step "checkpoint/resume through the CLI (checkpoint files, cmp'd trails)"
+# The same audit as verify-replay, but through the release binary's own
+# files: a run that checkpoints every 3 epochs, resumed from its epoch-3
+# checkpoint in a new process, must write a byte-identical digest trail,
+# and the same checkpoint must refuse a different trace (another
+# footprint) with a nonzero exit naming it.
+CKPT_DIR="$(mktemp -d)"
+./target/release/oasis-sim run --app C2D --footprint-mb 4 --checkpoint-every 3 \
+    --checkpoint-dir "$CKPT_DIR" --digest-out "$CKPT_DIR/straight" >/dev/null
+./target/release/oasis-sim run --app C2D --footprint-mb 4 \
+    --resume "$CKPT_DIR/C2D-oasis-epoch3.ckpt" --digest-out "$CKPT_DIR/resumed" >/dev/null
+cmp "$CKPT_DIR/straight" "$CKPT_DIR/resumed"
+if ./target/release/oasis-sim run --app C2D --footprint-mb 8 \
+    --resume "$CKPT_DIR/C2D-oasis-epoch3.ckpt" >/dev/null 2>"$CKPT_DIR/refused.err"; then
+    echo "checkpoint/resume: a checkpoint resumed against another trace" >&2
+    exit 1
+fi
+grep -q 'different trace' "$CKPT_DIR/refused.err" || {
+    echo "checkpoint/resume: the refusal does not name a different trace:" >&2
+    cat "$CKPT_DIR/refused.err" >&2
+    exit 1
+}
+echo "resumed trail cmp'd equal to the straight run; another footprint was refused"
+rm -rf "$CKPT_DIR"
 
 step "trace determinism (same seed, byte-identical chrome trace)"
 T1="$(mktemp)" T2="$(mktemp)"

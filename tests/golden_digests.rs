@@ -12,7 +12,7 @@
 //! shows up here by name. Performance work must keep every one green.
 
 use oasis::mgpu::{Policy, System, SystemConfig};
-use oasis::workloads::{generate, App, Trace, WorkloadParams};
+use oasis::workloads::{generate, App, Trace, WorkloadParams, ALL_APPS};
 
 /// The snapshot digest after each epoch of `trace`.
 fn snapshot_trail(trace: &Trace, policy: Policy) -> Vec<u64> {
@@ -147,4 +147,133 @@ fn ci_fixture_runs_keep_their_legacy_trails() {
         cli_trail(App::Mm, Policy::Duplication),
         vec![0x11dc90e309892a4f]
     );
+}
+
+/// The final [`System::snapshot_digest`] of every app under every core
+/// policy at a 1 MB footprint, in [`ALL_APPS`] and [`Policy::core`] order:
+/// one pinned state per (app, policy) pair, so semantic drift in any
+/// generator or policy path is caught by name.
+const FINAL_STATES: [(App, [u64; 4]); 11] = [
+    (
+        App::Bfs,
+        [
+            0x2d570d17fef5195e,
+            0xece5ad4c4375ae87,
+            0xbb45dfc6e535d2a8,
+            0x403003ed2199282d,
+        ],
+    ),
+    (
+        App::C2d,
+        [
+            0x52ae718f3646e1ae,
+            0xaed31a782a19e70a,
+            0x56d546c3700ef0d6,
+            0xc8478437d24dd501,
+        ],
+    ),
+    (
+        App::Fft,
+        [
+            0x02e8141818ba233f,
+            0x3b6a0afdf00dc2a3,
+            0x5b693583bee19459,
+            0x7610eec805f23dac,
+        ],
+    ),
+    (
+        App::I2c,
+        [
+            0x533c6cfafcf3f8b2,
+            0x4726fc8197015eca,
+            0x580adad8c7233a86,
+            0x3ee1dccba18fc580,
+        ],
+    ),
+    (
+        App::Mm,
+        [
+            0xd6217ce684c35b8a,
+            0x72210eec24327f33,
+            0x482cf62b6fc3753d,
+            0xf162d072e66ccaf3,
+        ],
+    ),
+    (
+        App::Mt,
+        [
+            0x630935f9600216fe,
+            0x6beb10fe2433021a,
+            0xf4d327fb17c789a8,
+            0xc89eb4364addce8c,
+        ],
+    ),
+    (
+        App::Pr,
+        [
+            0x4de1132ef54e71e1,
+            0x2cfb9bd63e954085,
+            0xddd95d3b605ad9b4,
+            0x4a38d8b1aaf49208,
+        ],
+    ),
+    (
+        App::St,
+        [
+            0x1a7385fd469f0fc5,
+            0x0d49f2ab85053caf,
+            0xd16a87f454cee880,
+            0x2e6c0e797348b0b1,
+        ],
+    ),
+    (
+        App::LeNet,
+        [
+            0x46682f94e5913a6e,
+            0xeb34c4647c1d74fd,
+            0x9191b208973e7f90,
+            0x8e68aeb07ac49eba,
+        ],
+    ),
+    (
+        App::Vgg16,
+        [
+            0x937eb059e246cce2,
+            0xd56f6dc965a09911,
+            0x7142ddfcff5f0c97,
+            0x4a58f133ba12cc63,
+        ],
+    ),
+    (
+        App::ResNet18,
+        [
+            0xefb4940b509e5f25,
+            0x5be5b588c9d6295c,
+            0xa8546b697bae8485,
+            0xaef2f37a539c81bd,
+        ],
+    ),
+];
+
+#[test]
+fn every_app_final_state_is_pinned_under_every_core_policy() {
+    let apps: Vec<App> = FINAL_STATES.iter().map(|&(app, _)| app).collect();
+    assert_eq!(apps, ALL_APPS, "one row per app, in order");
+    let mut mismatches = Vec::new();
+    for (app, pinned) in FINAL_STATES {
+        let params = WorkloadParams {
+            footprint_mb: 1,
+            ..WorkloadParams::small(app, 4)
+        };
+        let trace = generate(app, &params);
+        let finals = Policy::core().map(|policy| {
+            let mut sys = System::new(SystemConfig::default(), &policy);
+            sys.run(&trace).expect("run completes");
+            sys.snapshot_digest()
+        });
+        if finals != pinned {
+            mismatches.push(format!("(App::{app:?}, {finals:#018x?})"));
+        }
+    }
+    assert!(mismatches.is_empty(), "{}", mismatches.join(",\n"));
 }

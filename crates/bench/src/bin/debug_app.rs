@@ -1,7 +1,7 @@
 //! Debug tool: dump full counters for one app under every policy.
 //! Usage: `debug_app <APP> [small]`
 
-use oasis_bench::runner::{run_matrix, MatrixArgs};
+use oasis_bench::{matrix, run_cells};
 use oasis_mgpu::{Policy, SystemConfig};
 use oasis_workloads::{WorkloadParams, ALL_APPS};
 
@@ -15,7 +15,7 @@ fn main() {
         .iter()
         .find(|a| a.abbr().eq_ignore_ascii_case(&name))
         .expect("unknown app");
-    let policies = vec![
+    let policies = [
         Policy::OnTouch,
         Policy::AccessCounter,
         Policy::Duplication,
@@ -28,23 +28,17 @@ fn main() {
     } else {
         SystemConfig::default()
     };
-    let args = MatrixArgs {
-        config,
-        apps: vec![app],
-        policies,
-        params: Box::new(move |a| {
-            let mut p = if small {
-                WorkloadParams::small(a, 4)
-            } else {
-                WorkloadParams::paper(a, 4)
-            };
-            if let Some(fp) = fp_override {
-                p.footprint_mb = fp;
-            }
-            p
-        }),
-    };
-    let cells = run_matrix(&args);
+    let cells = matrix(&config, &[app], &policies, |a| {
+        let mut p = if small {
+            WorkloadParams::small(a, 4)
+        } else {
+            WorkloadParams::paper(a, 4)
+        };
+        if let Some(fp) = fp_override {
+            p.footprint_mb = fp;
+        }
+        p
+    });
     println!(
         "{:<16} {:>9} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>9} {:>9}",
         "policy",
@@ -59,8 +53,8 @@ fn main() {
         "remoteAcc",
         "localAcc"
     );
-    for c in &cells {
-        let r = &c.report;
+    for report in run_cells(&cells) {
+        let r = report.unwrap_or_else(|e| panic!("{e}"));
         println!(
             "{:<16} {:>9.2} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>9} {:>9}",
             r.policy,

@@ -2,11 +2,12 @@
 //! app × policy at paper sizes, plus the headline averages. Not a paper
 //! figure — use it to check shapes while tuning the cost model.
 
-use oasis_bench::{geomean, run_matrix, FigureTable, MatrixArgs};
-use oasis_mgpu::{Policy, SystemConfig};
+use oasis_bench::{geomean, matrix, run_cells, FigureTable};
+use oasis_mgpu::{Policy, RunReport, SystemConfig};
+use oasis_workloads::{WorkloadParams, ALL_APPS};
 
 fn main() {
-    let policies = vec![
+    let policies = [
         Policy::OnTouch,
         Policy::AccessCounter,
         Policy::Duplication,
@@ -27,39 +28,43 @@ fn main() {
         config.uvm_costs.fault_service =
             oasis_engine::Duration::from_ns((v.parse::<f64>().unwrap() * 1000.0) as u64);
     }
-    let args = MatrixArgs::paper(config, policies.clone());
-    let cells = run_matrix(&args);
+    let gpus = config.gpu_count;
+    let cells = matrix(&config, &ALL_APPS, &policies, |a| {
+        WorkloadParams::paper(a, gpus)
+    });
+    let reports: Vec<RunReport> = run_cells(&cells)
+        .into_iter()
+        .collect::<Result<_, _>>()
+        .unwrap_or_else(|e| panic!("{e}"));
+    // One row of reports per app, in `policies` order.
+    let rows: Vec<&[RunReport]> = reports.chunks(policies.len()).collect();
+    let col = |name: &str| {
+        policies
+            .iter()
+            .position(|p| p.name() == name)
+            .expect("a probed policy")
+    };
     let names: Vec<String> = policies.iter().map(|p| p.name().to_string()).collect();
     let mut table = FigureTable::new(
         "Probe: speedup over on-touch (4 GPUs, Table II sizes)",
         names.clone(),
     );
-    for app in &args.apps {
-        let base = oasis_bench::runner::find(&cells, *app, "on-touch");
-        let row: Vec<f64> = names
-            .iter()
-            .map(|p| {
-                oasis_bench::runner::find(&cells, *app, p)
-                    .report
-                    .speedup_over(&base.report)
-            })
-            .collect();
-        table.push(app.abbr(), row);
+    for (app, row) in ALL_APPS.iter().zip(&rows) {
+        table.push(
+            app.abbr(),
+            row.iter().map(|r| r.speedup_over(&row[0])).collect(),
+        );
     }
     table.push_geomean();
     println!("{}", table.render());
 
     // Headline comparisons.
     let gm = |target: &str, base: &str| {
+        let (t, b) = (col(target), col(base));
         geomean(
-            &args
-                .apps
+            &rows
                 .iter()
-                .map(|a| {
-                    let t = oasis_bench::runner::find(&cells, *a, target);
-                    let b = oasis_bench::runner::find(&cells, *a, base);
-                    t.report.speedup_over(&b.report)
-                })
+                .map(|row| row[t].speedup_over(&row[b]))
                 .collect::<Vec<_>>(),
         )
     };
@@ -86,15 +91,8 @@ fn main() {
 
     // Fault counts (Fig. 24 shape).
     let faults = |p: &str| -> u64 {
-        args.apps
-            .iter()
-            .map(|a| {
-                oasis_bench::runner::find(&cells, *a, p)
-                    .report
-                    .uvm
-                    .total_faults()
-            })
-            .sum()
+        let c = col(p);
+        rows.iter().map(|row| row[c].uvm.total_faults()).sum()
     };
     let (fo, fg) = (faults("oasis"), faults("grit"));
     println!(

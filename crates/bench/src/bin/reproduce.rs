@@ -1,73 +1,81 @@
-//! Runs every table and figure of the paper in sequence, printing each and
-//! writing CSVs under `results/`. Set `OASIS_FAST=1` for a quick smoke run
-//! with reduced input sizes.
+//! Reproduces the paper's tables and figures, the ablation study and
+//! Observation 2, printing each and writing CSVs under `results/`.
+//!
+//! Usage: `reproduce [NAME...]` runs the named entries (all of them when
+//! none is named), simulating each distinct cell of their union once. Set
+//! `OASIS_FAST=1` for a quick smoke run with reduced input sizes. Exits
+//! nonzero when a cell fails or a CSV cannot be written.
 
+use std::process::ExitCode;
 use std::time::Instant;
 
-use oasis_bench::{evaluation, motivation, Profile};
+use oasis_bench::{dedup, run_cells, select, Cell, Figure, Output, Profile, ENTRIES};
 
-fn main() {
+fn main() -> ExitCode {
+    let names: Vec<String> = std::env::args().skip(1).collect();
+    let entries = match select(&names) {
+        Ok(entries) => entries,
+        Err(unknown) => {
+            let valid: Vec<&str> = ENTRIES.iter().map(|(name, _)| *name).collect();
+            eprintln!(
+                "reproduce: unknown entry `{unknown}`; valid names: {}",
+                valid.join(" ")
+            );
+            return ExitCode::FAILURE;
+        }
+    };
     let profile = Profile::from_env();
     println!("Reproducing all OASIS (HPCA 2025) experiments [{profile:?} profile]\n");
     let t0 = Instant::now();
 
-    let step = |name: &str, f: &mut dyn FnMut()| {
-        let t = Instant::now();
-        f();
-        eprintln!("[{name} done in {:.1}s]\n", t.elapsed().as_secs_f64());
-    };
+    let figures: Vec<Figure> = entries.iter().map(|(_, build)| build(profile)).collect();
+    let cells: Vec<Cell> = figures.iter().flat_map(|f| f.cells.clone()).collect();
+    let results = run_cells(&cells);
 
-    step("table1", &mut || println!("{}", motivation::table1()));
-    step("table2", &mut || println!("{}", motivation::table2()));
-    step("table3", &mut || {
-        motivation::table3().emit("table3_footprints")
-    });
-    step("fig02", &mut || {
-        motivation::fig02(profile).emit("fig02_uniform_policies")
-    });
-    step("fig03", &mut || {
-        motivation::fig03().emit("fig03_object_sizes")
-    });
-    step("fig04", &mut || println!("{}", motivation::fig04()));
-    step("fig05", &mut || println!("{}", motivation::fig05()));
-    step("fig06", &mut || println!("{}", motivation::fig06()));
-    step("fig07", &mut || println!("{}", motivation::fig07()));
-    step("fig15", &mut || {
-        evaluation::fig15(profile).emit("fig15_overall")
-    });
-    step("fig16", &mut || {
-        evaluation::fig16(profile).emit("fig16_reset_threshold")
-    });
-    step("fig17", &mut || {
-        evaluation::fig17(profile).emit("fig17_gpu_count")
-    });
-    step("fig18", &mut || {
-        evaluation::fig18(profile).emit("fig18_input_size")
-    });
-    step("fig19", &mut || {
-        evaluation::fig19(profile).emit("fig19_large_pages")
-    });
-    step("fig20", &mut || {
-        motivation::fig20().emit("fig20_page_types")
-    });
-    step("fig21", &mut || {
-        evaluation::fig21(profile).emit("fig21_placement")
-    });
-    step("fig22", &mut || {
-        evaluation::fig22(profile).emit("fig22_vs_grit")
-    });
-    step("fig23", &mut || {
-        evaluation::fig23(profile).emit("fig23_policy_mix")
-    });
-    step("fig24", &mut || {
-        evaluation::fig24(profile).emit("fig24_faults")
-    });
-    step("fig25", &mut || {
-        evaluation::fig25(profile).emit("fig25_oversubscription")
-    });
+    let mut failures = Vec::new();
+    let mut outputs = Vec::new();
+    let mut next = 0;
+    for ((name, _), figure) in entries.iter().zip(&figures) {
+        let mine = &results[next..next + figure.cells.len()];
+        next += figure.cells.len();
+        match mine
+            .iter()
+            .map(Result::as_ref)
+            .collect::<Result<Vec<_>, _>>()
+        {
+            Ok(reports) => outputs.extend(figure.render(&reports)),
+            Err(e) => failures.push(format!("{name}: {e}")),
+        }
+    }
+    // A table ends in a blank line; text is followed by one unless last.
+    for (i, output) in outputs.iter().enumerate() {
+        match output {
+            Output::Text(text) => {
+                print!("{text}");
+                if i + 1 < outputs.len() {
+                    println!();
+                }
+            }
+            Output::Table(name, table) => {
+                if let Err(e) = table.emit(name) {
+                    failures.push(e.to_string());
+                }
+            }
+        }
+    }
 
     eprintln!(
-        "All experiments reproduced in {:.1}s; CSVs in results/",
+        "reproduce: {} cells declared, {} run, {:.1}s",
+        cells.len(),
+        dedup(&cells).0.len(),
         t0.elapsed().as_secs_f64()
     );
+    for failure in &failures {
+        eprintln!("reproduce: {failure}");
+    }
+    if failures.is_empty() {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    }
 }

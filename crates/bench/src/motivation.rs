@@ -5,9 +5,9 @@ use oasis_mgpu::characterize::{page_type_mix, profile, RwPattern, Scope, SharePa
 use oasis_mgpu::{Policy, SystemConfig};
 use oasis_workloads::{generate, App, ALL_APPS};
 
-use crate::runner::{find, run_matrix, MatrixArgs};
+use crate::evaluation::{names, speedup_figure};
 use crate::table::FigureTable;
-use crate::Profile;
+use crate::{Figure, Profile};
 
 /// Table I: the baseline configuration, rendered from the live defaults so
 /// the document can never drift from the code.
@@ -139,37 +139,21 @@ pub fn table3() -> FigureTable {
 }
 
 /// Fig. 2: uniform policies + Ideal, normalized to on-touch.
-pub fn fig02(profile: Profile) -> FigureTable {
-    let policies = vec![
+pub fn fig02(profile: Profile) -> Figure {
+    let policies = [
         Policy::OnTouch,
         Policy::AccessCounter,
         Policy::Duplication,
         Policy::Ideal,
     ];
-    let args = MatrixArgs {
-        config: SystemConfig::default(),
-        apps: ALL_APPS.to_vec(),
-        policies: policies.clone(),
-        params: Box::new(move |a| profile.params(a, 4)),
-    };
-    let cells = run_matrix(&args);
-    let names: Vec<String> = policies.iter().map(|p| p.name().to_string()).collect();
-    let mut t = FigureTable::new(
+    speedup_figure(
+        "fig02_uniform_policies",
         "Fig. 2: uniform page-management policies normalized to on-touch",
-        names.clone(),
-    );
-    for app in ALL_APPS {
-        let base = find(&cells, app, "on-touch");
-        t.push(
-            app.abbr(),
-            names
-                .iter()
-                .map(|n| find(&cells, app, n).report.speedup_over(&base.report))
-                .collect(),
-        );
-    }
-    t.push_geomean();
-    t
+        SystemConfig::default(),
+        &policies,
+        names(&policies),
+        |a| profile.params(a, 4),
+    )
 }
 
 /// Fig. 3: object size distribution per app (pages at 4 KiB).

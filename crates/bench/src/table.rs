@@ -113,15 +113,13 @@ impl FigureTable {
 
     /// Prints the table to stdout and writes `results/<name>.csv`.
     ///
-    /// The CSV write runs under `RecordAndContinue`: a bench table is a
-    /// convenience artifact, so a storage failure is warned about (with
-    /// the typed error from [`write_csv`]) and the run keeps going —
-    /// the rendered table already went to stdout.
-    pub fn emit(&self, name: &str) {
+    /// # Errors
+    ///
+    /// Returns the typed error from [`write_csv`] when the CSV is lost;
+    /// the rendered table has gone to stdout either way.
+    pub fn emit(&self, name: &str) -> Result<(), SimError> {
         println!("{}", self.render());
-        if let Err(e) = write_csv(name, &self.to_csv()) {
-            eprintln!("warning: {e}");
-        }
+        write_csv(name, &self.to_csv())
     }
 }
 
@@ -131,9 +129,7 @@ impl FigureTable {
 /// # Errors
 ///
 /// Returns a typed [`SimError::Io`] naming the artifact (or the failpoint
-/// site, when a chaos plan injected the failure). Callers choose the
-/// policy: [`FigureTable::emit`] records and continues, `FailFast`
-/// callers propagate.
+/// site, when a chaos plan injected the failure).
 pub fn write_csv(name: &str, contents: &str) -> Result<(), SimError> {
     let dir = Path::new("results");
     std::fs::create_dir_all(dir)

@@ -222,6 +222,47 @@ mod tests {
     }
 
     #[test]
+    fn memoized_durations_match_a_fresh_computation_on_every_call() {
+        // Repeated and alternating sizes, the memo's hit and miss paths,
+        // against `Duration::for_transfer` computed anew for each call.
+        let sizes = [
+            64,
+            64,
+            4096,
+            64,
+            4096,
+            4096,
+            0,
+            0,
+            2 << 20,
+            64,
+            2 << 20,
+            1,
+            1,
+            64,
+        ];
+        for bytes_per_sec in [300_000_000_000, 32_000_000_000, 3] {
+            let latency = Duration::from_ns(500);
+            let mut c = Channel::new(bytes_per_sec, latency);
+            let (mut next_free, mut busy) = (Time::ZERO, Duration::ZERO);
+            for (i, &bytes) in sizes.iter().cycle().take(3 * sizes.len()).enumerate() {
+                let now = at(i as u64 * 300);
+                let xfer = Duration::for_transfer(bytes, bytes_per_sec);
+                let start = now.max(next_free);
+                let want = Transfer {
+                    start,
+                    depart: start + xfer,
+                    arrive: start + xfer + latency,
+                };
+                assert_eq!(c.reserve(now, bytes), want, "call {i}: {bytes} B");
+                next_free = want.depart;
+                busy += xfer;
+                assert_eq!(c.busy_time(), busy, "call {i}: {bytes} B");
+            }
+        }
+    }
+
+    #[test]
     fn accessors_report_configuration() {
         let c = Channel::new(42, Duration::from_ns(7));
         assert_eq!(c.bytes_per_sec(), 42);

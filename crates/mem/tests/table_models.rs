@@ -1,5 +1,6 @@
 //! Op-sequence tests of the page tables and the frame allocator against a
-//! `BTreeMap` reference model, driven by the in-tree deterministic
+//! `BTreeMap` reference model, and of the TLB against a plain per-set
+//! model without its last-hit memo, driven by the in-tree deterministic
 //! [`SimRng`] (the build is offline, so there is no property-testing
 //! crate). After every operation the running digest must equal its
 //! from-scratch recomputation and the snapshot bytes must equal the
@@ -12,6 +13,7 @@ use oasis_engine::codec::{ByteReader, ByteWriter, Restore, Snapshot};
 use oasis_engine::{SimRng, StateHasher};
 use oasis_mem::frames::FrameAllocator;
 use oasis_mem::page::{device_to_byte, HostEntry, HostPageTable, LocalPageTable, PolicyBits, Pte};
+use oasis_mem::tlb::Tlb;
 use oasis_mem::types::{DeviceId, GpuId, Vpn};
 
 const CASES: u64 = 40;
@@ -294,5 +296,137 @@ fn frame_allocator_matches_its_model() {
         }
         let back = restored(FrameAllocator::new(capacity), &snapshot_bytes(&frames));
         assert_eq!(digest(&back), digest(&frames), "case {case}");
+    }
+}
+
+/// The TLB's reference model: each set a plain list of `(vpn, stamp)`
+/// lines, scanned on every lookup, evicting the least recently used line
+/// with the same swap-remove as the TLB.
+struct TlbModel {
+    sets: Vec<Vec<(u64, u64)>>,
+    ways: usize,
+    stamp: u64,
+    hits: u64,
+    misses: u64,
+}
+
+impl TlbModel {
+    fn new(entries: usize, ways: usize) -> Self {
+        TlbModel {
+            sets: vec![Vec::new(); entries / ways],
+            ways,
+            stamp: 0,
+            hits: 0,
+            misses: 0,
+        }
+    }
+
+    fn set(&mut self, vpn: u64) -> &mut Vec<(u64, u64)> {
+        let n = self.sets.len();
+        &mut self.sets[vpn as usize % n]
+    }
+
+    fn access(&mut self, vpn: u64) -> bool {
+        self.stamp += 1;
+        let stamp = self.stamp;
+        let line = self.set(vpn).iter_mut().find(|(v, _)| *v == vpn);
+        let hit = line.map(|l| l.1 = stamp).is_some();
+        if hit {
+            self.hits += 1;
+        } else {
+            self.misses += 1;
+        }
+        hit
+    }
+
+    fn fill(&mut self, vpn: u64) -> Option<Vpn> {
+        self.stamp += 1;
+        let (stamp, ways) = (self.stamp, self.ways);
+        let set = self.set(vpn);
+        if let Some(line) = set.iter_mut().find(|(v, _)| *v == vpn) {
+            line.1 = stamp;
+            return None;
+        }
+        let evicted = (set.len() == ways).then(|| {
+            let lru = (0..set.len()).min_by_key(|&i| set[i].1).expect("full set");
+            set.swap_remove(lru).0
+        });
+        set.push((vpn, stamp));
+        evicted.map(Vpn)
+    }
+
+    fn invalidate(&mut self, vpn: u64) -> bool {
+        let set = self.set(vpn);
+        let pos = set.iter().position(|(v, _)| *v == vpn);
+        pos.map(|p| set.swap_remove(p)).is_some()
+    }
+
+    fn bytes(&self) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        w.u64(self.stamp);
+        w.u64(self.hits);
+        w.u64(self.misses);
+        w.u64(self.sets.len() as u64);
+        for set in &self.sets {
+            w.u16(set.len() as u16);
+            for &(vpn, stamp) in set {
+                w.u64(vpn);
+                w.u64(stamp);
+            }
+        }
+        w.into_vec()
+    }
+}
+
+#[test]
+fn tlb_matches_its_model() {
+    for case in 0..CASES {
+        let mut rng = SimRng::seed_from_u64(0x71B0_0000 + case);
+        let (entries, ways) = [(16, 4), (8, 8), (32, 2), (4, 1)][case as usize % 4];
+        let mut tlb = Tlb::new(entries, ways);
+        let mut model = TlbModel::new(entries, ways);
+        let vpns = 2 * entries as u64;
+        let mut vpn = 0;
+        for op in 0..OPS {
+            // Repeat the last page half the time, as consecutive
+            // transactions do, so the memo is live for most operations.
+            if rng.gen_range(0..2) == 0 {
+                vpn = rng.gen_range(0..vpns);
+            }
+            match rng.gen_range(0..20) {
+                0..=9 => assert_eq!(
+                    tlb.access(Vpn(vpn)),
+                    model.access(vpn),
+                    "case {case} op {op}: access {vpn}"
+                ),
+                10..=14 => assert_eq!(
+                    tlb.fill(Vpn(vpn)),
+                    model.fill(vpn),
+                    "case {case} op {op}: fill {vpn}"
+                ),
+                15..=18 => assert_eq!(
+                    tlb.invalidate(Vpn(vpn)),
+                    model.invalidate(vpn),
+                    "case {case} op {op}: invalidate {vpn}"
+                ),
+                _ => {
+                    tlb.flush();
+                    model.sets.iter_mut().for_each(Vec::clear);
+                }
+            }
+            assert_eq!(
+                tlb.stats(),
+                (model.hits, model.misses),
+                "case {case} op {op}"
+            );
+            assert_eq!(
+                tlb.len(),
+                model.sets.iter().map(Vec::len).sum::<usize>(),
+                "case {case} op {op}"
+            );
+            assert_eq!(snapshot_bytes(&tlb), model.bytes(), "case {case} op {op}");
+        }
+        let back = restored(Tlb::new(entries, ways), &snapshot_bytes(&tlb));
+        assert_eq!(snapshot_bytes(&back), model.bytes(), "case {case}");
     }
 }

@@ -126,7 +126,7 @@ impl Policy {
 }
 
 /// The simulated platform (Table I defaults).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SystemConfig {
     /// Number of GPUs (4 in the baseline; 8/16 in Fig. 17).
     pub gpu_count: usize,

@@ -15,7 +15,8 @@
 # reports at any --jobs count), a parallel corpus replay with skip-hardening and
 # failure-propagation probes, and — in strict mode — the pinned
 # golden-digest gate (two fixed-seed scenarios cmp'd against fixtures in
-# tests/golden/, catching cross-version semantic drift), the
+# tests/golden/, catching cross-version semantic drift), the figures gate
+# (a full-size `reproduce` diffed against the committed results/), the
 # graceful-degradation matrix (every core policy must finish a run under
 # a fixed hardware-fault plan and report its recovery counters), a
 # bounded property-fuzz smoke over the differential policy oracle, the
@@ -129,6 +130,24 @@ if [ "$STRICT" = "1" ]; then
     echo "digest trails match the pinned fixtures (C2D/oasis, MM/duplication)"
 else
     echo "developer mode (CI_STRICT unset); skipping the golden digest gate"
+fi
+
+step "paper figures (full-size reproduce diffed against results/)"
+if [ "$STRICT" = "1" ]; then
+    # Every table and figure is deterministic, so a fresh full-size run
+    # in a scratch directory must print results/full_run.log and write
+    # exactly the committed CSVs, no more and no fewer. Regenerating
+    # results/ is a deliberate, reviewed act: run `reproduce` at the
+    # workspace root with its stdout in results/full_run.log.
+    FIG_DIR="$(mktemp -d)"
+    REPRODUCE="$PWD/target/release/reproduce"
+    (cd "$FIG_DIR" && "$REPRODUCE" >stdout.txt)
+    diff results/full_run.log "$FIG_DIR/stdout.txt"
+    diff -r -x full_run.log results "$FIG_DIR/results"
+    rm -rf "$FIG_DIR"
+    echo "reproduce printed and wrote exactly what results/ holds"
+else
+    echo "developer mode (CI_STRICT unset); skipping the figures gate"
 fi
 
 step "graceful degradation under a fixed fault plan (all four policies)"

@@ -24,8 +24,6 @@ COMMANDS:
                   policies and verify bit-identical replay
     stats         simulate with metrics on and print the top-N counter
                   and latency-histogram breakdown
-    bench-smoke   run the fixed benchmark matrix, write BENCH JSON, and
-                  gate on throughput regressions vs the baseline
     fuzz          property-based fuzzing: random scenarios through the
                   differential policy oracle; failures are shrunk and
                   saved as corpus repros
@@ -80,16 +78,6 @@ OPTIONS:
                             [default: 262144 when --trace-out is given]
     --metrics               collect the metrics registry during run
     --top <N>               stats: rows per breakdown table [default: 20]
-    --runs <N>              bench-smoke: runs per cell, best taken [default: 3]
-    --matrix <NAME>         bench-smoke: cell matrix — full (every app x
-                            the four core policies) or quick (the
-                            historical C2D/MM x on-touch/oasis four
-                            cells)                    [default: full]
-    --bench-out <FILE>      bench-smoke: result file [default: BENCH_pr8.json]
-    --baseline <FILE>       bench-smoke: baseline to gate against
-                            [default: the previous --bench-out file]
-    --tolerance <PCT>       bench-smoke: allowed steps/sec regression
-                            [default: 25]
     --cases <N>             fuzz: scenarios to generate and check
                             [default: 100]
     --time-budget-secs <S>  fuzz: stop cleanly once S seconds have elapsed
@@ -98,8 +86,8 @@ OPTIONS:
     --replay <PATH>         fuzz: re-check one saved corpus repro (or, for
                             a directory, every repro in it) instead of
                             generating scenarios
-    --jobs <N>              fuzz/inject/verify-replay/bench-smoke: worker
-                            threads for the supervised sweep; report
+    --jobs <N>              fuzz/inject/verify-replay/chaos/serve: worker
+                            threads for the supervised pool; report
                             content is identical for any N   [default: 1]
     --journal <FILE>        fuzz/inject/verify-replay: write-ahead sweep
                             journal; every dispatch and outcome is fsync'd
@@ -111,9 +99,9 @@ OPTIONS:
     --job-deadline-secs <S> per-job wall-clock deadline: a job past it is
                             recorded as a typed timed-out failure and its
                             worker is respawned
-    --job-attempts <N>      attempts per job (deterministic doubling
-                            backoff between tries) before it counts as
-                            failed                           [default: 1]
+    --job-attempts <N>      attempts per job before it counts as
+                            failed; a retry goes straight back on
+                            the queue                        [default: 1]
     --port <N>              serve: TCP port on 127.0.0.1 (0 binds an
                             ephemeral port and announces it);
                             submit: the server's port         [default: 0]
@@ -150,7 +138,6 @@ EXAMPLES:
     oasis-sim verify-replay --app MT --footprint-mb 4
     oasis-sim run --app C2D --policy oasis --trace-out trace.json
     oasis-sim stats --app MM --policy oasis --top 15
-    oasis-sim bench-smoke --runs 3 --tolerance 25
     oasis-sim fuzz --seed 7 --cases 500 --time-budget-secs 60 --jobs 8
     oasis-sim fuzz --replay tests/corpus --jobs 4
     oasis-sim fuzz --replay tests/corpus/repro-0000000000000000-none.json
@@ -182,8 +169,6 @@ pub enum Command {
     VerifyReplay,
     /// Metrics-registry breakdown of one run.
     Stats,
-    /// Fixed benchmark matrix with a throughput-regression gate.
-    BenchSmoke,
     /// Property-based fuzzing with the differential policy oracle.
     Fuzz,
     /// Crash-durable sweep server over a localhost socket.
@@ -241,17 +226,6 @@ pub struct Cli {
     pub metrics: bool,
     /// Rows per `stats` breakdown table.
     pub top: usize,
-    /// Runs per `bench-smoke` cell (best is kept).
-    pub runs: usize,
-    /// `bench-smoke` matrix selection: "full" (all apps x core policies)
-    /// or "quick" (the historical C2D/MM x on-touch/oasis four cells).
-    pub matrix: String,
-    /// `bench-smoke` result file.
-    pub bench_out: Option<String>,
-    /// Explicit `bench-smoke` baseline file.
-    pub baseline: Option<String>,
-    /// Allowed `bench-smoke` steps/sec regression, percent.
-    pub tolerance: u64,
     /// `fuzz`: scenarios to generate and check.
     pub cases: u64,
     /// `fuzz`: wall-clock budget in seconds, if bounded.
@@ -262,8 +236,8 @@ pub struct Cli {
     /// `fuzz`: replay this saved corpus repro (file) or whole corpus
     /// (directory) instead of generating.
     pub replay: Option<String>,
-    /// Worker threads for supervised sweeps (fuzz, inject, verify-replay,
-    /// bench-smoke). 1 keeps the classic serial behavior.
+    /// Worker threads for the supervised pool (fuzz, inject, verify-replay,
+    /// chaos, serve). 1 keeps the classic serial behavior.
     pub jobs: usize,
     /// Per-job wall-clock deadline for supervised sweeps, in seconds.
     pub job_deadline_secs: Option<u64>,
@@ -354,7 +328,6 @@ impl Cli {
             Some("inject") => Command::Inject,
             Some("verify-replay") => Command::VerifyReplay,
             Some("stats") => Command::Stats,
-            Some("bench-smoke") => Command::BenchSmoke,
             Some("fuzz") => Command::Fuzz,
             Some("serve") => Command::Serve,
             Some("submit") => Command::Submit,
@@ -383,11 +356,6 @@ impl Cli {
             trace_cap: None,
             metrics: false,
             top: 20,
-            runs: 3,
-            matrix: "full".to_string(),
-            bench_out: None,
-            baseline: None,
-            tolerance: 25,
             cases: 100,
             time_budget_secs: None,
             corpus_dir: None,
@@ -512,14 +480,6 @@ impl Cli {
                         return Err(ParseError("--top must be positive".into()));
                     }
                 }
-                "--runs" => {
-                    cli.runs = value("--runs")?
-                        .parse()
-                        .map_err(|e| ParseError(format!("--runs: {e}")))?;
-                    if cli.runs == 0 {
-                        return Err(ParseError("--runs must be positive".into()));
-                    }
-                }
                 "--cases" => {
                     cli.cases = value("--cases")?
                         .parse()
@@ -617,27 +577,6 @@ impl Cli {
                         return Err(ParseError("--submit-timeout-secs must be positive".into()));
                     }
                     cli.submit_timeout_secs = secs;
-                }
-                "--matrix" => {
-                    let v = value("--matrix")?;
-                    match v.as_str() {
-                        "full" | "quick" => cli.matrix = v,
-                        other => {
-                            return Err(ParseError(format!(
-                                "unknown matrix '{other}' (expected 'full' or 'quick')"
-                            )))
-                        }
-                    }
-                }
-                "--bench-out" => cli.bench_out = Some(value("--bench-out")?),
-                "--baseline" => cli.baseline = Some(value("--baseline")?),
-                "--tolerance" => {
-                    cli.tolerance = value("--tolerance")?
-                        .parse()
-                        .map_err(|e| ParseError(format!("--tolerance: {e}")))?;
-                    if cli.tolerance >= 100 {
-                        return Err(ParseError("--tolerance must be below 100".into()));
-                    }
                 }
                 other => return Err(ParseError(format!("unknown option '{other}'"))),
             }
@@ -1049,44 +988,9 @@ mod tests {
     }
 
     #[test]
-    fn digest_out_and_matrix_parse() {
+    fn digest_out_parses() {
         let c = parse(&["run", "--digest-out", "trail.txt"]).unwrap();
         assert_eq!(c.digest_out.as_deref(), Some("trail.txt"));
         assert_eq!(parse(&["run"]).unwrap().digest_out, None);
-
-        let c = parse(&["bench-smoke", "--matrix", "quick"]).unwrap();
-        assert_eq!(c.matrix, "quick");
-        assert_eq!(parse(&["bench-smoke"]).unwrap().matrix, "full");
-        let err = parse(&["bench-smoke", "--matrix", "giant"]).unwrap_err();
-        assert!(err.0.contains("matrix"), "{err}");
-    }
-
-    #[test]
-    fn bench_smoke_flags_parse() {
-        let c = parse(&[
-            "bench-smoke",
-            "--runs",
-            "2",
-            "--bench-out",
-            "B.json",
-            "--baseline",
-            "old.json",
-            "--tolerance",
-            "10",
-        ])
-        .unwrap();
-        assert_eq!(c.command, Command::BenchSmoke);
-        assert_eq!(c.runs, 2);
-        assert_eq!(c.bench_out.as_deref(), Some("B.json"));
-        assert_eq!(c.baseline.as_deref(), Some("old.json"));
-        assert_eq!(c.tolerance, 10);
-        assert!(parse(&["bench-smoke", "--tolerance", "100"])
-            .unwrap_err()
-            .0
-            .contains("below 100"));
-        assert!(parse(&["bench-smoke", "--runs", "0"])
-            .unwrap_err()
-            .0
-            .contains("positive"));
     }
 }

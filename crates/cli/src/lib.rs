@@ -7,7 +7,6 @@ pub mod args;
 mod chaos;
 pub mod render;
 pub mod signal;
-mod smoke;
 
 use std::fmt::{self, Write as _};
 use std::fs::File;
@@ -583,7 +582,6 @@ pub fn run_with_stop(cli: &Cli, stop: Option<StopHandle>) -> Result<String, CliE
             let report = simulate(&cli.system_config(), cli.policy.clone(), &trace);
             render::stats_text(&report, cli.top)
         }
-        Command::BenchSmoke => smoke::bench_smoke(cli)?,
         Command::Fuzz => fuzz(cli, stop)?,
         Command::Serve => serve(cli, stop)?,
         Command::Submit => submit(cli)?,
@@ -762,7 +760,6 @@ mod tests {
         assert!(out.contains("verify-replay"));
         assert!(out.contains("--checkpoint-every"));
         assert!(out.contains("--trace-out"));
-        assert!(out.contains("bench-smoke"));
         assert!(out.contains("--fault-plan"));
         assert!(out.contains("fuzz"));
         assert!(out.contains("--time-budget-secs"));
@@ -855,69 +852,5 @@ mod tests {
         let err = run(&parse(&["chaos", "--chaos-filter", "no-such-cell"]))
             .expect_err("an unmatched filter is a typed failure");
         assert!(err.to_string().contains("matches no cell"), "{err}");
-    }
-
-    #[test]
-    fn bench_smoke_writes_results_and_gates_on_regression() {
-        let dir = std::env::temp_dir().join("oasis-cli-bench-test");
-        std::fs::create_dir_all(&dir).expect("mkdir");
-        let out_file = dir.join("BENCH_test.json");
-        let out_path = out_file.to_str().expect("utf-8");
-        let _ = std::fs::remove_file(out_path);
-        // First run (quick matrix keeps the test snappy): no baseline yet,
-        // must pass and create the file.
-        let first = run_ok(&[
-            "bench-smoke",
-            "--matrix",
-            "quick",
-            "--runs",
-            "1",
-            "--bench-out",
-            out_path,
-        ]);
-        assert!(first.contains("no-baseline"), "{first}");
-        let json = std::fs::read_to_string(out_path).expect("bench file");
-        assert!(json.contains("\"oasis-bench-smoke-v2\""));
-        assert!(json.contains("\"C2D\"") && json.contains("\"MM\""));
-        assert!(json.contains("\"rss_kb\""));
-        // Second run gates against the first and should be within 90%+
-        // headroom of itself... but wall-clock noise exists, so only check
-        // the happy path with the widest legal tolerance.
-        let second = run(&parse(&[
-            "bench-smoke",
-            "--matrix",
-            "quick",
-            "--runs",
-            "1",
-            "--bench-out",
-            out_path,
-            "--tolerance",
-            "99",
-        ]))
-        .expect("repeat run stays within 99% tolerance");
-        assert!(second.contains("ok"), "{second}");
-        // An impossible baseline must trip the gate.
-        let absurd = dir.join("absurd.json");
-        std::fs::write(
-            &absurd,
-            "{\"cells\": [\n{\"app\": \"MM\", \"policy\": \"oasis\", \
-             \"steps_per_sec\": 900000000000.0}\n]}\n",
-        )
-        .expect("write absurd baseline");
-        let err = run(&parse(&[
-            "bench-smoke",
-            "--matrix",
-            "quick",
-            "--runs",
-            "1",
-            "--bench-out",
-            out_path,
-            "--baseline",
-            absurd.to_str().expect("utf-8"),
-        ]))
-        .expect_err("absurd baseline must regress");
-        let err = err.to_string();
-        assert!(err.contains("regression"), "{err}");
-        assert!(err.contains("MM/oasis"), "{err}");
     }
 }

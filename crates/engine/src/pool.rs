@@ -1,9 +1,10 @@
 //! Supervised job pool: an open job feed served by long-lived workers.
 //!
 //! Every multi-scenario workflow in the workspace — the fuzzer, the
-//! fault-injection campaign, the replay audit, the bench matrix, the sweep
-//! server — fans a set of independent simulations across cores. The unit
-//! of work here is a *supervised job*, not a bare closure:
+//! fault-injection campaign, the replay audit, the chaos matrix, the paper
+//! harness, the sweep server — fans a set of independent simulations
+//! across cores. The unit of work here is a *supervised job*, not a bare
+//! closure:
 //!
 //! * **Panic isolation** — each attempt runs under `catch_unwind`; a panic
 //!   becomes a typed [`JobError::Panicked`] carrying the payload message,
@@ -15,11 +16,9 @@
 //!   worker is spawned so the sweep never loses capacity. Jobs that drive a
 //!   `System` should additionally set the simulator's own progress
 //!   watchdog (`stall_window`) so a wedged run aborts itself from inside.
-//! * **Retry with deterministic backoff** — a failed attempt is retried up
-//!   to [`PoolConfig::max_attempts`] times. Backoff doubles per attempt and
-//!   is *bookkeeping by default* ([`JobRecord::backoff_ms`]): sweeps stay
-//!   deterministic and tests stay fast; opt into real sleeps with
-//!   [`PoolConfig::sleep_on_backoff`].
+//! * **Retry** — a failed attempt is retried up to
+//!   [`PoolConfig::max_attempts`] times; each retry goes straight back on
+//!   the queue.
 //! * **Quarantine** — a job whose final attempt still crashed a worker
 //!   (panic or deadline) is quarantined rather than lost: the sweep always
 //!   completes and [`SweepReport::quarantined`] names the casualties.
@@ -76,12 +75,6 @@ pub struct PoolConfig {
     pub deadline: Option<Duration>,
     /// Attempts per job before it is given up on (at least 1).
     pub max_attempts: u32,
-    /// Backoff before retry `n` is `backoff_base_ms << (n-1)` milliseconds.
-    pub backoff_base_ms: u64,
-    /// Actually sleep the backoff before re-dispatch. Off by default:
-    /// the backoff is then pure bookkeeping in [`JobRecord::backoff_ms`],
-    /// which keeps sweeps deterministic and tests instant.
-    pub sleep_on_backoff: bool,
     /// How often the watchdog scans in-flight attempts.
     pub watchdog_poll: Duration,
 }
@@ -92,8 +85,6 @@ impl Default for PoolConfig {
             workers: 1,
             deadline: None,
             max_attempts: 1,
-            backoff_base_ms: 10,
-            sleep_on_backoff: false,
             watchdog_poll: Duration::from_millis(10),
         }
     }
@@ -310,8 +301,6 @@ pub struct JobRecord<T> {
     pub outcome: JobOutcome<T>,
     /// Attempts consumed (1 on a first-try success).
     pub attempts: u32,
-    /// Total deterministic backoff charged across retries, in ms.
-    pub backoff_ms: u64,
     /// Host wall-clock across all adjudicated attempts, in µs.
     /// *Not* deterministic — exclude it from byte-compared reports.
     pub wall_clock_us: u64,
@@ -591,13 +580,11 @@ fn spawn_watchdog<T: Send + 'static>(
         .expect("spawning the pool watchdog failed")
 }
 
-/// Supervisor-side view of a job that is queued, running, or waiting for
-/// its retry.
+/// Supervisor-side view of a job that is queued or running.
 struct Live<T> {
     label: String,
     work: Arc<Work<T>>,
     attempts: u32,
-    backoff_ms: u64,
     wall_clock_us: u64,
 }
 
@@ -658,7 +645,6 @@ pub fn supervise<T: Send + 'static>(
     let mut live: BTreeMap<u64, Live<T>> = BTreeMap::new();
     let mut records: BTreeMap<u64, JobRecord<T>> = BTreeMap::new();
     let mut halted: Vec<u64> = Vec::new();
-    let mut delayed: Vec<(Instant, Attempt<T>)> = Vec::new();
     // Every worker ever spawned, indexed by its token, with its
     // abandonment flag.
     let mut handles: Vec<(Arc<AtomicBool>, JoinHandle<()>)> = Vec::new();
@@ -683,11 +669,10 @@ pub fn supervise<T: Send + 'static>(
     };
 
     while !((closed || stopped) && live.is_empty()) {
-        // Block when no retry is waiting on its backoff and no stop handle
-        // needs polling: the feed and the workers are the only wakeups
-        // then. The supervisor holds a sender, so the channel never
-        // disconnects under it.
-        let msg = if delayed.is_empty() && stop.is_none() {
+        // Block when no stop handle needs polling: the feed and the
+        // workers are the only wakeups then. The supervisor holds a
+        // sender, so the channel never disconnects under it.
+        let msg = if stop.is_none() {
             rx.recv().ok()
         } else {
             rx.recv_timeout(Duration::from_millis(10)).ok()
@@ -704,21 +689,10 @@ pub fn supervise<T: Send + 'static>(
                 .expect("pool queue poisoned")
                 .drain(..)
                 .collect();
-            for a in queued.into_iter().chain(delayed.drain(..).map(|(_, a)| a)) {
+            for a in queued {
                 if live.remove(&a.job_id).is_some() {
                     halted.push(a.job_id);
                 }
-            }
-        }
-
-        // Release retries whose (optional) real backoff has elapsed.
-        let now = Instant::now();
-        let mut i = 0;
-        while i < delayed.len() {
-            if delayed[i].0 <= now {
-                enqueue(delayed.swap_remove(i).1);
-            } else {
-                i += 1;
             }
         }
 
@@ -740,7 +714,6 @@ pub fn supervise<T: Send + 'static>(
                         label: job.label,
                         work: Arc::clone(&job.work),
                         attempts: 0,
-                        backoff_ms: 0,
                         wall_clock_us: 0,
                     },
                 );
@@ -828,27 +801,18 @@ pub fn supervise<T: Send + 'static>(
             // A stopped pool spends no further attempts: a failure that
             // would have retried is finalized with what it has.
             Err(_retryable) if state.attempts < max_attempts && !stopped => {
-                // Deterministic doubling backoff, recorded always and
-                // slept only on request. The retry is journaled at this
-                // decision point, before it can be released to a worker.
-                let backoff = config.backoff_base_ms << (state.attempts - 1).min(32);
-                state.backoff_ms += backoff;
+                // The retry is journaled at this decision point, before
+                // it can reach a worker.
                 retries += 1;
                 let next_attempt = state.attempts + 1;
                 if let Some(cb) = ctrl.on_dispatch.as_mut() {
                     cb(job_id, next_attempt);
                 }
-                let due = if config.sleep_on_backoff {
-                    Instant::now() + Duration::from_millis(backoff)
-                } else {
-                    Instant::now()
-                };
-                let attempt = Attempt {
+                enqueue(Attempt {
                     job_id,
                     attempt: next_attempt,
                     work: Arc::clone(&state.work),
-                };
-                delayed.push((due, attempt));
+                });
             }
             result => {
                 let state = live.remove(&job_id).expect("looked up above");
@@ -862,7 +826,6 @@ pub fn supervise<T: Send + 'static>(
                     label: state.label,
                     outcome,
                     attempts: state.attempts,
-                    backoff_ms: state.backoff_ms,
                     wall_clock_us: state.wall_clock_us,
                     worker,
                 };
@@ -944,7 +907,6 @@ mod tests {
         assert_eq!(c.workers, 1);
         assert_eq!(c.max_attempts, 1);
         assert!(c.deadline.is_none());
-        assert!(!c.sleep_on_backoff);
     }
 
     #[test]

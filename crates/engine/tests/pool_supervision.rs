@@ -3,10 +3,10 @@
 //! A test-only `JobKind` harness drives the three failure modes the pool
 //! must contain — panics, hangs, and transient failures — and each test
 //! asserts the *deterministic* part of the resulting `SweepReport`
-//! (outcomes, attempt counts, backoff bookkeeping, quarantine list,
-//! job-id ordering). The wall-clock and worker-id fields are explicitly
-//! nondeterministic and are never asserted on. The open-feed cases gate
-//! their jobs with channels, not sleeps.
+//! (outcomes, attempt counts, quarantine list, job-id ordering). The
+//! wall-clock and worker-id fields are explicitly nondeterministic and are
+//! never asserted on. The open-feed cases gate their jobs with channels,
+//! not sleeps.
 
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -121,20 +121,16 @@ fn a_hanging_job_blows_its_deadline_and_the_worker_is_respawned() {
 }
 
 #[test]
-fn transient_failures_retry_then_succeed_with_backoff_bookkeeping() {
+fn transient_failures_retry_then_succeed() {
     let jobs = vec![job("flaky", JobKind::FailNTimes { n: 2, value: 99 })];
     let config = PoolConfig {
         max_attempts: 4,
-        backoff_base_ms: 10,
-        sleep_on_backoff: false, // bookkeeping only: the test is instant
         ..PoolConfig::default()
     };
     let report = run_sweep(&config, jobs);
     let rec = &report.jobs[0];
     assert_eq!(rec.outcome.value(), Some(&99));
     assert_eq!(rec.attempts, 3, "two failures then one success");
-    // Doubling backoff: 10 ms after attempt 1, 20 ms after attempt 2.
-    assert_eq!(rec.backoff_ms, 30);
     assert_eq!(report.retries, 2);
     assert!(report.quarantined.is_empty());
     assert_eq!(report.metrics.counter("pool.attempts"), 3);
@@ -147,14 +143,11 @@ fn retry_exhaustion_on_a_typed_error_is_failed_not_quarantined() {
     let jobs = vec![job("doomed", JobKind::FailNTimes { n: 10, value: 0 })];
     let config = PoolConfig {
         max_attempts: 3,
-        backoff_base_ms: 5,
         ..PoolConfig::default()
     };
     let report = run_sweep(&config, jobs);
     let rec = &report.jobs[0];
     assert_eq!(rec.attempts, 3);
-    // 5 ms + 10 ms of (bookkept) backoff across the two retries.
-    assert_eq!(rec.backoff_ms, 15);
     match &rec.outcome {
         JobOutcome::Failed(JobError::Failed(msg)) => {
             assert!(msg.contains("attempt 3"), "last error is kept, got: {msg}");
@@ -175,7 +168,6 @@ fn a_repeatedly_panicking_job_is_quarantined_after_exhaustion() {
     let config = PoolConfig {
         workers: 2,
         max_attempts: 3,
-        backoff_base_ms: 1,
         ..PoolConfig::default()
     };
     let report = run_sweep(&config, jobs);
@@ -218,7 +210,6 @@ fn racing_completions_against_the_deadline_never_wedge_the_sweep() {
         deadline: Some(Duration::from_millis(20)),
         watchdog_poll: Duration::from_millis(1),
         max_attempts: 2,
-        ..PoolConfig::default()
     };
     let (tx, rx) = std::sync::mpsc::channel();
     std::thread::spawn(move || {
@@ -376,7 +367,6 @@ fn stop_suppresses_retries_but_adjudicates_the_failure() {
     let config = PoolConfig {
         workers: 1,
         max_attempts: 5,
-        backoff_base_ms: 1,
         ..PoolConfig::default()
     };
     let report = run_sweep_controlled(
@@ -409,8 +399,6 @@ fn an_unstopped_controlled_sweep_matches_run_sweep_and_journals_every_step() {
     let config = PoolConfig {
         workers: 2,
         max_attempts: 3,
-        backoff_base_ms: 1,
-        sleep_on_backoff: false,
         ..PoolConfig::default()
     };
     let mut dispatched = Vec::new();
@@ -535,7 +523,6 @@ fn a_fed_list_reports_exactly_what_the_fixed_list_reports() {
     let config = PoolConfig {
         workers: 2,
         max_attempts: 2,
-        backoff_base_ms: 3,
         ..PoolConfig::default()
     };
     let fixed = run_sweep(&config, build());
@@ -553,15 +540,7 @@ fn a_fed_list_reports_exactly_what_the_fixed_list_reports() {
         let jobs: Vec<_> = r
             .jobs
             .iter()
-            .map(|j| {
-                (
-                    j.id,
-                    j.label.clone(),
-                    j.outcome.clone(),
-                    j.attempts,
-                    j.backoff_ms,
-                )
-            })
+            .map(|j| (j.id, j.label.clone(), j.outcome.clone(), j.attempts))
             .collect();
         (
             jobs,

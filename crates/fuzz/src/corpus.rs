@@ -112,43 +112,19 @@ pub fn scenario_digest(scenario: &Scenario) -> u64 {
 /// (string, integer, boolean, and null values; no nesting).
 pub fn from_json(text: &str) -> Result<(Scenario, Option<OracleKind>), String> {
     let fields = parse_flat_object(text)?;
-    let get = |key: &str| {
-        fields
-            .get(key)
-            .ok_or_else(|| format!("missing field '{key}'"))
-    };
-    let str_field = |key: &str| -> Result<String, String> {
-        match get(key)? {
-            JsonValue::Str(s) => Ok(s.clone()),
-            v => Err(format!("field '{key}' should be a string, got {v:?}")),
-        }
-    };
-    let u64_field = |key: &str| -> Result<u64, String> {
-        match get(key)? {
-            JsonValue::Num(n) => Ok(*n),
-            v => Err(format!("field '{key}' should be a number, got {v:?}")),
-        }
-    };
-    let bool_field = |key: &str| -> Result<bool, String> {
-        match get(key)? {
-            JsonValue::Bool(b) => Ok(*b),
-            v => Err(format!("field '{key}' should be a boolean, got {v:?}")),
-        }
-    };
-
-    let schema = str_field("schema")?;
+    let schema = str_field(&fields, "schema")?;
     if schema != SCHEMA {
         return Err(format!(
             "unsupported schema '{schema}' (expected '{SCHEMA}')"
         ));
     }
-    let oracle = match str_field("oracle")?.as_str() {
+    let oracle = match str_field(&fields, "oracle")?.as_str() {
         "none" => None,
         s => Some(OracleKind::parse(s).ok_or_else(|| format!("unknown oracle kind '{s}'"))?),
     };
-    let abbr = str_field("app")?;
+    let abbr = str_field(&fields, "app")?;
     let app = app_from_abbr(&abbr).ok_or_else(|| format!("unknown app '{abbr}'"))?;
-    let capacity_pages = match get("capacity_pages")? {
+    let capacity_pages = match field(&fields, "capacity_pages")? {
         JsonValue::Null => None,
         JsonValue::Num(n) => Some(*n),
         v => {
@@ -157,10 +133,10 @@ pub fn from_json(text: &str) -> Result<(Scenario, Option<OracleKind>), String> {
             ))
         }
     };
-    let plan_spec = str_field("fault_plan")?;
+    let plan_spec = str_field(&fields, "fault_plan")?;
     let fault_plan =
         FaultPlan::parse(&plan_spec).map_err(|e| format!("field 'fault_plan': {e}"))?;
-    let gpu_count = u64_field("gpu_count")? as usize;
+    let gpu_count = u64_field(&fields, "gpu_count")? as usize;
     if gpu_count == 0 {
         return Err("field 'gpu_count' must be positive".to_string());
     }
@@ -168,16 +144,16 @@ pub fn from_json(text: &str) -> Result<(Scenario, Option<OracleKind>), String> {
         .validate_for(gpu_count)
         .map_err(|e| format!("field 'fault_plan': {e}"))?;
     let scenario = Scenario {
-        seed: u64_field("seed")?,
+        seed: u64_field(&fields, "seed")?,
         app,
         gpu_count,
-        footprint_mb: u64_field("footprint_mb")?.max(1),
-        workload_seed: u64_field("workload_seed")?,
-        max_phases: (u64_field("max_phases")? as usize).max(1),
-        large_pages: bool_field("large_pages")?,
-        striped: bool_field("striped")?,
-        lanes_per_gpu: (u64_field("lanes_per_gpu")? as usize).max(1),
-        counter_threshold: u64_field("counter_threshold")?.min(u64::from(u32::MAX)) as u32,
+        footprint_mb: u64_field(&fields, "footprint_mb")?.max(1),
+        workload_seed: u64_field(&fields, "workload_seed")?,
+        max_phases: (u64_field(&fields, "max_phases")? as usize).max(1),
+        large_pages: bool_field(&fields, "large_pages")?,
+        striped: bool_field(&fields, "striped")?,
+        lanes_per_gpu: (u64_field(&fields, "lanes_per_gpu")? as usize).max(1),
+        counter_threshold: u64_field(&fields, "counter_threshold")?.min(u64::from(u32::MAX)) as u32,
         capacity_pages,
         fault_plan,
     };
@@ -410,6 +386,49 @@ pub fn parse_flat_object(text: &str) -> Result<BTreeMap<String, JsonValue>, Stri
         return Err("trailing content after corpus object".to_string());
     }
     Ok(fields)
+}
+
+fn field<'a>(fields: &'a BTreeMap<String, JsonValue>, key: &str) -> Result<&'a JsonValue, String> {
+    fields
+        .get(key)
+        .ok_or_else(|| format!("missing field '{key}'"))
+}
+
+/// The string field `key` of a [`parse_flat_object`] result.
+///
+/// # Errors
+///
+/// "missing field 'key'" if it is absent, "field 'key' should be a
+/// string" if it holds another type.
+pub fn str_field(fields: &BTreeMap<String, JsonValue>, key: &str) -> Result<String, String> {
+    match field(fields, key)? {
+        JsonValue::Str(s) => Ok(s.clone()),
+        v => Err(format!("field '{key}' should be a string, got {v:?}")),
+    }
+}
+
+/// The integer field `key` of a [`parse_flat_object`] result.
+///
+/// # Errors
+///
+/// As [`str_field`], for a number.
+pub fn u64_field(fields: &BTreeMap<String, JsonValue>, key: &str) -> Result<u64, String> {
+    match field(fields, key)? {
+        JsonValue::Num(n) => Ok(*n),
+        v => Err(format!("field '{key}' should be a number, got {v:?}")),
+    }
+}
+
+/// The boolean field `key` of a [`parse_flat_object`] result.
+///
+/// # Errors
+///
+/// As [`str_field`], for a boolean.
+pub fn bool_field(fields: &BTreeMap<String, JsonValue>, key: &str) -> Result<bool, String> {
+    match field(fields, key)? {
+        JsonValue::Bool(b) => Ok(*b),
+        v => Err(format!("field '{key}' should be a boolean, got {v:?}")),
+    }
 }
 
 fn skip_ws(chars: &mut std::iter::Peekable<std::str::Chars<'_>>) {

@@ -38,8 +38,8 @@ use oasis_engine::sweep::{clip, Sweep, SweepCodec, SweepError, SweepOptions, Swe
 use oasis_engine::{fnv1a, SimRng};
 
 pub use corpus::{
-    from_json, load_dir, parse_flat_object, scenario_digest, to_json, to_json_line, write_repro,
-    Corpus, CorpusEntry, JsonValue, SkippedFile,
+    bool_field, from_json, load_dir, parse_flat_object, scenario_digest, str_field, to_json,
+    to_json_line, u64_field, write_repro, Corpus, CorpusEntry, JsonValue, SkippedFile,
 };
 pub use oracle::{check, check_runs, OracleKind, Violation};
 pub use scenario::{Scenario, FUZZ_APPS};

@@ -28,7 +28,9 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::io::{self, Read};
 
-use oasis_fuzz::{from_json, parse_flat_object, JsonValue, Scenario};
+use oasis_fuzz::{
+    bool_field, from_json, parse_flat_object, str_field, u64_field, JsonValue, Scenario,
+};
 
 /// Hard cap on one request line, bytes (newline included). A scenario
 /// wire line is ~300 bytes; 64 KiB leaves two orders of magnitude of
@@ -419,35 +421,8 @@ pub enum ServerEvent {
     },
 }
 
-fn field_str(fields: &BTreeMap<String, JsonValue>, key: &str) -> Result<String, String> {
-    match fields.get(key) {
-        Some(JsonValue::Str(s)) => Ok(s.clone()),
-        other => Err(format!(
-            "event field '{key}' should be a string, got {other:?}"
-        )),
-    }
-}
-
-fn field_num(fields: &BTreeMap<String, JsonValue>, key: &str) -> Result<u64, String> {
-    match fields.get(key) {
-        Some(JsonValue::Num(n)) => Ok(*n),
-        other => Err(format!(
-            "event field '{key}' should be a number, got {other:?}"
-        )),
-    }
-}
-
-fn field_bool(fields: &BTreeMap<String, JsonValue>, key: &str) -> Result<bool, String> {
-    match fields.get(key) {
-        Some(JsonValue::Bool(b)) => Ok(*b),
-        other => Err(format!(
-            "event field '{key}' should be a boolean, got {other:?}"
-        )),
-    }
-}
-
 fn field_digest(fields: &BTreeMap<String, JsonValue>) -> Result<u64, String> {
-    let s = field_str(fields, "digest")?;
+    let s = str_field(fields, "digest")?;
     let hex = s
         .strip_prefix("0x")
         .ok_or_else(|| format!("digest '{s}' lacks its 0x prefix"))?;
@@ -462,21 +437,21 @@ fn field_digest(fields: &BTreeMap<String, JsonValue>) -> Result<u64, String> {
 /// unparsable event as a fatal protocol breach (servers never emit them).
 pub fn parse_event(line: &str) -> Result<ServerEvent, String> {
     let fields = parse_flat_object(line)?;
-    let kind = field_str(&fields, "serve")?;
+    let kind = str_field(&fields, "serve")?;
     Ok(match kind.as_str() {
         "accepted" => ServerEvent::Accepted {
-            job: field_num(&fields, "job")?,
+            job: u64_field(&fields, "job")?,
             digest: field_digest(&fields)?,
-            coalesced: field_bool(&fields, "coalesced")?,
+            coalesced: bool_field(&fields, "coalesced")?,
         },
         "rejected" => ServerEvent::Rejected {
             digest: field_digest(&fields)?,
-            reason: field_str(&fields, "reason")?,
-            detail: field_str(&fields, "detail")?,
+            reason: str_field(&fields, "reason")?,
+            detail: str_field(&fields, "detail")?,
         },
         "dispatched" => ServerEvent::Dispatched {
             digest: field_digest(&fields)?,
-            attempt: field_num(&fields, "attempt")?,
+            attempt: u64_field(&fields, "attempt")?,
         },
         "progress" => {
             let digest = field_digest(&fields)?;
@@ -492,10 +467,10 @@ pub fn parse_event(line: &str) -> Result<ServerEvent, String> {
         }
         "result" => ServerEvent::Result {
             digest: field_digest(&fields)?,
-            outcome: field_str(&fields, "outcome")?,
-            verdict: field_str(&fields, "verdict")?,
-            cached: field_bool(&fields, "cached")?,
-            attempts: field_num(&fields, "attempts")?,
+            outcome: str_field(&fields, "outcome")?,
+            verdict: str_field(&fields, "verdict")?,
+            cached: bool_field(&fields, "cached")?,
+            attempts: u64_field(&fields, "attempts")?,
         },
         "pong" => ServerEvent::Pong,
         "stats" => ServerEvent::Stats(
@@ -509,8 +484,8 @@ pub fn parse_event(line: &str) -> Result<ServerEvent, String> {
                 .collect(),
         ),
         "error" => ServerEvent::Error {
-            code: field_str(&fields, "code")?,
-            detail: field_str(&fields, "detail")?,
+            code: str_field(&fields, "code")?,
+            detail: str_field(&fields, "detail")?,
         },
         other => return Err(format!("unknown server event '{other}'")),
     })

@@ -9,6 +9,9 @@
 //!   job the journal already adjudicates;
 //! * resume a complete journal into the identical report without
 //!   dispatching anything;
+//! * resume a complete journal whose last record a kill cut partway into
+//!   the identical report, merging only the whole adjudications and
+//!   warning once, of the salvage;
 //! * refuse a journal written with other parameters with the typed
 //!   tag-mismatch error instead of merging two different sweeps.
 //!
@@ -50,8 +53,9 @@ fn options(journal: Option<&Path>, resume: bool, workers: usize) -> SweepOptions
 }
 
 /// A resumed run must report exactly what the reference did, merge
-/// `merged` jobs from the journal, and finish without warnings.
-fn assert_resumed(name: &str, reference: &Run, resumed: &Run, merged: usize) {
+/// `merged` jobs from the journal, and finish without warnings, or, if
+/// `salvaged`, with exactly one: the salvage of a torn tail.
+fn assert_resumed(name: &str, reference: &Run, resumed: &Run, merged: usize, salvaged: bool) {
     assert_eq!(
         reference.report, resumed.report,
         "{name}: resume changed the report"
@@ -62,7 +66,15 @@ fn assert_resumed(name: &str, reference: &Run, resumed: &Run, merged: usize) {
     );
     assert!(!resumed.sweep.interrupted, "{name}: the resume drained");
     let warnings = &resumed.sweep.warnings;
-    assert!(warnings.is_empty(), "{name}: {warnings:?}");
+    assert_eq!(
+        warnings.len(),
+        usize::from(salvaged),
+        "{name}: {warnings:?}"
+    );
+    assert!(
+        warnings.iter().all(|w| w.contains("salvaged")),
+        "{name}: {warnings:?}"
+    );
 }
 
 fn dispatches(path: &Path) -> usize {
@@ -71,8 +83,8 @@ fn dispatches(path: &Path) -> usize {
     events.iter().filter(dispatched).count()
 }
 
-/// Straight, journaled, resumed-from-a-prefix and resumed-when-complete
-/// runs of one sweep.
+/// Straight, journaled, resumed-from-a-prefix, resumed-when-complete and
+/// resumed-from-a-torn-tail runs of one sweep.
 fn assert_resumes_identically(name: &str, prefix: usize, sweep: &SweepFn) {
     let dir = test_dir(name);
     let reference = sweep(options(None, false, 1)).expect("unjournaled run");
@@ -89,6 +101,11 @@ fn assert_resumes_identically(name: &str, prefix: usize, sweep: &SweepFn) {
     );
     let full = recover(&full_path).expect("recover the full journal");
     assert!(!full.interrupted && full.adjudicated.len() > prefix);
+    assert!(
+        matches!(full.events.last(), Some(JournalRecord::Adjudicated { .. })),
+        "{name}: a complete journal ends on an adjudication"
+    );
+    let full_bytes = std::fs::read(&full_path).expect("read the full journal");
 
     // What a sweep drained after `prefix` jobs leaves behind.
     let partial_path = dir.join("partial.jnl");
@@ -102,7 +119,7 @@ fn assert_resumes_identically(name: &str, prefix: usize, sweep: &SweepFn) {
     drop(w);
 
     let resumed = sweep(options(Some(&partial_path), true, 3)).expect("resumed run");
-    assert_resumed(name, &reference, &resumed, prefix);
+    assert_resumed(name, &reference, &resumed, prefix, false);
 
     let after = recover(&partial_path).expect("recover the resumed journal");
     assert_eq!(after.adjudicated.len(), full.adjudicated.len());
@@ -124,9 +141,16 @@ fn assert_resumes_identically(name: &str, prefix: usize, sweep: &SweepFn) {
     // report and dispatches nothing.
     let before = dispatches(&full_path);
     let complete = sweep(options(Some(&full_path), true, 2)).expect("complete resume");
-    assert_resumed(name, &reference, &complete, full.adjudicated.len());
+    assert_resumed(name, &reference, &complete, full.adjudicated.len(), false);
     let after = dispatches(&full_path);
     assert_eq!(before, after, "{name}: a complete journal dispatched again");
+
+    // Killed mid-append: part of the last adjudication reached the disk.
+    // Only the whole adjudications merge; the torn job runs again.
+    let torn_path = dir.join("torn.jnl");
+    std::fs::write(&torn_path, &full_bytes[..full_bytes.len() - 7]).expect("write torn");
+    let torn = sweep(options(Some(&torn_path), true, 2)).expect("salvaged resume");
+    assert_resumed(name, &reference, &torn, full.adjudicated.len() - 1, true);
     std::fs::remove_dir_all(&dir).ok();
 }
 

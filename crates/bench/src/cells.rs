@@ -105,7 +105,7 @@ pub fn run_cells(cells: &[Cell]) -> Vec<Result<RunReport, CellError>> {
         .iter()
         .map(|&cell| {
             let cell = cell.clone();
-            Job::new(cell.to_string(), move |_| cell.simulate())
+            Job::new(cell.to_string(), move || cell.simulate())
         })
         .collect();
     let workers = std::thread::available_parallelism().map_or(4, |n| n.get());

@@ -90,8 +90,8 @@ OPTIONS:
                             threads for the supervised pool; report
                             content is identical for any N   [default: 1]
     --journal <FILE>        fuzz/inject/verify-replay: write-ahead sweep
-                            journal; every dispatch and outcome is fsync'd
-                            so a killed sweep can be resumed
+                            journal; every job outcome is fsync'd so a
+                            killed sweep can be resumed
     --resume-sweep          with --journal: skip the jobs the journal
                             already adjudicates and finish the rest; the
                             final report is byte-identical to an

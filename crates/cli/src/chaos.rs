@@ -379,7 +379,7 @@ fn run_journal_append_cell(cell: Cell, dir: &Path, r: &Reference) -> Result<Stri
     let mut plan = FailPlan::once(cell.site, cell.kind);
     // Let the Begin record and the first append land so the salvage has a
     // genuine clean prefix to keep.
-    plan.after = Some(1);
+    plan.after = 1;
     let scope = arm_thread(plan);
     let outcome = run_fuzz(&journal_fuzz_opts(jpath.clone(), false));
     let fired = scope.fired();
@@ -516,7 +516,6 @@ fn submit_one(port: u16, scenario: &Scenario) -> Result<String, String> {
 /// server's worker threads hit it and nothing else ever can.
 fn process_plan(cell: Cell, state_tag: &str, count_all: bool) -> FailPlan {
     let mut plan = FailPlan::once(cell.site, cell.kind);
-    plan.after = Some(0);
     if count_all {
         plan.count = u64::MAX;
     }
@@ -713,7 +712,7 @@ pub(crate) fn run_chaos(cli: &Cli) -> Result<String, CliError> {
         .map(|&(idx, cell)| {
             let r = Arc::clone(&reference);
             let dir = root.join(format!("cell-{idx:02}"));
-            Job::new(cell.label(), move |_ctx| {
+            Job::new(cell.label(), move || {
                 std::fs::create_dir_all(&dir).map_err(|e| format!("cell dir: {e}"))?;
                 match cell.surface {
                     Surface::CheckpointPublish => run_checkpoint_publish_cell(cell, &dir, &r),

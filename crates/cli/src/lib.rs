@@ -76,7 +76,6 @@ fn pool_config(cli: &Cli) -> PoolConfig {
         workers: cli.jobs.max(1),
         deadline: cli.job_deadline_secs.map(std::time::Duration::from_secs),
         max_attempts: cli.job_attempts.max(1),
-        ..PoolConfig::default()
     }
 }
 
@@ -185,7 +184,7 @@ fn replay_corpus(cli: &Cli, dir: &std::path::Path) -> Result<String, String> {
         .map(|entry| {
             let scenario = entry.scenario.clone();
             let label = entry.path.display().to_string();
-            Job::new(label, move |_ctx| Ok(oasis_fuzz::check(&scenario)))
+            Job::new(label, move || Ok(oasis_fuzz::check(&scenario)))
         })
         .collect();
     let sweep = run_sweep(&pool_config(cli), jobs);

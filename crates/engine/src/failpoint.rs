@@ -1,12 +1,11 @@
-//! Deterministic storage-fault injection: named failpoint sites with a
-//! seed-driven [`FailPlan`].
+//! Deterministic storage-fault injection: named failpoint sites and a
+//! [`FailPlan`] saying which one fails, how, and when.
 //!
-//! PRs 7 and 9 made sweeps and the serve daemon crash-durable, but every
-//! recovery guarantee was only exercised against process kills — the
-//! filesystem itself was assumed perfect. Real services die to ENOSPC,
-//! EIO, and failing fsyncs far more often than to SIGKILL. This module
-//! lets tests and the `chaos` CLI subcommand inject exactly those faults
-//! at named sites threaded through the persistence surface
+//! Sweeps and the serve daemon are crash-durable, but a process kill is
+//! not the only way storage fails: real services die to ENOSPC, EIO, and
+//! failing fsyncs far more often than to SIGKILL. This module lets tests
+//! and the `chaos` CLI subcommand inject exactly those faults at named
+//! sites threaded through the persistence surface
 //! ([`atomic_write`](crate::fsio::atomic_write) legs, journal appends and
 //! `Begin` publication, checkpoint emission, the serve result cache,
 //! corpus/trace/bench artifact writes), deterministically and replayably.
@@ -28,32 +27,10 @@
 //!   `chaos` serve cells need (journal and cache writes happen on the
 //!   server's scheduler and connection threads); process scopes are
 //!   serialized against each other so two cannot interleave.
-//! - **Deterministic and replayable**: the plan is pure configuration
-//!   (spec grammar below); every firing is recorded with its site, kind,
-//!   hit index, and cut, and the seed drives all derived choices through
-//!   [`SimRng`], so a failure reproduces from its rendered plan alone.
-//!
-//! # Spec grammar
-//!
-//! Mirrors the PR 4 `FaultPlan` clause grammar: comma-separated
-//! `key:value` clauses.
-//!
-//! ```text
-//! seed:<n>,site:<name>,kind:<fault>[,after:<k>][,count:<n>|*][,cut:<bytes>][,path:<substr>]
-//! ```
-//!
-//! - `site:` — a registered site name, or a `prefix.*` wildcard.
-//! - `kind:` — `eio` | `enospc` | `short-write` | `fsync` | `rename` |
-//!   `torn-append`.
-//! - `after:` — matching hits to let through before firing (default:
-//!   derived from the seed, so a bare seeded plan varies its strike
-//!   point deterministically).
-//! - `count:` — firings before the plan disarms (default 1; `*` = every
-//!   matching hit).
-//! - `cut:` — for `short-write`/`torn-append`: bytes actually persisted
-//!   before the failure (default: seed-derived per firing).
-//! - `path:` — only fire when the artifact path contains this substring
-//!   (lets a process-scoped plan target one server's state directory).
+//! - **Deterministic and replayable**: the plan is plain data, and every
+//!   firing is recorded with its site, kind, hit index, and cut. A cut the
+//!   plan leaves open is drawn from one fixed-seed [`SimRng`] stream, so
+//!   the same plan always tears at the same byte.
 
 use std::cell::RefCell;
 use std::fmt;
@@ -115,7 +92,7 @@ impl FaultKind {
         FaultKind::TornAppend,
     ];
 
-    /// The spec-grammar token for this kind.
+    /// Stable short name for this kind.
     pub fn as_str(self) -> &'static str {
         match self {
             FaultKind::Eio => "eio",
@@ -125,18 +102,6 @@ impl FaultKind {
             FaultKind::RenameFail => "rename",
             FaultKind::TornAppend => "torn-append",
         }
-    }
-
-    fn parse(token: &str) -> Option<FaultKind> {
-        Some(match token {
-            "eio" => FaultKind::Eio,
-            "enospc" => FaultKind::Enospc,
-            "short-write" => FaultKind::ShortWrite,
-            "fsync" => FaultKind::FsyncFail,
-            "rename" => FaultKind::RenameFail,
-            "torn-append" => FaultKind::TornAppend,
-            _ => return None,
-        })
     }
 
     /// Whether this kind truncates the payload (vs failing outright).
@@ -151,80 +116,19 @@ impl fmt::Display for FaultKind {
     }
 }
 
-/// A typed failplan spec failure, naming the offending clause.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum FailSpecError {
-    /// A clause is missing its `key:value` separator.
-    MissingSeparator {
-        /// The clause as written.
-        clause: String,
-    },
-    /// A numeric token failed to parse.
-    BadNumber {
-        /// The clause as written.
-        clause: String,
-        /// The offending token.
-        token: String,
-    },
-    /// The clause key is not part of the grammar.
-    UnknownKey {
-        /// The clause as written.
-        clause: String,
-        /// The unrecognized key.
-        key: String,
-    },
-    /// `kind:` names no known fault kind.
-    UnknownKind {
-        /// The unrecognized kind token.
-        kind: String,
-    },
-    /// The plan never named a site.
-    MissingSite,
-    /// The plan never named a kind.
-    MissingKind,
-}
-
-impl fmt::Display for FailSpecError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            FailSpecError::MissingSeparator { clause } => {
-                write!(f, "clause '{clause}' needs 'key:value'")
-            }
-            FailSpecError::BadNumber { clause, token } => {
-                write!(f, "bad number '{token}' in clause '{clause}'")
-            }
-            FailSpecError::UnknownKey { clause, key } => {
-                write!(f, "unknown failplan key '{key}' in clause '{clause}'")
-            }
-            FailSpecError::UnknownKind { kind } => write!(
-                f,
-                "unknown fault kind '{kind}' (expected eio, enospc, short-write, \
-                 fsync, rename, or torn-append)"
-            ),
-            FailSpecError::MissingSite => write!(f, "failplan needs a 'site:' clause"),
-            FailSpecError::MissingKind => write!(f, "failplan needs a 'kind:' clause"),
-        }
-    }
-}
-
-impl std::error::Error for FailSpecError {}
-
 /// A declarative injection plan: which site, which fault, when.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FailPlan {
-    /// Seed for every derived draw (`after` when unset, `cut` per firing).
-    pub seed: u64,
-    /// Target site name, or a `prefix.*` wildcard.
+    /// Target site name.
     pub site: String,
     /// The fault to inject.
     pub kind: FaultKind,
-    /// Matching hits to let through before the first firing; `None`
-    /// derives a small strike point from the seed.
-    pub after: Option<u64>,
+    /// Matching hits to let through before the first firing.
+    pub after: u64,
     /// Firings before the plan disarms (`u64::MAX` = unbounded).
     pub count: u64,
-    /// Persisted-prefix length for truncating kinds; `None` derives it
-    /// from the seed per firing.
+    /// Persisted-prefix length for truncating kinds; `None` draws it per
+    /// firing from the fixed-seed stream.
     pub cut: Option<usize>,
     /// Only fire when the artifact path contains this substring.
     pub path: Option<String>,
@@ -234,104 +138,17 @@ impl FailPlan {
     /// A single-shot plan: fire `kind` at `site` on the first hit.
     pub fn once(site: &str, kind: FaultKind) -> FailPlan {
         FailPlan {
-            seed: 0,
             site: site.to_string(),
             kind,
-            after: Some(0),
+            after: 0,
             count: 1,
             cut: None,
             path: None,
         }
     }
 
-    /// Parses the spec grammar (see module docs).
-    ///
-    /// # Errors
-    ///
-    /// Returns a typed [`FailSpecError`] naming the offending clause.
-    pub fn parse(spec: &str) -> Result<FailPlan, FailSpecError> {
-        let mut seed = 0u64;
-        let mut site: Option<String> = None;
-        let mut kind: Option<FaultKind> = None;
-        let mut after: Option<u64> = None;
-        let mut count = 1u64;
-        let mut cut: Option<usize> = None;
-        let mut path: Option<String> = None;
-        for clause in spec.split(',').filter(|c| !c.trim().is_empty()) {
-            let clause = clause.trim();
-            let (key, body) =
-                clause
-                    .split_once(':')
-                    .ok_or_else(|| FailSpecError::MissingSeparator {
-                        clause: clause.to_string(),
-                    })?;
-            let num = |token: &str| -> Result<u64, FailSpecError> {
-                token.parse().map_err(|_| FailSpecError::BadNumber {
-                    clause: clause.to_string(),
-                    token: token.to_string(),
-                })
-            };
-            match key {
-                "seed" => seed = num(body)?,
-                "site" => site = Some(body.to_string()),
-                "kind" => {
-                    kind =
-                        Some(
-                            FaultKind::parse(body).ok_or_else(|| FailSpecError::UnknownKind {
-                                kind: body.to_string(),
-                            })?,
-                        )
-                }
-                "after" => after = Some(num(body)?),
-                "count" => count = if body == "*" { u64::MAX } else { num(body)? },
-                "cut" => cut = Some(num(body)? as usize),
-                "path" => path = Some(body.to_string()),
-                other => {
-                    return Err(FailSpecError::UnknownKey {
-                        clause: clause.to_string(),
-                        key: other.to_string(),
-                    })
-                }
-            }
-        }
-        Ok(FailPlan {
-            seed,
-            site: site.ok_or(FailSpecError::MissingSite)?,
-            kind: kind.ok_or(FailSpecError::MissingKind)?,
-            after,
-            count,
-            cut,
-            path,
-        })
-    }
-
-    /// Re-renders the plan in spec grammar — paste this back into
-    /// `FailPlan::parse` (or a future CLI flag) to replay a firing.
-    pub fn render(&self) -> String {
-        let mut out = format!("seed:{},site:{},kind:{}", self.seed, self.site, self.kind);
-        if let Some(after) = self.after {
-            out.push_str(&format!(",after:{after}"));
-        }
-        if self.count == u64::MAX {
-            out.push_str(",count:*");
-        } else if self.count != 1 {
-            out.push_str(&format!(",count:{}", self.count));
-        }
-        if let Some(cut) = self.cut {
-            out.push_str(&format!(",cut:{cut}"));
-        }
-        if let Some(path) = &self.path {
-            out.push_str(&format!(",path:{path}"));
-        }
-        out
-    }
-
     fn matches(&self, site: &str, path: &Path) -> bool {
-        let site_ok = match self.site.strip_suffix('*') {
-            Some(prefix) => site.starts_with(prefix),
-            None => self.site == site,
-        };
-        site_ok
+        self.site == site
             && self
                 .path
                 .as_ref()
@@ -356,7 +173,6 @@ pub struct Firing {
 struct ActiveState {
     plan: FailPlan,
     rng: SimRng,
-    effective_after: u64,
     hits: u64,
     fired: u64,
     firings: Vec<Firing>,
@@ -364,14 +180,9 @@ struct ActiveState {
 
 impl ActiveState {
     fn new(plan: FailPlan) -> ActiveState {
-        let mut rng = SimRng::seed_from_u64(plan.seed);
-        // A bare seeded plan strikes at a seed-derived hit in [0, 8) —
-        // deterministic variety for seed-sweep chaos campaigns.
-        let effective_after = plan.after.unwrap_or_else(|| rng.next_u64() % 8);
         ActiveState {
             plan,
-            rng,
-            effective_after,
+            rng: SimRng::seed_from_u64(0),
             hits: 0,
             fired: 0,
             firings: Vec::new(),
@@ -386,7 +197,7 @@ impl ActiveState {
         }
         let hit = self.hits;
         self.hits += 1;
-        if hit < self.effective_after {
+        if hit < self.plan.after {
             return None;
         }
         self.fired += 1;
@@ -436,7 +247,7 @@ fn disabled() -> bool {
 /// not nest — a chaos cell is one plan).
 pub fn arm_thread(plan: FailPlan) -> ThreadScope {
     debug_assert!(
-        plan.site.ends_with('*') || site_registered(&plan.site),
+        site_registered(&plan.site),
         "failplan targets unregistered site '{}'",
         plan.site
     );
@@ -458,7 +269,7 @@ pub fn arm_thread(plan: FailPlan) -> ThreadScope {
 /// `path:` filter to confine the blast radius to one state directory.
 pub fn arm_process(plan: FailPlan) -> ProcessScope {
     debug_assert!(
-        plan.site.ends_with('*') || site_registered(&plan.site),
+        site_registered(&plan.site),
         "failplan targets unregistered site '{}'",
         plan.site
     );
@@ -629,51 +440,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn spec_round_trips_and_errors_are_typed() {
-        let plan =
-            FailPlan::parse("seed:7,site:journal.append.write,kind:torn-append,after:2,cut:3")
-                .expect("parse");
-        assert_eq!(plan.seed, 7);
-        assert_eq!(plan.site, "journal.append.write");
-        assert_eq!(plan.kind, FaultKind::TornAppend);
-        assert_eq!(plan.after, Some(2));
-        assert_eq!(plan.cut, Some(3));
-        assert_eq!(FailPlan::parse(&plan.render()).expect("re-parse"), plan);
-
-        let unbounded = FailPlan::parse("site:fsio.write,kind:eio,count:*").expect("parse");
-        assert_eq!(unbounded.count, u64::MAX);
-        assert_eq!(
-            FailPlan::parse(&unbounded.render()).expect("re-parse"),
-            unbounded
-        );
-
-        assert!(matches!(
-            FailPlan::parse("site:fsio.write"),
-            Err(FailSpecError::MissingKind)
-        ));
-        assert!(matches!(
-            FailPlan::parse("kind:eio"),
-            Err(FailSpecError::MissingSite)
-        ));
-        assert!(matches!(
-            FailPlan::parse("site:fsio.write,kind:exotic"),
-            Err(FailSpecError::UnknownKind { .. })
-        ));
-        assert!(matches!(
-            FailPlan::parse("site:fsio.write,kind:eio,after:x"),
-            Err(FailSpecError::BadNumber { .. })
-        ));
-        assert!(matches!(
-            FailPlan::parse("site:fsio.write,kind:eio,color:red"),
-            Err(FailSpecError::UnknownKey { .. })
-        ));
-        assert!(matches!(
-            FailPlan::parse("garbage"),
-            Err(FailSpecError::MissingSeparator { .. })
-        ));
-    }
-
-    #[test]
     fn disabled_checks_are_clear() {
         assert!(on_io("fsio.create", Path::new("/tmp/x")).is_ok());
         assert!(matches!(
@@ -685,7 +451,7 @@ mod tests {
     #[test]
     fn thread_scope_fires_after_n_hits_then_disarms() {
         let mut plan = FailPlan::once("fsio.write", FaultKind::Eio);
-        plan.after = Some(2);
+        plan.after = 2;
         let scope = arm_thread(plan);
         let p = Path::new("/tmp/artifact");
         assert!(matches!(on_write("fsio.write", p, 10), WriteFault::Clear));
@@ -723,9 +489,8 @@ mod tests {
         assert_eq!(scope.firings()[0].cut, Some(16));
         drop(scope);
 
-        // Derived cut: strictly short of the payload, seed-deterministic.
-        let mut plan = FailPlan::once("fsio.write", FaultKind::ShortWrite);
-        plan.seed = 11;
+        // Derived cut: strictly short of the payload, the same every time.
+        let plan = FailPlan::once("fsio.write", FaultKind::ShortWrite);
         let scope = arm_thread(plan.clone());
         let first = match on_write("fsio.write", Path::new("a"), 64) {
             WriteFault::Torn { cut, .. } => cut,
@@ -738,20 +503,20 @@ mod tests {
             WriteFault::Torn { cut, .. } => cut,
             other => panic!("expected Torn, got {other:?}"),
         };
-        assert_eq!(first, second, "same seed, same derived cut");
+        assert_eq!(first, second, "same plan, same derived cut");
         drop(scope);
     }
 
     #[test]
-    fn site_wildcards_and_path_filters_select_matches() {
-        let mut plan = FailPlan::once("fsio.*", FaultKind::Eio);
+    fn sites_and_path_filters_select_matches() {
+        let mut plan = FailPlan::once("fsio.rename", FaultKind::Eio);
         plan.count = u64::MAX;
         plan.path = Some("state-a".to_string());
         let scope = arm_thread(plan);
-        assert!(on_io("fsio.create", Path::new("/tmp/state-b/f")).is_ok());
-        assert!(on_io("journal.begin", Path::new("/tmp/state-a/f")).is_ok());
+        assert!(on_io("fsio.rename", Path::new("/tmp/state-b/f")).is_ok());
+        assert!(on_io("fsio.fsync", Path::new("/tmp/state-a/f")).is_ok());
         assert!(on_io("fsio.rename", Path::new("/tmp/state-a/f")).is_err());
-        assert!(on_io("fsio.fsync", Path::new("/tmp/state-a/g")).is_err());
+        assert!(on_io("fsio.rename", Path::new("/tmp/state-a/g")).is_err());
         assert_eq!(scope.fired(), 2);
         drop(scope);
     }

@@ -2,11 +2,10 @@
 //!
 //! A parallel sweep (fuzz, inject, verify-replay) is hours of work that a
 //! single SIGKILL used to erase. The journal makes sweep progress durable:
-//! the pool supervisor writes one [`Dispatched`](JournalRecord::Dispatched)
-//! record per attempt *before* outcomes land and one
+//! the sweep runner ([`crate::sweep`]) writes one
 //! [`Adjudicated`](JournalRecord::Adjudicated) record per final outcome,
-//! each append fsync'd, so a resumed sweep can skip every job that already
-//! has an adjudicated outcome and re-dispatch only unfinished work.
+//! each append fsync'd, so a resumed sweep skips every job that already
+//! has an adjudicated outcome and runs only unfinished work.
 //!
 //! The format reuses the checkpoint codec's discipline — magic + version
 //! header, little-endian primitives, FNV-1a 64 integrity — but is
@@ -29,21 +28,27 @@
 //!
 //! Record kinds:
 //!
-//! * `Begin` — first record; carries a caller-computed `tag` hashing the
-//!   sweep parameters (seed, case count, ...) so a resume with different
-//!   parameters is rejected with [`JournalError::TagMismatch`] instead of
-//!   silently merging incompatible sweeps, plus a human-readable label.
-//! * `Dispatched` — an attempt was handed to the pool (intent, written
-//!   before the work runs).
-//! * `Adjudicated` — the supervisor's final outcome for a job, with an
+//! * `Begin` (0) — first record; carries a caller-computed `tag` hashing
+//!   the sweep parameters (seed, case count, ...) so a resume with
+//!   different parameters is rejected with [`JournalError::TagMismatch`]
+//!   instead of silently merging incompatible sweeps, plus a
+//!   human-readable label.
+//! * `Adjudicated` (2) — the supervisor's final outcome for a job, with an
 //!   opaque caller payload (the fuzzer stores the encoded oracle verdict,
 //!   the injector the outcome line, ...).
-//! * `Interrupted` — clean-drain trailer written when a sweep stops on
+//! * `Interrupted` (3) — clean-drain trailer written when a sweep stops on
 //!   SIGINT/SIGTERM; marks the journal as deliberately incomplete.
-//! * `Enqueued` — a job was *admitted* with an opaque payload describing
-//!   the work itself (the sweep server stores the scenario wire line).
-//!   Written before the job is queued, so a killed server can rebuild its
-//!   pending queue on restart: pending = enqueued − adjudicated.
+//! * `Enqueued` (4) — a job was *admitted* with an opaque payload
+//!   describing the work itself (the sweep server stores the scenario wire
+//!   line). Written before the job is queued, so a killed server can
+//!   rebuild its pending queue on restart: pending = enqueued −
+//!   adjudicated.
+//!
+//! Version 1 journals also held a per-attempt `Dispatched` record, kind
+//! 1, that no resume read. This version refuses them whole with
+//! [`JournalError::UnsupportedVersion`]: a salvage scan would stop at
+//! their first kind-1 record, and a resume would then cut every later
+//! record from the file.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -61,10 +66,9 @@ pub const JOURNAL_MAGIC: [u8; 8] = *b"OASISJNL";
 
 /// Current journal format version; readers reject other versions with
 /// [`JournalError::UnsupportedVersion`].
-pub const JOURNAL_VERSION: u32 = 1;
+pub const JOURNAL_VERSION: u32 = 2;
 
 const KIND_BEGIN: u8 = 0;
-const KIND_DISPATCHED: u8 = 1;
 const KIND_ADJUDICATED: u8 = 2;
 const KIND_INTERRUPTED: u8 = 3;
 const KIND_ENQUEUED: u8 = 4;
@@ -204,13 +208,6 @@ pub enum JournalRecord {
         /// Human-readable sweep description.
         label: String,
     },
-    /// An attempt was enqueued for a job.
-    Dispatched {
-        /// Sweep-level job id (the caller's stable index, not the pool's).
-        job_id: u64,
-        /// 1-based attempt number.
-        attempt: u32,
-    },
     /// The supervisor finalized a job.
     Adjudicated {
         /// Sweep-level job id.
@@ -228,9 +225,7 @@ pub enum JournalRecord {
         adjudicated: u64,
     },
     /// A job was admitted into a durable queue (written ahead of the
-    /// work). Older readers stop their salvage scan at the first record
-    /// of this kind — acceptable, since only queue-persisting sweeps
-    /// (the serve subsystem) write it.
+    /// work). Only queue-persisting sweeps (the serve subsystem) write it.
     Enqueued {
         /// Sweep-level job id (the caller's stable index).
         job_id: u64,
@@ -356,10 +351,6 @@ fn decode_payload(kind: u8, payload: &[u8]) -> Option<JournalRecord> {
         KIND_BEGIN => JournalRecord::Begin {
             tag: r.u64().ok()?,
             label: r.str().ok()?,
-        },
-        KIND_DISPATCHED => JournalRecord::Dispatched {
-            job_id: r.u64().ok()?,
-            attempt: r.u32().ok()?,
         },
         KIND_ADJUDICATED => {
             let job_id = r.u64().ok()?;
@@ -627,14 +618,6 @@ impl JournalWriter {
         Ok(())
     }
 
-    /// Journals an attempt dispatch (intent, before the work runs).
-    pub fn dispatched(&mut self, job_id: u64, attempt: u32) -> Result<(), JournalError> {
-        let mut w = ByteWriter::new();
-        w.u64(job_id);
-        w.u32(attempt);
-        self.append(KIND_DISPATCHED, w.as_slice())
-    }
-
     /// Journals a job's final outcome with an opaque caller payload.
     pub fn adjudicated(
         &mut self,
@@ -713,7 +696,6 @@ mod tests {
         w.enqueued(0, b"job zero").expect("enq 0");
         w.enqueued(1, b"job one").expect("enq 1");
         w.enqueued(2, b"").expect("enq 2 (empty payload)");
-        w.dispatched(0, 1).expect("disp");
         w.adjudicated(0, AdjudicatedOutcome::Completed, 1, b"clean")
             .expect("adj 0");
         drop(w);

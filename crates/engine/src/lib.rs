@@ -46,7 +46,7 @@ pub use error::{
     ErrorPolicy, EvictionError, FaultError, InvariantViolation, MigrationError, SimError,
     SimResult, TableError, TraceError,
 };
-pub use failpoint::{FailPlan, FailSpecError, FaultKind as IoFaultKind, Firing};
+pub use failpoint::{FailPlan, FaultKind as IoFaultKind, Firing};
 pub use fsio::atomic_write;
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet};
 pub use hash::{fnv1a, Fnv1a};
@@ -57,12 +57,10 @@ pub use journal::{
 pub use metrics::{CounterHandle, Histogram, HistogramHandle, MetricsRegistry, HISTOGRAM_BUCKETS};
 pub use obs::Observer;
 pub use pool::{
-    open_feed, run_sweep, run_sweep_controlled, supervise, Feed, Intake, Job, JobCtx, JobError,
-    JobOutcome, JobRecord, PoolConfig, StopHandle, SweepControl, SweepReport,
+    open_feed, run_sweep, supervise, Feed, Intake, Job, JobError, JobOutcome, JobRecord,
+    PoolConfig, StopHandle, SweepControl, SweepReport,
 };
 pub use queue::{Event, EventQueue};
 pub use rng::SimRng;
 pub use time::{Duration, Time};
-pub use trace::{
-    chrome_trace_json, Endpoint, NullTracer, RingTracer, TimedEvent, TraceEvent, Tracer,
-};
+pub use trace::{chrome_trace_json, Endpoint, RingTracer, TimedEvent, TraceEvent};

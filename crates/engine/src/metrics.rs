@@ -117,22 +117,6 @@ impl Histogram {
         self.buckets[i]
     }
 
-    /// Folds another histogram into this one: bucket counts, count, and sum
-    /// add; min/max combine. Merging is associative and commutative, so a
-    /// set of per-worker histograms merges to the same result in any order.
-    pub fn merge_from(&mut self, other: &Histogram) {
-        if other.count == 0 {
-            return;
-        }
-        for (b, ob) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *b += ob;
-        }
-        self.count += other.count;
-        self.sum_ns = self.sum_ns.saturating_add(other.sum_ns);
-        self.min_ns = self.min_ns.min(other.min_ns);
-        self.max_ns = self.max_ns.max(other.max_ns);
-    }
-
     /// Bucket-resolution estimate of quantile `q` in `[0, 1]`: the floor of
     /// the bucket containing the q-th sample (exact for bucket 0). The
     /// overflow bucket reports the recorded maximum.
@@ -356,30 +340,6 @@ impl MetricsRegistry {
     pub fn counter_count(&self) -> usize {
         self.counter_live.iter().filter(|&&l| l).count()
     }
-
-    /// Folds another registry into this one: counters add, histograms
-    /// merge bucket-wise. Because the index maps are `BTreeMap`s and
-    /// [`Histogram::merge_from`] is order-insensitive, merging a set of
-    /// per-worker registries yields the same result in any order — this is
-    /// what makes parallel-sweep metrics deterministic. A disabled
-    /// receiver still drops everything.
-    pub fn merge_from(&mut self, other: &MetricsRegistry) {
-        if !self.enabled {
-            return;
-        }
-        for (k, &i) in other.counter_idx.iter() {
-            if other.counter_live[i as usize] {
-                self.add(k, other.counter_vals[i as usize]);
-            }
-        }
-        for (k, &i) in other.histogram_idx.iter() {
-            let h = &other.histogram_vals[i as usize];
-            if h.count() > 0 {
-                let mine = self.histogram_slot(k);
-                self.histogram_vals[mine].merge_from(h);
-            }
-        }
-    }
 }
 
 /// Logical equality: same enablement and the same *recorded* content.
@@ -453,51 +413,6 @@ mod tests {
         assert_eq!(h.quantile_ns(0.5), 64);
         assert_eq!(h.quantile_ns(0.95), 8192);
         assert!((h.mean_ns() - 1090.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn histogram_merge_is_order_insensitive() {
-        let mut a = Histogram::default();
-        a.record_ns(100);
-        a.record_ns(0);
-        let mut b = Histogram::default();
-        b.record_ns(10_000);
-        let mut ab = a.clone();
-        ab.merge_from(&b);
-        let mut ba = b.clone();
-        ba.merge_from(&a);
-        assert_eq!(ab, ba);
-        assert_eq!(ab.count(), 3);
-        assert_eq!(ab.sum_ns(), 10_100);
-        assert_eq!(ab.min_ns(), 0);
-        assert_eq!(ab.max_ns(), 10_000);
-        // Merging an empty histogram is a no-op (min stays untouched).
-        let before = ab.clone();
-        ab.merge_from(&Histogram::default());
-        assert_eq!(ab, before);
-    }
-
-    #[test]
-    fn registry_merge_sums_counters_and_histograms() {
-        let mut a = MetricsRegistry::enabled();
-        a.add("shared", 2);
-        a.add("only.a", 1);
-        a.observe_ns("lat", 100);
-        let mut b = MetricsRegistry::enabled();
-        b.add("shared", 3);
-        b.add("only.b", 7);
-        b.observe_ns("lat", 200);
-        b.observe_ns("other", 5);
-        a.merge_from(&b);
-        assert_eq!(a.counter("shared"), 5);
-        assert_eq!(a.counter("only.a"), 1);
-        assert_eq!(a.counter("only.b"), 7);
-        assert_eq!(a.histogram("lat").unwrap().count(), 2);
-        assert_eq!(a.histogram("other").unwrap().count(), 1);
-        // A disabled receiver drops the merge entirely.
-        let mut d = MetricsRegistry::disabled();
-        d.merge_from(&b);
-        assert_eq!(d.counters().count(), 0);
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! The [`Observer`] bundles a [`Tracer`] and a [`MetricsRegistry`] into
-//! one handle that instrumented components carry.
+//! The [`Observer`] bundles an optional [`RingTracer`] and a
+//! [`MetricsRegistry`] into one handle that instrumented components carry.
 //!
 //! Observer state is deliberately *outside* the simulation: it is never
 //! snapshotted, never digested, and never checkpointed. On resume it is
@@ -8,91 +8,62 @@
 
 use crate::metrics::MetricsRegistry;
 use crate::time::Time;
-use crate::trace::{NullTracer, RingTracer, TimedEvent, TraceEvent, Tracer};
+use crate::trace::{RingTracer, TimedEvent, TraceEvent};
 
-/// Shared observability handle: one tracer + one metrics registry.
+/// Shared observability handle: an event ring when tracing is on, plus
+/// one metrics registry. The default records nothing.
+#[derive(Debug, Default)]
 pub struct Observer {
-    tracing_on: bool,
-    tracer: Box<dyn Tracer>,
+    tracer: Option<RingTracer>,
     /// Metrics sink; callers update it directly (it self-gates on its
     /// enabled flag).
     pub metrics: MetricsRegistry,
 }
 
-impl std::fmt::Debug for Observer {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Observer")
-            .field("tracing_on", &self.tracing_on)
-            .field("metrics_on", &self.metrics.is_enabled())
-            .finish()
-    }
-}
-
-impl Default for Observer {
-    fn default() -> Self {
-        Observer::disabled()
-    }
-}
-
 impl Observer {
     /// An observer that records nothing — the hot-path default.
     pub fn disabled() -> Self {
-        Observer {
-            tracing_on: false,
-            tracer: Box::new(NullTracer),
-            metrics: MetricsRegistry::disabled(),
-        }
+        Observer::default()
     }
 
     /// An observer configured from [`SystemConfig`]-level knobs:
     /// `trace_capacity == 0` disables tracing, otherwise a bounded
     /// [`RingTracer`] of that capacity is installed.
     pub fn from_config(trace_capacity: usize, metrics_on: bool) -> Self {
-        if trace_capacity == 0 {
-            Observer {
-                tracing_on: false,
-                tracer: Box::new(NullTracer),
-                metrics: if metrics_on {
-                    MetricsRegistry::enabled()
-                } else {
-                    MetricsRegistry::disabled()
-                },
-            }
-        } else {
-            Observer {
-                tracing_on: true,
-                tracer: Box::new(RingTracer::new(trace_capacity)),
-                metrics: if metrics_on {
-                    MetricsRegistry::enabled()
-                } else {
-                    MetricsRegistry::disabled()
-                },
-            }
+        Observer {
+            tracer: (trace_capacity > 0).then(|| RingTracer::new(trace_capacity)),
+            metrics: if metrics_on {
+                MetricsRegistry::enabled()
+            } else {
+                MetricsRegistry::disabled()
+            },
         }
     }
 
-    /// Whether the tracer keeps events.
+    /// Whether events are kept.
     pub fn tracing(&self) -> bool {
-        self.tracing_on
+        self.tracer.is_some()
     }
 
     /// Records an event built by `f`, constructing it only when tracing
     /// is on. The disabled path is a single predictable branch.
     #[inline]
     pub fn emit(&mut self, at: Time, f: impl FnOnce() -> TraceEvent) {
-        if self.tracing_on {
-            self.tracer.record(at, f());
+        if let Some(tracer) = &mut self.tracer {
+            tracer.record(at, f());
         }
     }
 
     /// All retained trace events in record order.
     pub fn events(&self) -> Vec<TimedEvent> {
-        self.tracer.events()
+        self.tracer
+            .as_ref()
+            .map_or_else(Vec::new, RingTracer::events)
     }
 
     /// Events dropped by the bounded tracer.
     pub fn dropped(&self) -> u64 {
-        self.tracer.dropped()
+        self.tracer.as_ref().map_or(0, RingTracer::dropped)
     }
 }
 

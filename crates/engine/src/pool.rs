@@ -11,17 +11,17 @@
 //!   and the sweep keeps going.
 //! * **Per-job deadlines** — a shared watchdog thread scans in-flight
 //!   attempts; one that outlives [`PoolConfig::deadline`] is adjudicated
-//!   [`JobError::TimedOut`], its cooperative cancel flag is raised (see
-//!   [`JobCtx::cancelled`]), its worker is abandoned, and a replacement
-//!   worker is spawned so the sweep never loses capacity. Jobs that drive a
-//!   `System` should additionally set the simulator's own progress
-//!   watchdog (`stall_window`) so a wedged run aborts itself from inside.
+//!   [`JobError::TimedOut`], its worker is abandoned to the attempt, and a
+//!   replacement worker is spawned so the sweep never loses capacity. Jobs
+//!   that drive a `System` should additionally set the simulator's own
+//!   progress watchdog (`stall_window`) so a wedged run aborts itself from
+//!   inside.
 //! * **Retry** — a failed attempt is retried up to
 //!   [`PoolConfig::max_attempts`] times; each retry goes straight back on
 //!   the queue.
 //! * **Quarantine** — a job whose final attempt still crashed a worker
 //!   (panic or deadline) is quarantined rather than lost: the sweep always
-//!   completes and [`SweepReport::quarantined`] names the casualties.
+//!   completes and the job's record says [`JobOutcome::Quarantined`].
 //!
 //! **The feed.** [`open_feed`] returns a [`Feed`], through which any
 //! thread submits jobs under ids of its choosing while the pool runs, and
@@ -32,27 +32,19 @@
 //!
 //! **Determinism.** Jobs are dispatched in the order they are fed, and
 //! [`SweepReport::jobs`] is collected in id order — so given
-//! deterministic job bodies, everything in the report except the
-//! explicitly wall-clock fields (`wall_clock_us`, `worker`) is
-//! byte-identical regardless of worker count or completion order.
-//!
-//! **Observability.** Each worker owns a [`MetricsRegistry`]; retired
-//! workers hand theirs back and the supervisor merges them in worker-id
-//! order into [`SweepReport::metrics`], so counters survive the fan-out
-//! without locks on the hot path. (A worker abandoned to a hung job takes
-//! its registry down with it — by design: nothing blocks on a wedge.)
+//! deterministic job bodies, the report is identical regardless of worker
+//! count or completion order.
 //!
 //! **Cooperative stop.** A [`SweepControl`] can carry a [`StopHandle`]:
 //! once stopped (a signal handler, a server's shutdown path), the
 //! supervisor halts queued jobs and every job fed after the stop, lets
 //! in-flight attempts finish or hit their deadline, and returns an
-//! *interrupted* [`SweepReport`] — adjudicated jobs in
-//! [`SweepReport::jobs`], halted ones named in [`SweepReport::halted`] —
-//! even while the feed is still open. [`SweepControl`] also carries
-//! dispatch/adjudication observers, which is how the write-ahead sweep
-//! journal ([`crate::journal`]) sees one `Dispatched` record per attempt
-//! and one `Adjudicated` per outcome without the pool knowing anything
-//! about files.
+//! *interrupted* [`SweepReport`] whose [`SweepReport::jobs`] hold only the
+//! adjudicated jobs — even while the feed is still open. [`SweepControl`]
+//! also carries dispatch/adjudication observers, which is how the sweep
+//! journal ([`crate::journal`]) writes one `Adjudicated` record per outcome
+//! and the sweep server streams its `dispatched` and `result` lines,
+//! without the pool knowing anything about files or sockets.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -62,8 +54,6 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crate::metrics::MetricsRegistry;
-
 /// Knobs for one sweep. The default is the conservative serial shape:
 /// one worker, no deadline, one attempt.
 #[derive(Debug, Clone)]
@@ -71,12 +61,12 @@ pub struct PoolConfig {
     /// Worker threads (at least 1; spawned as jobs arrive, so a fixed list
     /// never gets more workers than jobs).
     pub workers: usize,
-    /// Wall-clock budget per attempt; `None` trusts jobs to finish.
+    /// Wall-clock budget per attempt; `None` trusts jobs to finish. The
+    /// watchdog scans in-flight attempts every twentieth of it, between
+    /// 1 and 10 ms.
     pub deadline: Option<Duration>,
     /// Attempts per job before it is given up on (at least 1).
     pub max_attempts: u32,
-    /// How often the watchdog scans in-flight attempts.
-    pub watchdog_poll: Duration,
 }
 
 impl Default for PoolConfig {
@@ -85,7 +75,6 @@ impl Default for PoolConfig {
             workers: 1,
             deadline: None,
             max_attempts: 1,
-            watchdog_poll: Duration::from_millis(10),
         }
     }
 }
@@ -240,27 +229,7 @@ impl<T> JobOutcome<T> {
     }
 }
 
-/// Per-attempt context handed to the job body. Cooperative jobs poll
-/// [`JobCtx::cancelled`] and bail early once the watchdog gives up on them
-/// (the result of a cancelled attempt is discarded either way; polling
-/// just releases the thread).
-#[derive(Debug)]
-pub struct JobCtx {
-    /// The id the job was fed under (its index, for a fixed list).
-    pub job_id: u64,
-    /// 1-based attempt number.
-    pub attempt: u32,
-    cancel: Arc<AtomicBool>,
-}
-
-impl JobCtx {
-    /// Whether the watchdog has abandoned this attempt.
-    pub fn cancelled(&self) -> bool {
-        self.cancel.load(Ordering::Relaxed)
-    }
-}
-
-type Work<T> = dyn Fn(&JobCtx) -> Result<T, String> + Send + Sync;
+type Work<T> = dyn Fn() -> Result<T, String> + Send + Sync;
 
 /// One supervised job: a label for reports plus a re-runnable body.
 /// The body must be `Fn` (not `FnOnce`) because the supervisor may run it
@@ -275,7 +244,7 @@ impl<T> Job<T> {
     /// A job running `work` under supervision.
     pub fn new(
         label: impl Into<String>,
-        work: impl Fn(&JobCtx) -> Result<T, String> + Send + Sync + 'static,
+        work: impl Fn() -> Result<T, String> + Send + Sync + 'static,
     ) -> Self {
         Job {
             label: label.into(),
@@ -301,52 +270,19 @@ pub struct JobRecord<T> {
     pub outcome: JobOutcome<T>,
     /// Attempts consumed (1 on a first-try success).
     pub attempts: u32,
-    /// Host wall-clock across all adjudicated attempts, in µs.
-    /// *Not* deterministic — exclude it from byte-compared reports.
-    pub wall_clock_us: u64,
-    /// Worker that ran the final adjudicated attempt.
-    /// *Not* deterministic — exclude it from byte-compared reports.
-    pub worker: u64,
 }
 
-/// The structured result of one sweep: per-job records in job-id order
-/// plus supervision totals. The sweep itself never fails — individual
-/// jobs do, visibly.
+/// The structured result of one sweep. The sweep itself never fails —
+/// individual jobs do, visibly.
 #[derive(Debug)]
 pub struct SweepReport<T> {
     /// One record per *adjudicated* job, sorted by job id regardless of
     /// completion order. Equals the submitted set unless the sweep was
-    /// stopped, in which case [`SweepReport::halted`] names the rest.
+    /// stopped.
     pub jobs: Vec<JobRecord<T>>,
-    /// Worker threads spawned for jobs (replacements not counted).
-    pub workers: usize,
-    /// Replacement workers spawned after deadline abandonments.
-    pub workers_respawned: u64,
-    /// Retried attempts across all jobs.
-    pub retries: u64,
-    /// Ids of quarantined jobs, ascending.
-    pub quarantined: Vec<u64>,
     /// Whether a [`StopHandle`] drained this sweep before every job was
     /// adjudicated.
     pub interrupted: bool,
-    /// Ids of jobs the stop drained before they were adjudicated,
-    /// ascending. Always empty when `interrupted` is false.
-    pub halted: Vec<u64>,
-    /// Host wall-clock for the whole sweep, in µs (not deterministic).
-    pub wall_clock_us: u64,
-    /// Per-worker registries merged in worker-id order, plus supervisor
-    /// totals (`pool.*` keys).
-    pub metrics: MetricsRegistry,
-}
-
-impl<T> SweepReport<T> {
-    /// Number of completed jobs.
-    pub fn completed(&self) -> usize {
-        self.jobs
-            .iter()
-            .filter(|j| j.outcome.is_completed())
-            .count()
-    }
 }
 
 /// One queued attempt.
@@ -361,7 +297,6 @@ struct InFlight {
     job_id: u64,
     attempt: u32,
     started: Instant,
-    cancel: Arc<AtomicBool>,
 }
 
 /// State shared between supervisor, watchdog, and workers.
@@ -381,22 +316,15 @@ enum Msg<T> {
     Closed,
     /// An attempt finished (value, typed failure, or caught panic).
     Done {
-        worker: u64,
         job_id: u64,
         attempt: u32,
         result: Result<T, JobError>,
-        elapsed_us: u64,
     },
     /// The watchdog found an attempt past its deadline.
     Expired {
         worker: u64,
         job_id: u64,
         attempt: u32,
-    },
-    /// A worker exited cleanly and hands back its registry.
-    Retired {
-        worker: u64,
-        metrics: MetricsRegistry,
     },
 }
 
@@ -452,102 +380,68 @@ fn spawn_worker<T: Send + 'static>(
 ) -> JoinHandle<()> {
     std::thread::Builder::new()
         .name(format!("oasis-pool-{token}"))
-        .spawn(move || {
-            let mut metrics = MetricsRegistry::enabled();
-            loop {
-                if abandoned.load(Ordering::Relaxed) {
-                    break; // supervisor gave up on us; results are stale
-                }
-                let task = {
-                    let mut q = shared.queue.lock().expect("pool queue poisoned");
-                    loop {
-                        if shared.shutdown.load(Ordering::Relaxed) {
-                            // Retire: hand the registry back (the receiver
-                            // may already be gone; that is fine).
-                            let _ = tx.send(Msg::Retired {
-                                worker: token,
-                                metrics,
-                            });
-                            return;
-                        }
-                        if let Some(t) = q.pop_front() {
-                            break t;
-                        }
-                        q = shared.available.wait(q).expect("pool queue poisoned");
+        .spawn(move || loop {
+            if abandoned.load(Ordering::Relaxed) {
+                break; // supervisor gave up on us; results are stale
+            }
+            let task = {
+                let mut q = shared.queue.lock().expect("pool queue poisoned");
+                loop {
+                    if shared.shutdown.load(Ordering::Relaxed) {
+                        return;
                     }
-                };
-                let cancel = Arc::new(AtomicBool::new(false));
-                shared.in_flight.lock().expect("in-flight poisoned").insert(
-                    token,
-                    InFlight {
-                        job_id: task.job_id,
-                        attempt: task.attempt,
-                        started: Instant::now(),
-                        cancel: Arc::clone(&cancel),
-                    },
-                );
-                let ctx = JobCtx {
+                    if let Some(t) = q.pop_front() {
+                        break t;
+                    }
+                    q = shared.available.wait(q).expect("pool queue poisoned");
+                }
+            };
+            shared.in_flight.lock().expect("in-flight poisoned").insert(
+                token,
+                InFlight {
                     job_id: task.job_id,
                     attempt: task.attempt,
-                    cancel,
-                };
-                let started = Instant::now();
-                let outcome = catch_unwind(AssertUnwindSafe(|| (task.work)(&ctx)));
-                let elapsed_us = started.elapsed().as_micros() as u64;
-                shared
-                    .in_flight
-                    .lock()
-                    .expect("in-flight poisoned")
-                    .remove(&token);
-                let result = match outcome {
-                    Ok(Ok(v)) => {
-                        metrics.add("pool.attempts.completed", 1);
-                        Ok(v)
-                    }
-                    Ok(Err(msg)) => {
-                        metrics.add("pool.attempts.failed", 1);
-                        Err(JobError::Failed(msg))
-                    }
-                    Err(payload) => {
-                        metrics.add("pool.attempts.panicked", 1);
-                        Err(JobError::Panicked(panic_message(&*payload)))
-                    }
-                };
-                metrics.add("pool.attempts", 1);
-                metrics.observe_ns("pool.attempt.wall_ns", elapsed_us.saturating_mul(1000));
-                if abandoned.load(Ordering::Relaxed) {
-                    // Adjudicated as timed out while we were running: the
-                    // supervisor no longer trusts this thread. Discard.
-                    break;
-                }
-                if tx
-                    .send(Msg::Done {
-                        worker: token,
-                        job_id: task.job_id,
-                        attempt: task.attempt,
-                        result,
-                        elapsed_us,
-                    })
-                    .is_err()
-                {
-                    break; // supervisor is gone
-                }
+                    started: Instant::now(),
+                },
+            );
+            let outcome = catch_unwind(AssertUnwindSafe(|| (task.work)()));
+            shared
+                .in_flight
+                .lock()
+                .expect("in-flight poisoned")
+                .remove(&token);
+            let result = match outcome {
+                Ok(Ok(v)) => Ok(v),
+                Ok(Err(msg)) => Err(JobError::Failed(msg)),
+                Err(payload) => Err(JobError::Panicked(panic_message(&*payload))),
+            };
+            if abandoned.load(Ordering::Relaxed) {
+                // Adjudicated as timed out while we were running: the
+                // supervisor no longer trusts this thread. Discard.
+                break;
+            }
+            let done = Msg::Done {
+                job_id: task.job_id,
+                attempt: task.attempt,
+                result,
+            };
+            if tx.send(done).is_err() {
+                break; // supervisor is gone
             }
         })
         .expect("spawning a pool worker failed")
 }
 
-/// The shared watchdog: scans in-flight attempts and reports the ones past
-/// the deadline. Adjudication stays with the supervisor so there is
-/// exactly one decision point per attempt.
+/// The shared watchdog: scans in-flight attempts every twentieth of the
+/// deadline (1–10 ms) and reports the ones past it. Adjudication stays
+/// with the supervisor so there is exactly one decision point per attempt.
 fn spawn_watchdog<T: Send + 'static>(
     deadline: Duration,
-    poll: Duration,
     shared: &Arc<Shared<T>>,
     tx: &Sender<Msg<T>>,
 ) -> JoinHandle<()> {
     let (shared, tx) = (Arc::clone(shared), tx.clone());
-    let poll = poll.max(Duration::from_millis(1));
+    let poll = (deadline / 20).clamp(Duration::from_millis(1), Duration::from_millis(10));
     std::thread::Builder::new()
         .name("oasis-pool-watchdog".to_string())
         .spawn(move || {
@@ -585,33 +479,21 @@ struct Live<T> {
     label: String,
     work: Arc<Work<T>>,
     attempts: u32,
-    wall_clock_us: u64,
 }
 
 /// Runs `jobs` to completion under `config` and returns the structured
 /// report. Blocks the calling thread (which acts as the supervisor) until
 /// every job is adjudicated; a sweep with no deadline and a truly hung
 /// job will block with it — set [`PoolConfig::deadline`] for sweeps that
-/// must always terminate.
+/// must always terminate. The list is fed under ids `0..n` and the feed is
+/// closed behind it, so the workers never outnumber the jobs.
 pub fn run_sweep<T: Send + 'static>(config: &PoolConfig, jobs: Vec<Job<T>>) -> SweepReport<T> {
-    run_sweep_controlled(config, jobs, SweepControl::default())
-}
-
-/// [`run_sweep`] with a [`SweepControl`]: cooperative stop plus
-/// dispatch/adjudication observers. The list is fed under ids `0..n` and
-/// the feed is closed behind it, so the supervisor is [`supervise`]'s and
-/// the workers never outnumber the jobs.
-pub fn run_sweep_controlled<T: Send + 'static>(
-    config: &PoolConfig,
-    jobs: Vec<Job<T>>,
-    ctrl: SweepControl<'_, T>,
-) -> SweepReport<T> {
     let (feed, intake) = open_feed();
     for (id, job) in jobs.into_iter().enumerate() {
         feed.submit(id as u64, job);
     }
     drop(feed);
-    supervise(config, intake, ctrl)
+    supervise(config, intake, SweepControl::default())
 }
 
 /// Serves the feed behind `intake`, with the calling thread as its
@@ -627,7 +509,6 @@ pub fn supervise<T: Send + 'static>(
     intake: Intake<T>,
     mut ctrl: SweepControl<'_, T>,
 ) -> SweepReport<T> {
-    let sweep_started = Instant::now();
     let Intake { tx, rx } = intake;
     let max_workers = config.workers.max(1);
     let max_attempts = config.max_attempts.max(1);
@@ -639,17 +520,15 @@ pub fn supervise<T: Send + 'static>(
     });
     let watchdog = config
         .deadline
-        .map(|deadline| spawn_watchdog(deadline, config.watchdog_poll, &shared, &tx));
+        .map(|deadline| spawn_watchdog(deadline, &shared, &tx));
 
     let deadline_ms = config.deadline.map_or(0, |d| d.as_millis() as u64);
     let mut live: BTreeMap<u64, Live<T>> = BTreeMap::new();
     let mut records: BTreeMap<u64, JobRecord<T>> = BTreeMap::new();
-    let mut halted: Vec<u64> = Vec::new();
     // Every worker ever spawned, indexed by its token, with its
     // abandonment flag.
     let mut handles: Vec<(Arc<AtomicBool>, JoinHandle<()>)> = Vec::new();
-    let mut worker_metrics: BTreeMap<u64, MetricsRegistry> = BTreeMap::new();
-    let (mut workers, mut workers_respawned, mut retries) = (0usize, 0u64, 0u64);
+    let mut workers = 0usize;
     let (mut closed, mut stopped) = (false, false);
     let stop = ctrl.stop.clone();
 
@@ -690,22 +569,19 @@ pub fn supervise<T: Send + 'static>(
                 .drain(..)
                 .collect();
             for a in queued {
-                if live.remove(&a.job_id).is_some() {
-                    halted.push(a.job_id);
-                }
+                live.remove(&a.job_id);
             }
         }
 
-        let (worker, job_id, attempt, result, elapsed_us) = match msg {
+        let (job_id, attempt, result) = match msg {
             None => continue,
             Some(Msg::Submit { id, job }) => {
-                // Observed before it can run, so a write-ahead journal
-                // records every intent first.
+                // Observed before it can run, so a caller can announce
+                // every dispatch first.
                 if let Some(cb) = ctrl.on_dispatch.as_mut() {
                     cb(id, 1);
                 }
                 if stopped {
-                    halted.push(id);
                     continue;
                 }
                 live.insert(
@@ -714,7 +590,6 @@ pub fn supervise<T: Send + 'static>(
                         label: job.label,
                         work: Arc::clone(&job.work),
                         attempts: 0,
-                        wall_clock_us: 0,
                     },
                 );
                 enqueue(Attempt {
@@ -732,17 +607,11 @@ pub fn supervise<T: Send + 'static>(
                 closed = true;
                 continue;
             }
-            Some(Msg::Retired { worker, metrics }) => {
-                worker_metrics.insert(worker, metrics);
-                continue;
-            }
             Some(Msg::Done {
-                worker,
                 job_id,
                 attempt,
                 result,
-                elapsed_us,
-            }) => (worker, job_id, attempt, result, elapsed_us),
+            }) => (job_id, attempt, result),
             Some(Msg::Expired {
                 worker,
                 job_id,
@@ -773,19 +642,11 @@ pub fn supervise<T: Send + 'static>(
                         continue; // stale: the attempt beat the deadline
                     }
                     handles[worker as usize].0.store(true, Ordering::Relaxed);
-                    let f = inf.remove(&worker).expect("entry matched above");
-                    f.cancel.store(true, Ordering::Relaxed);
+                    inf.remove(&worker);
                 }
                 // Respawn so the pool keeps its configured parallelism.
                 handles.push(spawn(handles.len()));
-                workers_respawned += 1;
-                (
-                    worker,
-                    job_id,
-                    attempt,
-                    Err(JobError::TimedOut { deadline_ms }),
-                    deadline_ms.saturating_mul(1000),
-                )
+                (job_id, attempt, Err(JobError::TimedOut { deadline_ms }))
             }
         };
 
@@ -796,14 +657,12 @@ pub fn supervise<T: Send + 'static>(
             continue; // stale: a late result from an abandoned attempt
         }
         state.attempts = attempt;
-        state.wall_clock_us = state.wall_clock_us.saturating_add(elapsed_us);
         match result {
             // A stopped pool spends no further attempts: a failure that
             // would have retried is finalized with what it has.
             Err(_retryable) if state.attempts < max_attempts && !stopped => {
-                // The retry is journaled at this decision point, before
-                // it can reach a worker.
-                retries += 1;
+                // The retry is observed at this decision point, before it
+                // can reach a worker.
                 let next_attempt = state.attempts + 1;
                 if let Some(cb) = ctrl.on_dispatch.as_mut() {
                     cb(job_id, next_attempt);
@@ -826,8 +685,6 @@ pub fn supervise<T: Send + 'static>(
                     label: state.label,
                     outcome,
                     attempts: state.attempts,
-                    wall_clock_us: state.wall_clock_us,
-                    worker,
                 };
                 if let Some(cb) = ctrl.on_adjudicated.as_mut() {
                     cb(&record);
@@ -839,7 +696,7 @@ pub fn supervise<T: Send + 'static>(
 
     // Wind down: wake everyone, join the workers still trusted, leave
     // abandoned ones to their hung jobs (they exit on their own if the
-    // job ever returns or polls its cancel flag).
+    // job ever returns).
     shared.shutdown.store(true, Ordering::Relaxed);
     shared.available.notify_all();
     if let Some(h) = watchdog {
@@ -850,50 +707,17 @@ pub fn supervise<T: Send + 'static>(
             let _ = handle.join();
         }
     }
-    // Collect the registries retired workers sent on their way out. Jobs
-    // still in the channel were fed after a stop: observed, then halted.
+    // Jobs still in the channel were fed after a stop: observed, then
+    // halted.
     while let Ok(msg) = rx.try_recv() {
-        match msg {
-            Msg::Retired { worker, metrics } => {
-                worker_metrics.insert(worker, metrics);
-            }
-            Msg::Submit { id, .. } => {
-                if let Some(cb) = ctrl.on_dispatch.as_mut() {
-                    cb(id, 1);
-                }
-                halted.push(id);
-            }
-            _ => {}
+        if let (Msg::Submit { id, .. }, Some(cb)) = (msg, ctrl.on_dispatch.as_mut()) {
+            cb(id, 1);
         }
     }
-    halted.sort_unstable();
-
-    let mut metrics = MetricsRegistry::enabled();
-    for reg in worker_metrics.values() {
-        metrics.merge_from(reg);
-    }
-    metrics.set("pool.jobs", (records.len() + halted.len()) as u64);
-    metrics.set("pool.retries", retries);
-    metrics.set("pool.workers", workers as u64);
-    metrics.set("pool.workers_respawned", workers_respawned);
-
-    let jobs: Vec<JobRecord<T>> = records.into_values().collect();
-    let quarantined: Vec<u64> = jobs
-        .iter()
-        .filter(|j| matches!(j.outcome, JobOutcome::Quarantined(_)))
-        .map(|j| j.id)
-        .collect();
 
     SweepReport {
-        jobs,
-        workers,
-        workers_respawned,
-        retries,
-        quarantined,
+        jobs: records.into_values().collect(),
         interrupted: stopped,
-        halted,
-        wall_clock_us: sweep_started.elapsed().as_micros() as u64,
-        metrics,
     }
 }
 
@@ -928,7 +752,7 @@ mod tests {
     fn empty_sweep_completes_immediately() {
         let report = run_sweep::<u64>(&PoolConfig::with_workers(4), Vec::new());
         assert!(report.jobs.is_empty());
-        assert_eq!(report.metrics.counter("pool.jobs"), 0);
+        assert!(!report.interrupted);
     }
 
     #[test]
@@ -937,7 +761,7 @@ mod tests {
         // opposite of submission order under parallelism.
         let jobs: Vec<Job<u64>> = (0..8u64)
             .map(|i| {
-                Job::new(format!("job-{i}"), move |_ctx| {
+                Job::new(format!("job-{i}"), move || {
                     std::thread::sleep(Duration::from_millis((8 - i) * 3));
                     Ok(i * 10)
                 })
@@ -952,15 +776,27 @@ mod tests {
             .map(|j| j.outcome.value().copied())
             .collect();
         assert_eq!(values, (0..8).map(|i| Some(i * 10)).collect::<Vec<_>>());
-        assert_eq!(report.metrics.counter("pool.attempts"), 8);
-        assert_eq!(report.metrics.counter("pool.attempts.completed"), 8);
+        assert!(report.jobs.iter().all(|j| j.attempts == 1));
     }
 
     #[test]
     fn workers_are_clamped_to_the_job_count() {
-        let jobs = vec![Job::new("only", |_ctx| Ok(1u64))];
+        // Workers are spawned as jobs arrive and named by spawn order, so
+        // two jobs can only ever run on the first two workers.
+        let jobs = (0..2)
+            .map(|i| {
+                Job::new(format!("job-{i}"), || {
+                    Ok(std::thread::current().name().map(str::to_string))
+                })
+            })
+            .collect();
         let report = run_sweep(&PoolConfig::with_workers(64), jobs);
-        assert_eq!(report.workers, 1);
-        assert_eq!(report.completed(), 1);
+        for job in &report.jobs {
+            let name = job.outcome.value().cloned().flatten();
+            assert!(
+                matches!(name.as_deref(), Some("oasis-pool-0" | "oasis-pool-1")),
+                "{name:?}"
+            );
+        }
     }
 }

@@ -2,15 +2,15 @@
 //!
 //! `fuzz`, the `inject` campaign and `verify-replay` share one shape: a
 //! fixed list of jobs numbered `0..total`, fanned over the supervised pool
-//! ([`crate::pool`]), with every dispatch and final outcome written ahead
-//! to a sweep journal ([`crate::journal`]) so a killed or drained sweep
+//! ([`crate::pool`]), with every final outcome written to a sweep journal
+//! ([`crate::journal`]) before it counts, so a killed or drained sweep
 //! resumes where it stopped. [`Sweep`] owns that whole lifecycle:
 //!
 //! 1. [`Sweep::open`] creates the journal, or resumes it after its tag
 //!    check and merges every job it already adjudicates;
 //! 2. [`Sweep::run`] feeds a batch of pending ids to the pool under their
-//!    sweep ids, journals each dispatch and adjudication, and stops the
-//!    sweep on the first failed append;
+//!    sweep ids, journals each adjudication, and stops the sweep on the
+//!    first failed append;
 //! 3. [`Sweep::finish`] writes the `Interrupted` trailer after a drain and
 //!    returns every settled job in id order, with the [`SweepStats`] every
 //!    caller's report carries.
@@ -25,7 +25,6 @@
 //! because it degrades instead of stopping on a failed append and its job
 //! ids come from `Enqueued` admission records.
 
-use std::cell::RefCell;
 use std::collections::BTreeSet;
 use std::fmt;
 use std::path::PathBuf;
@@ -277,51 +276,39 @@ impl<C: SweepCodec> Sweep<C> {
             feed.submit(id, job(id));
         }
         drop(feed);
-        let journal = RefCell::new(self.journal.take());
-        let failure: RefCell<Option<JournalError>> = RefCell::new(None);
-        let (codec, stop) = (&self.codec, &self.stop);
-        // Every append goes through here: after the first failure the
-        // journal takes nothing more, and the stop drains the batch.
-        let append = |write: &mut dyn FnMut(&mut JournalWriter) -> Result<(), JournalError>| {
-            if failure.borrow().is_some() {
-                return;
-            }
-            if let Some(w) = journal.borrow_mut().as_mut() {
-                if let Err(e) = write(w) {
-                    *failure.borrow_mut() = Some(e);
-                    stop.stop();
-                }
-            }
-        };
-        let mut on_dispatch = |id: u64, attempt: u32| {
-            append(&mut |w| w.dispatched(id, attempt));
-        };
+        let mut failure: Option<JournalError> = None;
+        let (codec, stop, journal) = (&self.codec, &self.stop, &mut self.journal);
+        // After the first failed append the journal takes nothing more,
+        // and the stop drains the batch.
         let mut on_adjudicated = |rec: &JobRecord<C::Value>| {
-            append(&mut |w| {
-                let mut payload = ByteWriter::new();
-                match &rec.outcome {
-                    JobOutcome::Completed(value) => codec.encode(value, &mut payload),
-                    JobOutcome::Failed(e) | JobOutcome::Quarantined(e) => {
-                        payload.str(&clip(&e.to_string()));
-                    }
+            let Some(w) = journal.as_mut().filter(|_| failure.is_none()) else {
+                return;
+            };
+            let mut payload = ByteWriter::new();
+            match &rec.outcome {
+                JobOutcome::Completed(value) => codec.encode(value, &mut payload),
+                JobOutcome::Failed(e) | JobOutcome::Quarantined(e) => {
+                    payload.str(&clip(&e.to_string()));
                 }
-                let verdict = AdjudicatedOutcome::of(&rec.outcome);
-                w.adjudicated(rec.id, verdict, rec.attempts, payload.as_slice())
-            });
+            }
+            let verdict = AdjudicatedOutcome::of(&rec.outcome);
+            if let Err(e) = w.adjudicated(rec.id, verdict, rec.attempts, payload.as_slice()) {
+                failure = Some(e);
+                stop.stop();
+            }
         };
         let report = supervise(
             &self.pool,
             intake,
             SweepControl {
                 stop: Some(self.stop.clone()),
-                on_dispatch: Some(&mut on_dispatch),
+                on_dispatch: None,
                 on_adjudicated: Some(&mut on_adjudicated),
             },
         );
-        if let Some(e) = failure.into_inner() {
+        if let Some(e) = failure {
             return Err(SweepError::Append(e));
         }
-        self.journal = journal.into_inner();
         self.stats.interrupted = report.interrupted;
         for rec in report.jobs {
             let verdict = AdjudicatedOutcome::of(&rec.outcome);
@@ -387,7 +374,7 @@ mod tests {
         let pending = sweep.pending();
         sweep
             .run(&pending, |id| {
-                Job::new(format!("job-{id}"), move |_ctx| match id {
+                Job::new(format!("job-{id}"), move || match id {
                     1 => Err("refused".to_string()),
                     2 => panic!("job 2 blew up"),
                     _ => Ok(id * 10),

@@ -2,9 +2,9 @@
 //!
 //! The simulator emits [`TraceEvent`]s at significant points (fault
 //! serviced, page migrated, TLB shot down, link transfer scheduled, walk
-//! finished). A [`Tracer`] decides what to keep: [`NullTracer`] keeps
-//! nothing and compiles down to a dead branch, [`RingTracer`] keeps the
-//! most recent N events in a bounded ring.
+//! finished). A [`RingTracer`] keeps the most recent N of them in a
+//! bounded ring; with tracing off there is no tracer at all, and the
+//! event is never built (see [`crate::obs::Observer`]).
 //!
 //! Two invariants matter here:
 //!
@@ -176,44 +176,10 @@ pub struct TimedEvent {
     pub event: TraceEvent,
 }
 
-/// Sink for simulation events.
-///
-/// `enabled` lets call sites skip event construction entirely; callers
-/// should check it (or cache it) before building a [`TraceEvent`].
-pub trait Tracer {
-    /// Whether this tracer keeps events at all.
-    fn enabled(&self) -> bool;
-
-    /// Records `event` at simulated time `at`.
-    fn record(&mut self, at: Time, event: TraceEvent);
-
-    /// All retained events in record order.
-    fn events(&self) -> Vec<TimedEvent> {
-        Vec::new()
-    }
-
-    /// Number of events dropped because the buffer was full.
-    fn dropped(&self) -> u64 {
-        0
-    }
-}
-
-/// A tracer that discards everything. `enabled()` is `false`, so
-/// instrumented call sites never even construct the event.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NullTracer;
-
-impl Tracer for NullTracer {
-    fn enabled(&self) -> bool {
-        false
-    }
-
-    fn record(&mut self, _at: Time, _event: TraceEvent) {}
-}
-
 /// A bounded tracer keeping the most recent `capacity` events.
 ///
-/// When full, the oldest event is dropped and counted in [`Tracer::dropped`].
+/// When full, the oldest event is dropped and counted in
+/// [`RingTracer::dropped`].
 /// Everything about it is deterministic: same event stream in, same ring
 /// contents out.
 #[derive(Debug, Clone)]
@@ -250,14 +216,12 @@ impl RingTracer {
     pub fn is_empty(&self) -> bool {
         self.ring.is_empty()
     }
-}
 
-impl Tracer for RingTracer {
-    fn enabled(&self) -> bool {
-        true
-    }
-
-    fn record(&mut self, at: Time, event: TraceEvent) {
+    /// Records `event` at simulated time `at`, dropping the oldest event
+    /// when the ring is full. Kept out of line, so that the instrumented
+    /// call sites on the simulator's hot path stay small.
+    #[inline(never)]
+    pub fn record(&mut self, at: Time, event: TraceEvent) {
         if self.ring.len() == self.capacity {
             self.ring.pop_front();
             self.dropped += 1;
@@ -270,11 +234,13 @@ impl Tracer for RingTracer {
         self.seq += 1;
     }
 
-    fn events(&self) -> Vec<TimedEvent> {
+    /// All retained events in record order.
+    pub fn events(&self) -> Vec<TimedEvent> {
         self.ring.iter().copied().collect()
     }
 
-    fn dropped(&self) -> u64 {
+    /// Number of events dropped because the ring was full.
+    pub fn dropped(&self) -> u64 {
         self.dropped
     }
 }
@@ -416,15 +382,6 @@ mod tests {
 
     fn ev(vpn: u64) -> TraceEvent {
         TraceEvent::Shootdown { gpu: 1, vpn }
-    }
-
-    #[test]
-    fn null_tracer_is_disabled_and_keeps_nothing() {
-        let mut t = NullTracer;
-        assert!(!t.enabled());
-        t.record(Time::from_ps(10), ev(1));
-        assert!(t.events().is_empty());
-        assert_eq!(t.dropped(), 0);
     }
 
     #[test]

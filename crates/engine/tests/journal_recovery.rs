@@ -15,11 +15,11 @@ fn temp_journal(name: &str) -> PathBuf {
     dir.join(name)
 }
 
-/// Writes a healthy journal: Begin + 3 dispatch/adjudicate pairs.
+/// Writes a healthy journal: Begin + 3 enqueue/adjudicate pairs.
 fn write_reference(path: &std::path::Path, tag: u64) -> Vec<u8> {
     let mut w = JournalWriter::create(path, tag, "test sweep").expect("create");
     for id in 0..3u64 {
-        w.dispatched(id, 1).expect("dispatch");
+        w.enqueued(id, &[id as u8; 3]).expect("enqueue");
         w.adjudicated(id, AdjudicatedOutcome::Completed, 1, &[id as u8; 4])
             .expect("adjudicate");
     }
@@ -33,8 +33,9 @@ fn a_pristine_journal_recovers_everything_with_no_warnings() {
     let rec = recover(&path).expect("recover");
     assert_eq!(rec.tag, 0xABCD);
     assert_eq!(rec.label, "test sweep");
-    assert_eq!(rec.events.len(), 7, "Begin + 3×(Dispatched, Adjudicated)");
+    assert_eq!(rec.events.len(), 7, "Begin + 3×(Enqueued, Adjudicated)");
     assert_eq!(rec.adjudicated.len(), 3);
+    assert_eq!(rec.enqueued.len(), 3);
     assert!(rec.warnings().is_empty(), "{:?}", rec.warnings());
     assert!(rec.salvage.is_none());
     assert!(!rec.interrupted);
@@ -130,7 +131,7 @@ fn a_flipped_byte_drops_the_tail_from_that_record_on() {
 fn duplicate_adjudications_keep_the_first_and_warn() {
     let path = temp_journal("duplicate.jnl");
     let mut w = JournalWriter::create(&path, 1, "dup").expect("create");
-    w.dispatched(5, 1).expect("dispatch");
+    w.enqueued(5, b"five").expect("enqueue");
     w.adjudicated(5, AdjudicatedOutcome::Completed, 1, b"first")
         .expect("adjudicate");
     w.adjudicated(5, AdjudicatedOutcome::Failed, 3, b"second")
@@ -188,7 +189,6 @@ fn resume_truncates_the_salvaged_tail_and_appends_cleanly() {
     assert!(rec.salvage.is_some(), "torn tail must be reported");
     assert_eq!(rec.adjudicated.len(), 2, "record 2's adjudication was torn");
     // New appends land on the clean boundary and survive a re-recover.
-    w.dispatched(2, 1).expect("redispatch");
     w.adjudicated(2, AdjudicatedOutcome::Completed, 1, &[2u8; 4])
         .expect("readjudicate");
     w.interrupted(3).expect("trailer");
@@ -207,15 +207,15 @@ fn resume_truncates_the_salvaged_tail_and_appends_cleanly() {
 fn interrupted_is_only_clean_as_the_final_record() {
     let path = temp_journal("trailer.jnl");
     let mut w = JournalWriter::create(&path, 9, "drain").expect("create");
-    w.dispatched(0, 1).expect("dispatch");
+    w.enqueued(0, b"zero").expect("enqueue");
     w.adjudicated(0, AdjudicatedOutcome::Completed, 1, b"ok")
         .expect("adjudicate");
     w.interrupted(1).expect("trailer");
     // A resume appends more work after the trailer: the journal is no
     // longer "interrupted" because the drain was acted upon.
-    w.dispatched(1, 1).expect("post-trailer dispatch");
+    w.enqueued(1, b"one").expect("post-trailer admission");
     drop(w);
     let rec = recover(&path).expect("recover");
     assert!(!rec.interrupted, "trailer mid-stream is not a clean drain");
-    assert_eq!(rec.events.len(), 5, "Begin + pair + trailer + redispatch");
+    assert_eq!(rec.events.len(), 5, "Begin + pair + trailer + admission");
 }

@@ -4,7 +4,7 @@
 //! The existing truncation suite chops a finished journal at arbitrary
 //! byte offsets after the fact. This test injects the damage where it
 //! actually happens — inside `JournalWriter::append`, via the
-//! `journal.append.write` failpoint with a `torn-append` plan — at every
+//! `journal.append.write` failpoint with a `TornAppend` plan — at every
 //! record index and every intra-record cut offset, and asserts the
 //! salvage invariant exactly: the records appended before the fault
 //! survive byte-for-byte, the torn tail is dropped and reported, and a
@@ -13,7 +13,7 @@
 use std::path::PathBuf;
 
 use oasis_engine::failpoint::{arm_thread, FailPlan, FaultKind};
-use oasis_engine::journal::{recover, JournalRecord, JournalWriter};
+use oasis_engine::journal::{recover, AdjudicatedOutcome, JournalRecord, JournalWriter};
 
 const TAG: u64 = 0x5045_5250; // arbitrary sweep tag
 const RECORDS: u64 = 3;
@@ -27,20 +27,26 @@ fn temp_journal(tag: &str) -> PathBuf {
     dir.join("sweep.jnl")
 }
 
-/// One `Dispatched` record's encoded length, measured from a scratch
-/// journal so the test never hardcodes the wire format.
-fn dispatched_record_len() -> u64 {
+/// Appends record `i`: job `i` adjudicated after `i + 1` attempts, so
+/// every record has the same length.
+fn append(w: &mut JournalWriter, i: u64) -> Result<(), oasis_engine::JournalError> {
+    w.adjudicated(i, AdjudicatedOutcome::Completed, i as u32 + 1, b"clean")
+}
+
+/// One appended record's encoded length, measured from a scratch journal
+/// so the test never hardcodes the wire format.
+fn record_len() -> u64 {
     let path = temp_journal("measure");
     let mut w = JournalWriter::create(&path, TAG, "measure").expect("create");
     let before = std::fs::metadata(&path).expect("metadata").len();
-    w.dispatched(0, 1).expect("append");
+    append(&mut w, 0).expect("append");
     let after = std::fs::metadata(&path).expect("metadata").len();
     after - before
 }
 
 #[test]
 fn recovery_salvages_the_longest_clean_prefix_at_every_cut_offset() {
-    let rec_len = dispatched_record_len();
+    let rec_len = record_len();
     assert!(rec_len > 0);
 
     for k in 0..RECORDS {
@@ -49,14 +55,16 @@ fn recovery_salvages_the_longest_clean_prefix_at_every_cut_offset() {
             let _ = std::fs::remove_file(&path);
             let mut writer = JournalWriter::create(&path, TAG, "short-append").expect("create");
 
-            let spec = format!("site:journal.append.write,kind:torn-append,after:{k},cut:{cut}");
-            let plan = FailPlan::parse(&spec).expect("plan spec");
-            assert_eq!(plan.kind, FaultKind::TornAppend);
-            let scope = arm_thread(plan);
+            let spec = format!("torn append after {k}, cut {cut}");
+            let scope = arm_thread(FailPlan {
+                after: k,
+                cut: Some(cut as usize),
+                ..FailPlan::once("journal.append.write", FaultKind::TornAppend)
+            });
 
             let mut failed_at = None;
             for i in 0..RECORDS {
-                match writer.dispatched(i, i as u32 + 1) {
+                match append(&mut writer, i) {
                     Ok(()) => {}
                     Err(e) => {
                         let msg = e.to_string();
@@ -91,9 +99,11 @@ fn recovery_salvages_the_longest_clean_prefix_at_every_cut_offset() {
             ));
             for (i, rec) in recovery.events[1..].iter().enumerate() {
                 match rec {
-                    JournalRecord::Dispatched { job_id, attempt } => {
+                    JournalRecord::Adjudicated {
+                        job_id, attempts, ..
+                    } => {
                         assert_eq!(*job_id, i as u64, "{spec}");
-                        assert_eq!(*attempt, i as u32 + 1, "{spec}");
+                        assert_eq!(*attempts, i as u32 + 1, "{spec}");
                     }
                     other => panic!("{spec}: unexpected record {other:?}"),
                 }
@@ -111,7 +121,7 @@ fn recovery_salvages_the_longest_clean_prefix_at_every_cut_offset() {
 
             // Resume truncates the tail and appends continue cleanly.
             let (mut resumed, _) = JournalWriter::resume(&path, TAG).expect("resume");
-            resumed.dispatched(99, 1).expect("post-salvage append");
+            append(&mut resumed, 99).expect("post-salvage append");
             drop(resumed);
             let clean = recover(&path).expect("recover after resume");
             assert!(clean.salvage.is_none(), "{spec}: {:?}", clean.salvage);

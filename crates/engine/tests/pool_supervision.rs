@@ -2,11 +2,9 @@
 //!
 //! A test-only `JobKind` harness drives the three failure modes the pool
 //! must contain — panics, hangs, and transient failures — and each test
-//! asserts the *deterministic* part of the resulting `SweepReport`
-//! (outcomes, attempt counts, quarantine list, job-id ordering). The
-//! wall-clock and worker-id fields are explicitly nondeterministic and are
-//! never asserted on. The open-feed cases gate their jobs with channels,
-//! not sleeps.
+//! asserts on the resulting `SweepReport`: outcomes, attempt counts, which
+//! jobs are quarantined, job-id ordering. The open-feed cases gate their
+//! jobs with channels, not sleeps.
 
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -15,8 +13,8 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use oasis_engine::pool::{
-    open_feed, run_sweep, run_sweep_controlled, supervise, Intake, Job, JobError, JobOutcome,
-    JobRecord, PoolConfig, StopHandle, SweepControl, SweepReport,
+    open_feed, run_sweep, supervise, Intake, Job, JobError, JobOutcome, JobRecord, PoolConfig,
+    StopHandle, SweepControl, SweepReport,
 };
 
 /// The failure repertoire a supervised job can exercise.
@@ -26,8 +24,8 @@ enum JobKind {
     Ok { value: u64 },
     /// Panics with a recognizable message after `ms` of real work.
     PanicAfter { ms: u64 },
-    /// Spins for up to `ms`, polling the cooperative cancel flag so the
-    /// abandoned worker can exit and the test process stays clean.
+    /// Sleeps for `ms`, at least ten times the deadline it must blow; the
+    /// abandoned worker exits once the sleep ends.
     HangFor { ms: u64 },
     /// Fails the first `n` attempts with a typed error, then succeeds
     /// with `value`. The shared counter makes the job body `Fn`-safe.
@@ -36,30 +34,62 @@ enum JobKind {
 
 fn job(label: &str, kind: JobKind) -> Job<u64> {
     let failures = Arc::new(AtomicU32::new(0));
-    Job::new(label, move |ctx| match &kind {
+    let name = label.to_string();
+    Job::new(label, move || match &kind {
         JobKind::Ok { value } => Ok(*value),
         JobKind::PanicAfter { ms } => {
             std::thread::sleep(Duration::from_millis(*ms));
-            panic!("deliberate panic from job {}", ctx.job_id);
+            panic!("deliberate panic from {name}");
         }
         JobKind::HangFor { ms } => {
-            let start = std::time::Instant::now();
-            while start.elapsed() < Duration::from_millis(*ms) {
-                if ctx.cancelled() {
-                    return Err("cancelled by watchdog".to_string());
-                }
-                std::thread::sleep(Duration::from_millis(2));
-            }
+            std::thread::sleep(Duration::from_millis(*ms));
             Ok(0)
         }
         JobKind::FailNTimes { n, value } => {
-            if failures.fetch_add(1, Ordering::SeqCst) < *n {
-                Err(format!("transient failure on attempt {}", ctx.attempt))
+            let attempt = failures.fetch_add(1, Ordering::SeqCst) + 1;
+            if attempt <= *n {
+                Err(format!("transient failure on attempt {attempt}"))
             } else {
                 Ok(*value)
             }
         }
     })
+}
+
+/// Ids of the report's quarantined jobs, ascending.
+fn quarantined(report: &SweepReport<u64>) -> Vec<u64> {
+    let jobs = report.jobs.iter();
+    let quarantined = jobs.filter(|j| matches!(j.outcome, JobOutcome::Quarantined(_)));
+    quarantined.map(|j| j.id).collect()
+}
+
+/// Number of completed jobs in the report.
+fn completed(report: &SweepReport<u64>) -> usize {
+    report
+        .jobs
+        .iter()
+        .filter(|j| j.outcome.is_completed())
+        .count()
+}
+
+/// Ids of the report's adjudicated jobs, ascending.
+fn adjudicated_ids(report: &SweepReport<u64>) -> Vec<u64> {
+    report.jobs.iter().map(|j| j.id).collect()
+}
+
+/// A fixed list fed under ids `0..n` to `supervise` with `ctrl`, the feed
+/// closed behind it.
+fn run_controlled(
+    config: &PoolConfig,
+    jobs: Vec<Job<u64>>,
+    ctrl: SweepControl<'_, u64>,
+) -> SweepReport<u64> {
+    let (feed, intake) = open_feed();
+    for (id, job) in jobs.into_iter().enumerate() {
+        feed.submit(id as u64, job);
+    }
+    drop(feed);
+    supervise(config, intake, ctrl)
 }
 
 #[test]
@@ -71,15 +101,15 @@ fn a_panicking_job_is_contained_and_typed() {
     ];
     let report = run_sweep(&PoolConfig::with_workers(2), jobs);
     assert_eq!(report.jobs.len(), 3);
-    assert_eq!(report.completed(), 2);
-    assert_eq!(report.quarantined, vec![1]);
+    assert_eq!(completed(&report), 2);
+    assert_eq!(quarantined(&report), vec![1]);
     let rec = &report.jobs[1];
     assert_eq!(rec.label, "panicker");
     assert_eq!(rec.attempts, 1);
     match &rec.outcome {
         JobOutcome::Quarantined(JobError::Panicked(msg)) => {
             assert!(
-                msg.contains("deliberate panic from job 1"),
+                msg.contains("deliberate panic from panicker"),
                 "panic payload must be preserved, got: {msg}"
             );
         }
@@ -88,25 +118,23 @@ fn a_panicking_job_is_contained_and_typed() {
     // The healthy jobs are untouched by their neighbor's crash.
     assert_eq!(report.jobs[0].outcome.value(), Some(&10));
     assert_eq!(report.jobs[2].outcome.value(), Some(&30));
-    assert_eq!(report.metrics.counter("pool.attempts.panicked"), 1);
 }
 
 #[test]
 fn a_hanging_job_blows_its_deadline_and_the_worker_is_respawned() {
     let jobs = vec![
-        job("hang", JobKind::HangFor { ms: 10_000 }),
+        job("hang", JobKind::HangFor { ms: 1_000 }),
         job("after-0", JobKind::Ok { value: 1 }),
         job("after-1", JobKind::Ok { value: 2 }),
     ];
     let config = PoolConfig {
         workers: 1, // the hang must not starve the jobs queued behind it
         deadline: Some(Duration::from_millis(100)),
-        watchdog_poll: Duration::from_millis(5),
         ..PoolConfig::default()
     };
     let report = run_sweep(&config, jobs);
-    assert_eq!(report.completed(), 2);
-    assert_eq!(report.quarantined, vec![0]);
+    assert_eq!(completed(&report), 2);
+    assert_eq!(quarantined(&report), vec![0]);
     match &report.jobs[0].outcome {
         JobOutcome::Quarantined(JobError::TimedOut { deadline_ms }) => {
             assert_eq!(*deadline_ms, 100);
@@ -114,8 +142,8 @@ fn a_hanging_job_blows_its_deadline_and_the_worker_is_respawned() {
         other => panic!("expected a quarantined timeout, got {other:?}"),
     }
     assert_eq!(report.jobs[0].attempts, 1);
-    // The abandoned worker was replaced so the rest of the queue drained.
-    assert!(report.workers_respawned >= 1);
+    // With one worker, the rest of the queue drains only if the abandoned
+    // worker was replaced.
     assert_eq!(report.jobs[1].outcome.value(), Some(&1));
     assert_eq!(report.jobs[2].outcome.value(), Some(&2));
 }
@@ -131,11 +159,7 @@ fn transient_failures_retry_then_succeed() {
     let rec = &report.jobs[0];
     assert_eq!(rec.outcome.value(), Some(&99));
     assert_eq!(rec.attempts, 3, "two failures then one success");
-    assert_eq!(report.retries, 2);
-    assert!(report.quarantined.is_empty());
-    assert_eq!(report.metrics.counter("pool.attempts"), 3);
-    assert_eq!(report.metrics.counter("pool.attempts.failed"), 2);
-    assert_eq!(report.metrics.counter("pool.attempts.completed"), 1);
+    assert!(quarantined(&report).is_empty());
 }
 
 #[test]
@@ -155,8 +179,7 @@ fn retry_exhaustion_on_a_typed_error_is_failed_not_quarantined() {
         other => panic!("expected a typed Failed outcome, got {other:?}"),
     }
     // A typed failure never endangered a worker: no quarantine.
-    assert!(report.quarantined.is_empty());
-    assert_eq!(report.workers_respawned, 0);
+    assert!(quarantined(&report).is_empty());
 }
 
 #[test]
@@ -177,10 +200,8 @@ fn a_repeatedly_panicking_job_is_quarantined_after_exhaustion() {
         rec.outcome,
         JobOutcome::Quarantined(JobError::Panicked(_))
     ));
-    assert_eq!(report.quarantined, vec![0]);
-    assert_eq!(report.retries, 2);
+    assert_eq!(quarantined(&report), vec![0]);
     assert_eq!(report.jobs[1].outcome.value(), Some(&7));
-    assert_eq!(report.metrics.counter("pool.attempts.panicked"), 3);
 }
 
 #[test]
@@ -190,17 +211,12 @@ fn racing_completions_against_the_deadline_never_wedge_the_sweep() {
     // next attempt — that attempt's result was then discarded and never
     // re-queued, so the sweep spun forever one job short. Jobs here run
     // for almost exactly the deadline, so Done and Expired race
-    // constantly; the sweep must still adjudicate every job.
+    // constantly (the watchdog polls every millisecond); the sweep must
+    // still adjudicate every job.
     let jobs: Vec<Job<u64>> = (0..48u64)
         .map(|i| {
-            Job::new(format!("edge-{i}"), move |ctx| {
-                let start = std::time::Instant::now();
-                while start.elapsed() < Duration::from_millis(20) {
-                    if ctx.cancelled() {
-                        return Err("cancelled by watchdog".to_string());
-                    }
-                    std::thread::sleep(Duration::from_millis(1));
-                }
+            Job::new(format!("edge-{i}"), move || {
+                std::thread::sleep(Duration::from_millis(20));
                 Ok(i)
             })
         })
@@ -208,7 +224,6 @@ fn racing_completions_against_the_deadline_never_wedge_the_sweep() {
     let config = PoolConfig {
         workers: 4,
         deadline: Some(Duration::from_millis(20)),
-        watchdog_poll: Duration::from_millis(1),
         max_attempts: 2,
     };
     let (tx, rx) = std::sync::mpsc::channel();
@@ -238,22 +253,21 @@ fn mixed_sweep_matches_the_issue_acceptance_scenario() {
             job("ok-0", JobKind::Ok { value: 100 }),
             job("panics", JobKind::PanicAfter { ms: 1 }),
             job("ok-2", JobKind::Ok { value: 102 }),
-            job("hangs", JobKind::HangFor { ms: 10_000 }),
+            job("hangs", JobKind::HangFor { ms: 1_500 }),
             job("ok-4", JobKind::Ok { value: 104 }),
         ]
     };
     let config = |workers| PoolConfig {
         workers,
         deadline: Some(Duration::from_millis(150)),
-        watchdog_poll: Duration::from_millis(5),
         ..PoolConfig::default()
     };
     let parallel = run_sweep(&config(4), build());
     let serial = run_sweep(&config(1), build());
     for report in [&parallel, &serial] {
         assert_eq!(report.jobs.len(), 5);
-        assert_eq!(report.completed(), 3);
-        assert_eq!(report.quarantined, vec![1, 3]);
+        assert_eq!(completed(report), 3);
+        assert_eq!(quarantined(report), vec![1, 3]);
         assert!(matches!(
             report.jobs[1].outcome,
             JobOutcome::Quarantined(JobError::Panicked(_))
@@ -267,7 +281,7 @@ fn mixed_sweep_matches_the_issue_acceptance_scenario() {
     }
     // Deterministic fan-out: the survivable results are identical across
     // worker counts, completion order notwithstanding.
-    let surviving = |r: &oasis_engine::pool::SweepReport<u64>| {
+    let surviving = |r: &SweepReport<u64>| {
         r.jobs
             .iter()
             .map(|j| {
@@ -289,7 +303,7 @@ fn a_pre_raised_stop_halts_every_job_without_dispatching() {
     stop.stop();
     let mut dispatched = Vec::new();
     let mut on_dispatch = |id: u64, attempt: u32| dispatched.push((id, attempt));
-    let report = run_sweep_controlled(
+    let report = run_controlled(
         &PoolConfig::with_workers(2),
         vec![
             job("never-0", JobKind::Ok { value: 1 }),
@@ -302,8 +316,7 @@ fn a_pre_raised_stop_halts_every_job_without_dispatching() {
         },
     );
     assert!(report.interrupted);
-    assert!(report.jobs.is_empty(), "nothing was adjudicated");
-    assert_eq!(report.halted, vec![0, 1], "both jobs drained unrecorded");
+    assert!(report.jobs.is_empty(), "both jobs drained unadjudicated");
     // The initial fan-out observed the dispatches before the supervisor
     // noticed the stop — exactly what a write-ahead journal needs: an
     // attempt may be recorded and then never adjudicated, never the
@@ -318,7 +331,7 @@ fn a_mid_sweep_stop_drains_the_queue_and_keeps_finished_work() {
     let stop = StopHandle::new();
     let gate = {
         let stop = stop.clone();
-        move |_ctx: &oasis_engine::pool::JobCtx| {
+        move || {
             stop.stop();
             // Give the supervisor time to notice before finishing, so the
             // queued jobs are reliably drained rather than dispatched.
@@ -331,9 +344,8 @@ fn a_mid_sweep_stop_drains_the_queue_and_keeps_finished_work() {
         jobs.push(job(&format!("queued-{i}"), JobKind::Ok { value: i }));
     }
     let mut adjudicated = Vec::new();
-    let mut on_adjudicated =
-        |rec: &oasis_engine::pool::JobRecord<u64>| adjudicated.push((rec.id, rec.attempts));
-    let report = run_sweep_controlled(
+    let mut on_adjudicated = |rec: &JobRecord<u64>| adjudicated.push((rec.id, rec.attempts));
+    let report = run_controlled(
         &PoolConfig::with_workers(1),
         jobs,
         SweepControl {
@@ -344,9 +356,12 @@ fn a_mid_sweep_stop_drains_the_queue_and_keeps_finished_work() {
     );
     assert!(report.interrupted);
     assert!(stop.is_stopped());
-    assert_eq!(report.jobs.len(), 1, "only the in-flight job finished");
+    assert_eq!(
+        adjudicated_ids(&report),
+        vec![0],
+        "only the in-flight job finished"
+    );
     assert_eq!(report.jobs[0].outcome.value(), Some(&42));
-    assert_eq!(report.halted, vec![1, 2, 3]);
     assert_eq!(adjudicated, vec![(0, 1)]);
 }
 
@@ -358,10 +373,10 @@ fn stop_suppresses_retries_but_adjudicates_the_failure() {
     let stop = StopHandle::new();
     let flaky = {
         let stop = stop.clone();
-        move |ctx: &oasis_engine::pool::JobCtx| -> Result<u64, String> {
+        move || -> Result<u64, String> {
             stop.stop();
             std::thread::sleep(Duration::from_millis(30));
-            Err(format!("transient failure on attempt {}", ctx.attempt))
+            Err("transient failure".to_string())
         }
     };
     let config = PoolConfig {
@@ -369,7 +384,7 @@ fn stop_suppresses_retries_but_adjudicates_the_failure() {
         max_attempts: 5,
         ..PoolConfig::default()
     };
-    let report = run_sweep_controlled(
+    let report = run_controlled(
         &config,
         vec![Job::new("flaky", flaky)],
         SweepControl {
@@ -385,7 +400,6 @@ fn stop_suppresses_retries_but_adjudicates_the_failure() {
         rec.outcome,
         JobOutcome::Failed(JobError::Failed(_))
     ));
-    assert_eq!(report.retries, 0);
 }
 
 #[test]
@@ -404,9 +418,8 @@ fn an_unstopped_controlled_sweep_matches_run_sweep_and_journals_every_step() {
     let mut dispatched = Vec::new();
     let mut adjudicated = Vec::new();
     let mut on_dispatch = |id: u64, attempt: u32| dispatched.push((id, attempt));
-    let mut on_adjudicated =
-        |rec: &oasis_engine::pool::JobRecord<u64>| adjudicated.push((rec.id, rec.attempts));
-    let controlled = run_sweep_controlled(
+    let mut on_adjudicated = |rec: &JobRecord<u64>| adjudicated.push((rec.id, rec.attempts));
+    let controlled = run_controlled(
         &config,
         build(),
         SweepControl {
@@ -417,14 +430,14 @@ fn an_unstopped_controlled_sweep_matches_run_sweep_and_journals_every_step() {
     );
     let plain = run_sweep(&config, build());
     assert!(!controlled.interrupted);
-    assert!(controlled.halted.is_empty());
+    assert_eq!(adjudicated_ids(&controlled), vec![0, 1]);
     assert_eq!(controlled.jobs.len(), plain.jobs.len());
     for (c, p) in controlled.jobs.iter().zip(&plain.jobs) {
         assert_eq!(c.outcome.value(), p.outcome.value());
         assert_eq!(c.attempts, p.attempts);
     }
-    // Every attempt produced exactly one Dispatched observation, in
-    // attempt order per job, and every job exactly one adjudication.
+    // Every attempt produced exactly one dispatch observation, in attempt
+    // order per job, and every job exactly one adjudication.
     dispatched.sort_unstable();
     assert_eq!(dispatched, vec![(0, 1), (1, 1), (1, 2)]);
     adjudicated.sort_unstable();
@@ -435,7 +448,7 @@ fn an_unstopped_controlled_sweep_matches_run_sweep_and_journals_every_step() {
 /// fires.
 fn held(started: Sender<()>, release: Receiver<()>) -> Job<u64> {
     let release = Mutex::new(release);
-    Job::new("held", move |_ctx| {
+    Job::new("held", move || {
         let _ = started.send(());
         let _ = release.lock().expect("release lock").recv();
         Ok(0)
@@ -503,9 +516,12 @@ fn jobs_fed_after_a_stop_are_halted_and_the_held_job_is_adjudicated() {
     let report = supervisor.join().expect("supervisor");
     assert_eq!(settled.try_iter().collect::<Vec<_>>(), vec![0]);
     assert!(report.interrupted);
-    assert_eq!(report.jobs.len(), 1);
+    assert_eq!(
+        adjudicated_ids(&report),
+        vec![0],
+        "jobs 1 and 2 were halted"
+    );
     assert_eq!(report.jobs[0].outcome.value(), Some(&0));
-    assert_eq!(report.halted, vec![1, 2]);
     assert!(!feed.submit(3, job("after", JobKind::Ok { value: 3 })));
 }
 
@@ -536,19 +552,6 @@ fn a_fed_list_reports_exactly_what_the_fixed_list_reports() {
     }
     drop(feed);
     let fed = supervisor.join().expect("supervisor");
-    let deterministic = |r: &SweepReport<u64>| {
-        let jobs: Vec<_> = r
-            .jobs
-            .iter()
-            .map(|j| (j.id, j.label.clone(), j.outcome.clone(), j.attempts))
-            .collect();
-        (
-            jobs,
-            r.retries,
-            r.quarantined.clone(),
-            r.halted.clone(),
-            r.interrupted,
-        )
-    };
-    assert_eq!(deterministic(&fed), deterministic(&fixed));
+    assert_eq!(fed.jobs, fixed.jobs);
+    assert_eq!(fed.interrupted, fixed.interrupted);
 }

@@ -244,7 +244,7 @@ pub fn run_fuzz(opts: &FuzzOptions) -> Result<FuzzReport, SweepError> {
         }
         sweep.run(chunk, |case| {
             let seed = case_seeds[case as usize];
-            Job::new(format!("case-{case}"), move |_ctx| {
+            Job::new(format!("case-{case}"), move || {
                 Ok(check(&Scenario::generate(seed)))
             })
         })?;

@@ -198,8 +198,8 @@ pub struct SystemConfig {
     /// access or page-state transition resets the count; only a run that is
     /// truly spinning (every event rejected, nothing moving) trips it.
     pub stall_window: u64,
-    /// Event-trace ring capacity. 0 (the default) installs the zero-cost
-    /// [`NullTracer`](oasis_engine::NullTracer); nonzero installs a bounded
+    /// Event-trace ring capacity. 0 (the default) installs no tracer, so
+    /// events are never built; nonzero installs a bounded
     /// [`RingTracer`](oasis_engine::RingTracer) keeping the most recent N
     /// events. Tracer *state* is observational — excluded from digests and
     /// checkpoints — but this knob travels with the config section so a

@@ -417,7 +417,7 @@ pub fn run_campaign_supervised(
     sweep.run(&sweep.pending(), |id| {
         let kind = Perturbation::ALL[id as usize];
         let seed = seeds[id as usize];
-        Job::new(kind.name(), move |_ctx| Ok(run_one(kind, seed)))
+        Job::new(kind.name(), move || Ok(run_one(kind, seed)))
     })?;
     let (settled, stats) = sweep.finish();
     let mut report = CampaignReport {

@@ -132,7 +132,7 @@ pub fn run_verify_replay(
     sweep.run(&sweep.pending(), |id| {
         let policy = policies[id as usize].clone();
         let (trace, config) = (Arc::clone(&trace), config.clone());
-        Job::new(policy.name(), move |_ctx| {
+        Job::new(policy.name(), move || {
             let name = policy.name();
             let verdict = kill_and_resume(&config, &policy, &trace, kill_epoch)
                 .map(|(bytes, report)| {

@@ -75,14 +75,9 @@ pub fn submit_batch(
 ) -> Result<SubmitOutcome, String> {
     let stream = TcpStream::connect(("127.0.0.1", port))
         .map_err(|e| format!("submit: cannot connect to 127.0.0.1:{port}: {e}"))?;
-    stream
-        .set_read_timeout(Some(Duration::from_millis(100)))
-        .map_err(|e| format!("submit: set_read_timeout: {e}"))?;
     let _ = stream.set_nodelay(true);
-    let mut writer = stream
-        .try_clone()
-        .map_err(|e| format!("submit: clone stream: {e}"))?;
-    let mut reader = LineReader::new(stream, MAX_LINE_BYTES);
+    let mut writer = &stream;
+    let mut reader = LineReader::new(&stream, MAX_LINE_BYTES);
 
     // digest -> submission slots awaiting it (duplicates share a digest).
     let mut slots: BTreeMap<u64, Vec<usize>> = BTreeMap::new();
@@ -105,18 +100,35 @@ pub fn submit_batch(
     )];
 
     let mut resolved: BTreeMap<u64, Resolution> = BTreeMap::new();
-    let mut stats: Vec<(String, u64)> = Vec::new();
-    let mut stats_pending = false;
+    // Requested once every digest has resolved, even when none was sent.
+    let mut stats: Option<Vec<(String, u64)>> = None;
+    let mut stats_requested = false;
     let deadline = Instant::now() + timeout;
 
-    while resolved.len() < slots.len() || stats_pending {
-        if Instant::now() >= deadline {
+    loop {
+        if resolved.len() == slots.len() {
+            if !want_stats || stats.is_some() {
+                break;
+            }
+            if !stats_requested {
+                writer
+                    .write_all(b"stats\n")
+                    .map_err(|e| format!("submit: send stats: {e}"))?;
+                stats_requested = true;
+            }
+        }
+        // Block for the next line, but never past the batch deadline.
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
             return Err(format!(
                 "submit: timed out after {timeout:?} with {} of {} digest(s) unresolved",
                 slots.len() - resolved.len(),
                 slots.len()
             ));
         }
+        stream
+            .set_read_timeout(Some(left))
+            .map_err(|e| format!("submit: set_read_timeout: {e}"))?;
         let line = match reader.poll_line() {
             Ok(LinePoll::Line(l)) => l,
             Ok(LinePoll::Pending) => continue,
@@ -185,50 +197,8 @@ pub fn submit_batch(
             ServerEvent::Error { code, detail } => {
                 return Err(format!("submit: server reported {code}: {detail}"));
             }
-            ServerEvent::Stats(counters) => {
-                stats = counters;
-                stats_pending = false;
-            }
+            ServerEvent::Stats(counters) => stats = Some(counters),
             ServerEvent::Pong => {}
-        }
-        if want_stats && resolved.len() == slots.len() && !stats_pending && stats.is_empty() {
-            writer
-                .write_all(b"stats\n")
-                .map_err(|e| format!("submit: send stats: {e}"))?;
-            stats_pending = true;
-        }
-    }
-
-    // Handle the all-duplicates / zero-wait edge where the loop body never
-    // sent the stats request.
-    if want_stats && stats.is_empty() && !stats_pending {
-        writer
-            .write_all(b"stats\n")
-            .map_err(|e| format!("submit: send stats: {e}"))?;
-        loop {
-            if Instant::now() >= deadline {
-                return Err("submit: timed out waiting for stats".to_string());
-            }
-            match reader.poll_line() {
-                Ok(LinePoll::Line(l)) => {
-                    let text =
-                        String::from_utf8(l).map_err(|_| "submit: non-UTF-8 event".to_string())?;
-                    if text.is_empty() {
-                        continue;
-                    }
-                    if let ServerEvent::Stats(counters) =
-                        parse_event(&text).map_err(|e| format!("submit: unparsable event: {e}"))?
-                    {
-                        stats = counters;
-                        break;
-                    }
-                }
-                Ok(LinePoll::Pending) => continue,
-                Ok(LinePoll::Eof) => {
-                    return Err("submit: server closed the stream before stats".to_string())
-                }
-                Err(e) => return Err(format!("submit: {e}")),
-            }
         }
     }
 
@@ -251,7 +221,7 @@ pub fn submit_batch(
     Ok(SubmitOutcome {
         results,
         progress,
-        stats,
+        stats: stats.unwrap_or_default(),
         failed,
     })
 }

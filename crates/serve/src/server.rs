@@ -15,9 +15,9 @@
 //! * **writer**, one per connection — blocks on the connection's event
 //!   channel and writes every line queued there with one `write(2)`;
 //! * **supervisor** — serves the server's open job feed with
-//!   [`oasis_engine::pool::supervise`]; its observers journal each
-//!   dispatch and verdict, write the cache, and push `dispatched`,
-//!   `progress` and `result` lines to every subscribed connection;
+//!   [`oasis_engine::pool::supervise`]; its observers journal and cache
+//!   each verdict and push `dispatched`, `progress` and `result` lines to
+//!   every subscribed connection;
 //! * **pool workers** — long-lived, each takes jobs as they are fed.
 //!
 //! # Lifecycle
@@ -91,6 +91,9 @@ pub fn queue_tag() -> u64 {
 pub const JOURNAL_FILE: &str = "serve.jnl";
 /// Cache directory name under the state directory.
 pub const CACHE_DIR: &str = "cache";
+/// Concurrent connection cap; further accepts get a `busy` rejection line
+/// and an immediate close.
+const MAX_CONNECTIONS: usize = 32;
 
 /// Everything the server needs to run. Defaults are production-shaped;
 /// tests and the CLI override per flag.
@@ -107,14 +110,9 @@ pub struct ServeConfig {
     /// Per-connection cap on unresolved jobs; beyond it submissions are
     /// rejected with `connection-inflight`.
     pub conn_inflight: usize,
-    /// Concurrent connection cap; further accepts get a `busy` rejection
-    /// line and an immediate close.
-    pub max_connections: usize,
     /// Idle cutoff for connections with no unresolved jobs: the socket's
     /// read timeout.
     pub idle_timeout: Duration,
-    /// Request-line byte cap.
-    pub max_line_bytes: usize,
     /// Supervised-pool shape (workers, per-job deadline, retry budget).
     pub pool: PoolConfig,
 }
@@ -127,9 +125,7 @@ impl ServeConfig {
             state_dir,
             queue_depth: 256,
             conn_inflight: 64,
-            max_connections: 32,
             idle_timeout: Duration::from_secs(30),
-            max_line_bytes: MAX_LINE_BYTES,
             pool: PoolConfig::with_workers(2),
         }
     }
@@ -345,7 +341,7 @@ fn run_job(scenario: &Scenario) -> Result<JobResult, String> {
 
 /// The pool job for one scenario.
 fn job(scenario: Scenario, digest: u64) -> Job<JobResult> {
-    Job::new(format!("scenario-{digest:016x}"), move |_ctx| {
+    Job::new(format!("scenario-{digest:016x}"), move || {
         run_job(&scenario)
     })
 }
@@ -554,11 +550,10 @@ pub fn run_serve(
 }
 
 /// The supervisor: serves the feed on the pool until a stop settles it.
-/// Each dispatch and verdict is journaled, each verdict cached, and every
-/// event pushed to the job's subscribers.
+/// Each verdict is journaled and cached, and every event pushed to the
+/// job's subscribers.
 fn run_jobs(shared: &Shared, intake: Intake<JobResult>) {
     let mut on_dispatch = |id: u64, attempt: u32| {
-        let _ = shared.journal_append(|j| j.dispatched(id, attempt));
         let mut guard = shared.state();
         let st = &mut *guard;
         if let Some(job) = st.jobs.get(&id) {
@@ -653,7 +648,7 @@ fn open_connection(
     if !st.accepting {
         return false;
     }
-    if st.conns.len() >= shared.cfg.max_connections {
+    if st.conns.len() >= MAX_CONNECTIONS {
         drop(st);
         shared.count("serve.rejected_busy", 1);
         let line = event_rejected(0, "busy", "connection limit reached");
@@ -733,7 +728,7 @@ fn read_requests(shared: &Shared, id: u64, stream: &TcpStream, out: Sender<Strin
     let idle = shared.cfg.idle_timeout;
     let least = Duration::from_millis(1);
     let _ = stream.set_read_timeout(Some(idle.max(least)));
-    let mut reader = LineReader::new(stream, shared.cfg.max_line_bytes);
+    let mut reader = LineReader::new(stream, MAX_LINE_BYTES);
     let mut last_line = Instant::now();
     loop {
         let raw = match reader.poll_line() {
@@ -1100,12 +1095,14 @@ mod tests {
     /// the failure is counted.
     #[test]
     fn cache_write_failure_degrades_to_recompute_and_serve() {
-        use oasis_engine::failpoint::{arm_process, FailPlan};
+        use oasis_engine::failpoint::{arm_process, FailPlan, FaultKind};
         let state = temp_state("cachefail");
         let state_tag = state.file_name().unwrap().to_string_lossy().into_owned();
-        let mut plan =
-            FailPlan::parse("site:serve.cache.write,kind:eio,after:0,count:*").expect("plan");
-        plan.path = Some(state_tag);
+        let plan = FailPlan {
+            count: u64::MAX,
+            path: Some(state_tag),
+            ..FailPlan::once("serve.cache.write", FaultKind::Eio)
+        };
         let scope = arm_process(plan);
 
         let server = Server::start(small_cfg(state));
@@ -1160,7 +1157,7 @@ mod tests {
     /// recovers full service.
     #[test]
     fn journal_failure_refuses_admissions_with_typed_unavailable() {
-        use oasis_engine::failpoint::{arm_process, FailPlan};
+        use oasis_engine::failpoint::{arm_process, FailPlan, FaultKind};
         let state = temp_state("junavail");
         let state_tag = state.file_name().unwrap().to_string_lossy().into_owned();
         let a = Scenario::generate(42);
@@ -1176,9 +1173,11 @@ mod tests {
             }
         }
 
-        let mut plan =
-            FailPlan::parse("site:journal.append.write,kind:eio,after:0,count:*").expect("plan");
-        plan.path = Some(state_tag);
+        let plan = FailPlan {
+            count: u64::MAX,
+            path: Some(state_tag),
+            ..FailPlan::once("journal.append.write", FaultKind::Eio)
+        };
         let scope = arm_process(plan);
 
         // Cached work is still served in degraded mode...

@@ -4,19 +4,25 @@
 #
 #   ./scripts/bench_paired.sh <BASE>      # e.g. HEAD^1, main, a commit id
 #
-# 1. Extracts <BASE> with `git archive` into a temp directory and builds its
-#    perfbench there; builds this tree's perfbench into perfbench/target.
+# 1. Builds both sides from one source directory with one target directory,
+#    because cargo hashes a package's path into its symbols: one source built
+#    in two directories gives two different binaries. It extracts <BASE> with
+#    `git archive` into $WORK/src, builds perfbench and copies the binary out;
+#    then rewrites $WORK/src to this tree's files (`git ls-files -co
+#    --exclude-standard`), touching only files whose bytes differ so that only
+#    changed crates recompile, builds again and copies that binary out.
 # 2. For every workload in BENCHMARK.json, runs PAIRS pairs of the two
-#    builds at the same time, each for BENCHMARK.json's run_seconds and from
-#    its own tree root; the side launched first alternates between pairs.
+#    binaries at the same time, each for BENCHMARK.json's run_seconds and from
+#    a scratch directory of its own; the side launched first alternates
+#    between pairs.
 # 3. Fails if any run exits nonzero or does not print "correct": true on its
 #    last line (naming workload, side and pair), or if on any workload the
 #    median over pairs of change run_s / base run_s exceeds 1 + run_s's bound
 #    in BENCHMARK.json. The other end-to-end metrics are reported, not gated:
-#    their spread between two builds of one source is too wide to gate on.
+#    their spread between two runs is too wide to gate on.
 #
-# On 2 vCPUs a call takes about 10 minutes: two release builds, then
-# 4 workloads x 5 pairs x ~23 s.
+# On 2 vCPUs a call takes about 10 minutes: a release build and an
+# incremental one, then 4 workloads x 5 pairs x ~23 s.
 set -euo pipefail
 
 PAIRS=5
@@ -43,22 +49,38 @@ fi
 
 WORK=$(mktemp -d)
 trap 'rm -rf "$WORK"' EXIT
-mkdir "$WORK/base" "$WORK/runs"
-git archive "$BASE" | tar -x -C "$WORK/base"
+mkdir "$WORK/src" "$WORK/bin" "$WORK/runs" "$WORK/run-base" "$WORK/run-change"
+export CARGO_TARGET_DIR="$WORK/target"
 
-# side -> tree root; each side builds into its own tree's perfbench/target.
-declare -A TREE=([base]="$WORK/base" [change]="$ROOT")
-for side in base change; do
-    echo "bench_paired: building perfbench ($side)" >&2
-    CARGO_TARGET_DIR="${TREE[$side]}/perfbench/target" cargo build --release --offline \
-        --quiet --manifest-path "${TREE[$side]}/perfbench/Cargo.toml"
-done
+# Builds perfbench from $WORK/src and copies the binary to $WORK/bin/$1.
+build() {
+    echo "bench_paired: building perfbench ($1)" >&2
+    cargo build --release --offline --quiet --manifest-path "$WORK/src/perfbench/Cargo.toml"
+    cp "$CARGO_TARGET_DIR/release/oasis-perfbench" "$WORK/bin/$1"
+}
+
+git archive "$BASE" | tar -x -C "$WORK/src"
+build base
+
+# $WORK/src becomes this tree: stale files go, files whose bytes differ are
+# copied over, and the rest keep the timestamps cargo already built against.
+git ls-files -co --exclude-standard | LC_ALL=C sort >"$WORK/files"
+(cd "$WORK/src" && find . -type f | sed 's|^\./||' | LC_ALL=C sort) \
+    | LC_ALL=C comm -23 - "$WORK/files" | (cd "$WORK/src" && xargs -r -d '\n' rm -f --)
+while IFS= read -r f; do
+    [ -f "$f" ] || continue # tracked, but deleted in this tree
+    if ! cmp -s "$f" "$WORK/src/$f"; then
+        mkdir -p "$WORK/src/$(dirname "$f")"
+        cp "$f" "$WORK/src/$f"
+    fi
+done <"$WORK/files"
+build change
 
 # One run: output to $WORK/runs/<workload>.<side>.<pair>, exit code to .rc.
 run() {
     local out="$WORK/runs/$2.$1.$3"
     local rc=0
-    (cd "${TREE[$1]}" && exec perfbench/target/release/oasis-perfbench \
+    (cd "$WORK/run-$1" && exec "$WORK/bin/$1" \
         --workload "$2" --seconds "$RUN_SECONDS") >"$out" 2>"$out.err" || rc=$?
     echo "$rc" >"$out.rc"
 }

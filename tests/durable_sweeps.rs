@@ -5,24 +5,27 @@
 //! * report the same with a journal as without one;
 //! * resume a crafted prefix journal — its first jobs adjudicated, then a
 //!   clean `Interrupted` trailer — at a different worker count into the
-//!   identical report, merging exactly the prefix and never dispatching a
-//!   job the journal already adjudicates;
+//!   identical report, merging exactly the prefix and leaving one
+//!   `Adjudicated` record per job, so no adjudicated job ran again;
 //! * resume a complete journal into the identical report without
-//!   dispatching anything;
+//!   appending a record;
 //! * resume a complete journal whose last record a kill cut partway into
 //!   the identical report, merging only the whole adjudications and
 //!   warning once, of the salvage;
 //! * refuse a journal written with other parameters with the typed
-//!   tag-mismatch error instead of merging two different sweeps.
+//!   tag-mismatch error instead of merging two different sweeps;
+//! * refuse a version 1 journal, which holds the retired `Dispatched`
+//!   record, with the typed version error and without touching it — in
+//!   the journal writer, a fuzz sweep and the sweep server alike.
 //!
 //! Every test works in a directory of its own.
 
-use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
-use oasis::engine::journal::{recover, JournalError, JournalRecord, JournalWriter};
+use oasis::engine::journal::{recover, JournalError, JournalRecord, JournalWriter, JOURNAL_MAGIC};
 use oasis::engine::pool::{PoolConfig, StopHandle};
 use oasis::engine::sweep::{SweepError, SweepOptions, SweepStats};
+use oasis::engine::{fnv1a, ByteWriter};
 use oasis::fuzz::{report_json, run_fuzz, FuzzOptions};
 use oasis::mgpu::{run_campaign_supervised, run_verify_replay, Placement, SystemConfig};
 use oasis::workloads::{generate, App, Trace, WorkloadParams};
@@ -77,10 +80,15 @@ fn assert_resumed(name: &str, reference: &Run, resumed: &Run, merged: usize, sal
     );
 }
 
-fn dispatches(path: &Path) -> usize {
-    let events = recover(path).expect("recover").events;
-    let dispatched = |e: &&JournalRecord| matches!(e, JournalRecord::Dispatched { .. });
-    events.iter().filter(dispatched).count()
+/// A resumed journal must hold one `Adjudicated` record per job: a job
+/// that ran again after its adjudication would have a second.
+fn assert_adjudicated_once(name: &str, path: &Path) {
+    let rec = recover(path).expect("recover the resumed journal");
+    assert!(
+        rec.duplicate_adjudications.is_empty(),
+        "{name}: jobs {:?} adjudicated twice",
+        rec.duplicate_adjudications
+    );
 }
 
 /// Straight, journaled, resumed-from-a-prefix, resumed-when-complete and
@@ -111,7 +119,6 @@ fn assert_resumes_identically(name: &str, prefix: usize, sweep: &SweepFn) {
     let partial_path = dir.join("partial.jnl");
     let mut w = JournalWriter::create(&partial_path, full.tag, &full.label).expect("create");
     for (&id, adj) in full.adjudicated.iter().take(prefix) {
-        w.dispatched(id, 1).expect("dispatched");
         w.adjudicated(id, adj.outcome, adj.attempts, &adj.payload)
             .expect("adjudicated");
     }
@@ -123,27 +130,26 @@ fn assert_resumes_identically(name: &str, prefix: usize, sweep: &SweepFn) {
 
     let after = recover(&partial_path).expect("recover the resumed journal");
     assert_eq!(after.adjudicated.len(), full.adjudicated.len());
-    let mut adjudicated = BTreeSet::new();
-    for event in &after.events {
-        match event {
-            JournalRecord::Adjudicated { job_id, .. } => {
-                adjudicated.insert(*job_id);
-            }
-            JournalRecord::Dispatched { job_id, .. } => assert!(
-                !adjudicated.contains(job_id),
-                "{name}: job {job_id} dispatched after its adjudication"
-            ),
-            _ => {}
-        }
-    }
+    assert_adjudicated_once(name, &partial_path);
 
     // A journal that already adjudicates every job resumes into the same
-    // report and dispatches nothing.
-    let before = dispatches(&full_path);
+    // report and appends nothing.
     let complete = sweep(options(Some(&full_path), true, 2)).expect("complete resume");
     assert_resumed(name, &reference, &complete, full.adjudicated.len(), false);
-    let after = dispatches(&full_path);
-    assert_eq!(before, after, "{name}: a complete journal dispatched again");
+    let again = recover(&full_path).expect("recover the complete journal");
+    assert_eq!(
+        again.events.len(),
+        full.events.len(),
+        "{name}: a complete journal grew a record"
+    );
+    let len = std::fs::metadata(&full_path)
+        .expect("journal metadata")
+        .len();
+    assert_eq!(
+        len,
+        full_bytes.len() as u64,
+        "{name}: a complete journal grew"
+    );
 
     // Killed mid-append: part of the last adjudication reached the disk.
     // Only the whole adjudications merge; the torn job runs again.
@@ -151,6 +157,7 @@ fn assert_resumes_identically(name: &str, prefix: usize, sweep: &SweepFn) {
     std::fs::write(&torn_path, &full_bytes[..full_bytes.len() - 7]).expect("write torn");
     let torn = sweep(options(Some(&torn_path), true, 2)).expect("salvaged resume");
     assert_resumed(name, &reference, &torn, full.adjudicated.len() - 1, true);
+    assert_adjudicated_once(name, &torn_path);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -257,4 +264,83 @@ fn verify_replay_resumes_identically_and_refuses_other_parameters() {
         &verify(App::C2d, 1, config),
         &verify(App::C2d, 1, striped),
     );
+}
+
+/// One checksummed journal record, framed as every version frames it.
+fn record(kind: u8, payload: &[u8]) -> Vec<u8> {
+    let mut rec = vec![kind];
+    rec.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    rec.extend_from_slice(payload);
+    let sum = fnv1a(&rec);
+    rec.extend_from_slice(&sum.to_le_bytes());
+    rec
+}
+
+/// A journal as version 1 wrote it: `Begin`, one `Dispatched` (kind 1)
+/// and one `Adjudicated` record.
+fn v1_journal(tag: u64) -> Vec<u8> {
+    let mut bytes = JOURNAL_MAGIC.to_vec();
+    bytes.extend_from_slice(&1u32.to_le_bytes());
+    let mut begin = ByteWriter::new();
+    begin.u64(tag);
+    begin.str("version 1 sweep");
+    bytes.extend(record(0, begin.as_slice()));
+    let mut dispatched = ByteWriter::new();
+    dispatched.u64(0);
+    dispatched.u32(1);
+    bytes.extend(record(1, dispatched.as_slice()));
+    let mut adjudicated = ByteWriter::new();
+    adjudicated.u64(0);
+    adjudicated.u8(0);
+    adjudicated.u32(1);
+    adjudicated.bytes(b"clean");
+    bytes.extend(record(2, adjudicated.as_slice()));
+    bytes
+}
+
+#[test]
+fn a_version_1_journal_is_refused_typed_and_left_untouched() {
+    let dir = test_dir("v1");
+    let unsupported = JournalError::UnsupportedVersion {
+        found: 1,
+        expected: 2,
+    };
+
+    let path = dir.join("writer.jnl");
+    let v1 = v1_journal(7);
+    std::fs::write(&path, &v1).expect("write the v1 journal");
+    match JournalWriter::resume(&path, 7) {
+        Err(e) => assert_eq!(e, unsupported),
+        Ok(_) => panic!("a version 1 journal was resumed"),
+    }
+    assert_eq!(std::fs::read(&path).expect("read back"), v1);
+
+    let path = dir.join("fuzz.jnl");
+    std::fs::write(&path, &v1).expect("write the v1 journal");
+    match fuzz(2)(options(Some(&path), true, 1)) {
+        Err(SweepError::Resume { error, .. }) => assert_eq!(error, unsupported),
+        Err(e) => panic!("expected a resume refusal, got: {e}"),
+        Ok(_) => panic!("a version 1 journal was resumed"),
+    }
+    assert_eq!(std::fs::read(&path).expect("read back"), v1);
+
+    let state = dir.join("serve");
+    std::fs::create_dir_all(&state).expect("mkdir");
+    let path = state.join(oasis::serve::JOURNAL_FILE);
+    let v1 = v1_journal(oasis::serve::queue_tag());
+    std::fs::write(&path, &v1).expect("write the v1 journal");
+    let served = oasis::serve::run_serve(
+        oasis::serve::ServeConfig::new(state.clone()),
+        StopHandle::new(),
+        |_| panic!("the server bound a port over a version 1 journal"),
+    );
+    match served {
+        Err(msg) => {
+            assert!(msg.contains(&path.display().to_string()), "{msg}");
+            assert!(msg.contains(&unsupported.to_string()), "{msg}");
+        }
+        Ok(_) => panic!("the server resumed a version 1 journal"),
+    }
+    assert_eq!(std::fs::read(&path).expect("read back"), v1);
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -76,7 +76,6 @@ OPTIONS:
                             (open in chrome://tracing or Perfetto)
     --trace-cap <N>         bound the trace ring buffer to N events
                             [default: 262144 when --trace-out is given]
-    --metrics               collect the metrics registry during run
     --top <N>               stats: rows per breakdown table [default: 20]
     --cases <N>             fuzz: scenarios to generate and check
                             [default: 100]
@@ -222,8 +221,6 @@ pub struct Cli {
     pub trace_out: Option<String>,
     /// Ring-tracer capacity override (events).
     pub trace_cap: Option<usize>,
-    /// Collect the metrics registry during `run`.
-    pub metrics: bool,
     /// Rows per `stats` breakdown table.
     pub top: usize,
     /// `fuzz`: scenarios to generate and check.
@@ -354,7 +351,6 @@ impl Cli {
             json: false,
             trace_out: None,
             trace_cap: None,
-            metrics: false,
             top: 20,
             cases: 100,
             time_budget_secs: None,
@@ -471,7 +467,6 @@ impl Cli {
                     }
                     cli.trace_cap = Some(cap);
                 }
-                "--metrics" => cli.metrics = true,
                 "--top" => {
                     cli.top = value("--top")?
                         .parse()
@@ -617,7 +612,7 @@ impl Cli {
 
     /// The system configuration this invocation selects. The observability
     /// knobs follow the command: `--trace-out` turns tracing on (at
-    /// `--trace-cap` or a roomy default), and `stats` implies `--metrics`.
+    /// `--trace-cap` or a roomy default), and `stats` turns metrics on.
     pub fn system_config(&self) -> SystemConfig {
         let trace_capacity = match (self.trace_cap, &self.trace_out) {
             (Some(cap), _) => cap,
@@ -629,7 +624,7 @@ impl Cli {
             page_size: self.page_size,
             placement: self.placement,
             trace_capacity,
-            metrics: self.metrics || self.command == Command::Stats,
+            metrics: self.command == Command::Stats,
             fault_plan: self.fault_plan.clone().unwrap_or_default(),
             ..SystemConfig::default()
         };
@@ -785,11 +780,13 @@ mod tests {
 
     #[test]
     fn observability_flags_parse_and_shape_the_config() {
-        let c = parse(&["run", "--trace-out", "t.json", "--metrics"]).unwrap();
+        let c = parse(&["run", "--trace-out", "t.json"]).unwrap();
         assert_eq!(c.trace_out.as_deref(), Some("t.json"));
-        let cfg = c.system_config();
-        assert_eq!(cfg.trace_capacity, 1 << 18, "trace-out implies tracing");
-        assert!(cfg.metrics);
+        assert_eq!(
+            c.system_config().trace_capacity,
+            1 << 18,
+            "trace-out implies tracing"
+        );
 
         let c = parse(&["run", "--trace-out", "t.json", "--trace-cap", "512"]).unwrap();
         assert_eq!(c.system_config().trace_capacity, 512);
@@ -799,7 +796,7 @@ mod tests {
         assert_eq!(dark.trace_capacity, 0);
         assert!(!dark.metrics);
 
-        // `stats` implies metrics without the flag.
+        // `stats` turns metrics on.
         let stats = parse(&["stats", "--top", "5"]).unwrap();
         assert_eq!(stats.command, Command::Stats);
         assert_eq!(stats.top, 5);

@@ -504,7 +504,8 @@ fn counter(summary: &ServeSummary, key: &str) -> u64 {
 const SUBMIT_TIMEOUT: Duration = Duration::from_secs(120);
 
 fn submit_one(port: u16, scenario: &Scenario) -> Result<String, String> {
-    let outcome = submit_batch(port, std::slice::from_ref(scenario), false, SUBMIT_TIMEOUT)?;
+    let outcome = submit_batch(port, std::slice::from_ref(scenario), false, SUBMIT_TIMEOUT)
+        .map_err(|e| e.to_string())?;
     outcome
         .results
         .first()

@@ -3,8 +3,8 @@
 //! The first signal flips a process-global atomic from an async-signal-safe
 //! handler; a detached watcher thread notices within ~25ms and raises the
 //! sweep's [`StopHandle`], so the supervisor stops dispatching, lets
-//! in-flight jobs finish (or hit their deadline), journals the clean
-//! `Interrupted` trailer, and exits with the resumable code 75. The handler
+//! in-flight jobs finish (or hit their deadline) and journal their
+//! verdicts, and the process exits with the resumable code 75. The handler
 //! also restores the default disposition, so a *second* ^C force-kills the
 //! process immediately — the classic "drain on one, die on two" contract.
 //!

@@ -4,8 +4,9 @@
 //! * SIGKILL (uncatchable, mid-anything) partway through `fuzz --journal`,
 //!   then `--resume-sweep` → stdout byte-identical to an uninterrupted
 //!   run, and the journal adjudicates every case exactly once.
-//! * SIGTERM → the sweep drains, writes the `Interrupted` trailer, and
-//!   exits with the resumable code 75; the resume finishes the report.
+//! * SIGTERM → the sweep drains, leaving a journal that ends on a whole
+//!   record, and exits with the resumable code 75; the resume finishes
+//!   the report.
 
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
@@ -78,7 +79,7 @@ fn sigkill_midway_then_resume_is_byte_identical() {
         .spawn()
         .expect("spawn journaled run");
     std::thread::sleep(Duration::from_millis(2500));
-    child.kill().ok(); // SIGKILL on Unix: no drain, no trailer
+    child.kill().ok(); // SIGKILL on Unix: no drain
     child.wait().expect("reap killed child");
     assert!(journal.exists(), "journal must exist after the kill");
 
@@ -134,7 +135,7 @@ fn sigterm_drains_to_exit_75_and_resume_finishes() {
     std::thread::sleep(Duration::from_millis(2000));
     // SIGTERM via kill(1): the process should drain and exit 75. (If it
     // finished before the signal landed, it exits 0 — accept both, but
-    // only the drain path asserts the trailer.)
+    // only the drain path asserts the journal.)
     let _ = Command::new("kill")
         .args(["-TERM", &child.id().to_string()])
         .status()
@@ -153,7 +154,7 @@ fn sigterm_drains_to_exit_75_and_resume_finishes() {
             "drain message must say how to resume: {stderr}"
         );
         let rec = recover(&journal).expect("journal recovers");
-        assert!(rec.interrupted, "drained journal ends in a clean trailer");
+        assert!(rec.salvage.is_none(), "a drain leaves no torn tail");
         assert!(
             rec.adjudicated.len() <= 8,
             "a drain can never adjudicate more cases than the sweep has"

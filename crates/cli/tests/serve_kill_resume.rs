@@ -128,7 +128,7 @@ fn sigkill_mid_sweep_then_restart_is_byte_identical_and_cached() {
         .spawn()
         .expect("spawn in-flight submit");
     // Give admission (journaled write-ahead) a moment, then kill -9: no
-    // drain, no trailer, results unsent.
+    // drain, results unsent.
     std::thread::sleep(Duration::from_millis(1500));
     server.child.kill().ok();
     server.child.wait().expect("reap killed server");
@@ -210,9 +210,11 @@ fn sigterm_drains_to_exit_75_with_resume_hint() {
         "drain message must say how to resume: {stderr}"
     );
 
-    // The journal carries the clean Interrupted trailer.
+    // The drained journal recovers whole, the served job adjudicated.
     let rec = oasis_engine::journal::recover(&state.join("serve.jnl")).expect("journal recovers");
-    assert!(rec.interrupted, "drained journal ends in a clean trailer");
+    assert!(rec.salvage.is_none(), "a drain leaves no torn tail");
+    assert_eq!(rec.adjudicated.len(), 1);
+    assert!(rec.pending().is_empty());
 
     std::fs::remove_dir_all(&state).ok();
 }

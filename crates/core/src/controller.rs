@@ -317,11 +317,6 @@ impl PolicyEngine for OasisController {
         self.core.otable.init(obj.0 & mask as u16);
     }
 
-    fn on_free(&mut self, obj: ObjectId) {
-        let mask = (1u32 << self.core.config.id_bits) - 1;
-        self.core.otable.remove(obj.0 & mask as u16);
-    }
-
     fn check_invariants(&self) -> SimResult<()> {
         self.core.otable.check_invariants()
     }
@@ -491,11 +486,8 @@ mod tests {
     }
 
     #[test]
-    fn alloc_initializes_and_free_removes_entries() {
+    fn alloc_initializes_entries_by_aliased_id() {
         let mut c = OasisController::new();
-        c.on_alloc(ObjectId(3), Va(0x1000), 4096);
-        assert!(c.otable().peek(3).is_some());
-        c.on_free(ObjectId(3));
         assert!(c.otable().peek(3).is_none());
         // Obj_IDs beyond 4 bits alias into the table.
         c.on_alloc(ObjectId(19), Va(0x2000), 4096);

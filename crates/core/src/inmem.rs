@@ -71,18 +71,6 @@ impl ShadowMap {
         }
     }
 
-    /// Clears every entry covering `[base, base + bytes)` (object freed).
-    pub fn clear_range(&mut self, base: Va, bytes: u64) {
-        let start = base.canonical().0 / ENTRY_COVER;
-        let end = (base.canonical().0 + bytes.max(1) - 1) / ENTRY_COVER;
-        for seg in start..=end {
-            let (l1, l2) = (seg >> L2_BITS, (seg & (L2_ENTRIES as u64 - 1)) as usize);
-            if let Some(t) = self.l1.get_mut(&l1) {
-                t[l2] = NO_OBJ;
-            }
-        }
-    }
-
     /// The Obj_ID covering `va`, if any. Also reports which first-level
     /// slot was traversed (for the LLC warmth model).
     pub fn lookup(&self, va: Va) -> (Option<u16>, u64) {
@@ -253,13 +241,6 @@ impl PolicyEngine for OasisInMem {
         self.core.otable.init(obj.0);
     }
 
-    fn on_free(&mut self, obj: ObjectId) {
-        if let Some((base, bytes)) = self.ranges.remove(&obj.0) {
-            self.shadow.clear_range(base, bytes);
-        }
-        self.core.otable.remove(obj.0);
-    }
-
     fn check_invariants(&self) -> SimResult<()> {
         self.core.otable.check_invariants()
     }
@@ -361,16 +342,6 @@ mod tests {
     }
 
     #[test]
-    fn shadow_map_clear_removes_only_the_range() {
-        let mut m = ShadowMap::new();
-        m.set_range(Va(0x1000_0000), 4096, 1);
-        m.set_range(Va(0x1000_1000), 4096, 2);
-        m.clear_range(Va(0x1000_0000), 4096);
-        assert_eq!(m.lookup(Va(0x1000_0000)).0, None);
-        assert_eq!(m.lookup(Va(0x1000_1000)).0, Some(2));
-    }
-
-    #[test]
     fn shadow_map_ignores_pointer_tags() {
         let mut m = ShadowMap::new();
         m.set_range(Va(0x1000_0000), 4096, 3);
@@ -454,14 +425,6 @@ mod tests {
         assert_eq!(d.resolution, Resolution::Migrate);
         assert_eq!(d.metadata_latency, Duration::ZERO);
         assert_eq!(c.shadow_stats().0, 0, "host-PT filter avoided the lookup");
-    }
-
-    #[test]
-    fn inmem_free_clears_shadow_entries() {
-        let mut c = OasisInMem::new();
-        c.on_alloc(ObjectId(5), Va(0x1000_0000), 4096);
-        c.on_free(ObjectId(5));
-        assert_eq!(c.shadow_map().lookup(Va(0x1000_0000)).0, None);
     }
 
     #[test]

@@ -148,16 +148,6 @@ impl OTable {
         e.pf_count = 0;
     }
 
-    /// Removes the entry for a freed object. Returns whether one existed.
-    pub fn remove(&mut self, obj: u16) -> bool {
-        if let Some(pos) = self.entries.iter().position(|e| e.obj == obj) {
-            self.entries.swap_remove(pos);
-            true
-        } else {
-            false
-        }
-    }
-
     /// Read-only view of the entry for `obj` (no LRU refresh).
     pub fn peek(&self, obj: u16) -> Option<&OTableEntry> {
         self.entries.iter().find(|e| e.obj == obj)
@@ -372,15 +362,6 @@ mod tests {
             assert_eq!(e.pf_count, 0);
             assert_eq!(e.policy, PolicyChoice::AccessCounter);
         }
-    }
-
-    #[test]
-    fn remove_on_free() {
-        let mut t = OTable::new();
-        t.lookup_or_insert(9);
-        assert!(t.remove(9));
-        assert!(!t.remove(9));
-        assert!(t.is_empty());
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //! All integers are little-endian. The trailing checksum is FNV-1a 64 over
 //! every preceding byte (magic and version included). Sections are read
 //! back in writing order by *expected name*, so a reader that asks for
-//! `"driver"` but finds `"fabric"` fails with a typed
+//! `"driver"` but finds `"platform"` fails with a typed
 //! [`CodecError::SectionMismatch`] instead of silently misinterpreting
 //! bytes; a truncated file fails with [`CodecError::Truncated`] naming the
 //! section that ran dry.
@@ -49,7 +49,10 @@ pub const MAGIC: [u8; 8] = *b"OASISCKP";
 /// section opens with (streamed through the digest mixer instead of
 /// FNV-1a over the serialized trace), so a v4 file would refuse every
 /// trace as a different one.
-pub const FORMAT_VERSION: u32 = 5;
+/// v6 moves the progress scalars and the tracker, fabric, fault and GPU
+/// sections into one `platform` section, the bytes the state digest
+/// folds, so one encoder and one mirror carry them.
+pub const FORMAT_VERSION: u32 = 6;
 
 // The checksum hash lives in `crate::hash` (one FNV-1a implementation for
 // the whole workspace); re-exported here because the codec is where every
@@ -375,6 +378,13 @@ impl<'a> ByteReader<'a> {
         let len = self.u16()? as usize;
         let bytes = self.take(len)?;
         String::from_utf8(bytes.to_vec()).map_err(|_| self.malformed("string payload is not UTF-8"))
+    }
+
+    /// Takes every byte not yet consumed.
+    pub fn rest(&mut self) -> &'a [u8] {
+        let rest = &self.data[self.pos..];
+        self.pos = self.data.len();
+        rest
     }
 }
 

@@ -2,10 +2,9 @@
 //!
 //! A parallel sweep (fuzz, inject, verify-replay) is hours of work that a
 //! single SIGKILL used to erase. The journal makes sweep progress durable:
-//! the sweep runner ([`crate::sweep`]) writes one
-//! [`Adjudicated`](JournalRecord::Adjudicated) record per final outcome,
-//! each append fsync'd, so a resumed sweep skips every job that already
-//! has an adjudicated outcome and runs only unfinished work.
+//! the sweep runner ([`crate::sweep`]) writes one `Adjudicated` record per
+//! final outcome, each append fsync'd, so a resumed sweep skips every job
+//! that already has an adjudicated outcome and runs only unfinished work.
 //!
 //! The format reuses the checkpoint codec's discipline — magic + version
 //! header, little-endian primitives, FNV-1a 64 integrity — but is
@@ -36,20 +35,21 @@
 //! * `Adjudicated` (2) — the supervisor's final outcome for a job, with an
 //!   opaque caller payload (the fuzzer stores the encoded oracle verdict,
 //!   the injector the outcome line, ...).
-//! * `Interrupted` (3) — clean-drain trailer written when a sweep stops on
-//!   SIGINT/SIGTERM; marks the journal as deliberately incomplete.
 //! * `Enqueued` (4) — a job was *admitted* with an opaque payload
 //!   describing the work itself (the sweep server stores the scenario wire
 //!   line). Written before the job is queued, so a killed server can
 //!   rebuild its pending queue on restart: pending = enqueued −
 //!   adjudicated.
 //!
-//! Version 1 journals also held a per-attempt `Dispatched` record, kind
-//! 1, that no resume read. This version refuses them whole with
-//! [`JournalError::UnsupportedVersion`]: a salvage scan would stop at
-//! their first kind-1 record, and a resume would then cut every later
-//! record from the file.
+//! Older versions held kinds this one no longer writes: a per-attempt
+//! `Dispatched` record (kind 1, version 1) and a clean-drain `Interrupted`
+//! trailer (kind 3, versions 1 and 2), neither read by any resume. This
+//! version refuses both whole with [`JournalError::UnsupportedVersion`]: a
+//! salvage scan would stop at their first such record, and a resume would
+//! then cut every later record from the file — a resumed version 2 file
+//! holds its trailers mid-stream, ahead of later admissions.
 
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fs::{File, OpenOptions};
@@ -66,11 +66,10 @@ pub const JOURNAL_MAGIC: [u8; 8] = *b"OASISJNL";
 
 /// Current journal format version; readers reject other versions with
 /// [`JournalError::UnsupportedVersion`].
-pub const JOURNAL_VERSION: u32 = 2;
+pub const JOURNAL_VERSION: u32 = 3;
 
 const KIND_BEGIN: u8 = 0;
 const KIND_ADJUDICATED: u8 = 2;
-const KIND_INTERRUPTED: u8 = 3;
 const KIND_ENQUEUED: u8 = 4;
 
 /// kind (1) + payload_len (4).
@@ -171,7 +170,9 @@ impl AdjudicatedOutcome {
         }
     }
 
-    fn as_u8(self) -> u8 {
+    /// The byte this verdict is stored as, in journal records and in the
+    /// serve cache's entries.
+    pub fn as_u8(self) -> u8 {
         match self {
             AdjudicatedOutcome::Completed => 0,
             AdjudicatedOutcome::Failed => 1,
@@ -179,7 +180,8 @@ impl AdjudicatedOutcome {
         }
     }
 
-    fn from_u8(b: u8) -> Option<Self> {
+    /// The verdict [`AdjudicatedOutcome::as_u8`] stored as `b`, if any.
+    pub fn from_u8(b: u8) -> Option<Self> {
         match b {
             0 => Some(AdjudicatedOutcome::Completed),
             1 => Some(AdjudicatedOutcome::Failed),
@@ -196,43 +198,6 @@ impl AdjudicatedOutcome {
             AdjudicatedOutcome::Quarantined => "quarantined",
         }
     }
-}
-
-/// One decoded journal record, in file order.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum JournalRecord {
-    /// Sweep identity: parameter tag + human-readable label.
-    Begin {
-        /// Caller-computed hash of the sweep parameters.
-        tag: u64,
-        /// Human-readable sweep description.
-        label: String,
-    },
-    /// The supervisor finalized a job.
-    Adjudicated {
-        /// Sweep-level job id.
-        job_id: u64,
-        /// Final verdict.
-        outcome: AdjudicatedOutcome,
-        /// Attempts consumed.
-        attempts: u32,
-        /// Opaque caller payload (the encoded result).
-        payload: Vec<u8>,
-    },
-    /// Clean-drain trailer: the sweep stopped deliberately (signal).
-    Interrupted {
-        /// Jobs adjudicated before the drain.
-        adjudicated: u64,
-    },
-    /// A job was admitted into a durable queue (written ahead of the
-    /// work). Only queue-persisting sweeps (the serve subsystem) write it.
-    Enqueued {
-        /// Sweep-level job id (the caller's stable index).
-        job_id: u64,
-        /// Opaque caller payload describing the job (the serve subsystem
-        /// stores the canonical scenario wire line).
-        payload: Vec<u8>,
-    },
 }
 
 /// A job's journaled final state, keyed off the `Adjudicated` record.
@@ -277,8 +242,6 @@ pub struct Recovery {
     pub tag: u64,
     /// Human-readable sweep label from the `Begin` record.
     pub label: String,
-    /// Every valid record, in file order (`Begin` included).
-    pub events: Vec<JournalRecord>,
     /// Final outcome per job id; the *first* `Adjudicated` record wins so
     /// replayed or duplicated appends can never rewrite history.
     pub adjudicated: BTreeMap<u64, Adjudication>,
@@ -292,8 +255,6 @@ pub struct Recovery {
     /// Job ids that appeared in more than one `Enqueued` record (first
     /// kept, rest ignored with this warning).
     pub duplicate_enqueues: Vec<u64>,
-    /// Whether the last valid record is a clean `Interrupted` trailer.
-    pub interrupted: bool,
     /// Present when a corrupt/truncated tail was dropped.
     pub salvage: Option<TailSalvage>,
     /// File offset where the valid prefix ends (header included).
@@ -345,48 +306,53 @@ fn encode_record(kind: u8, payload: &[u8]) -> Vec<u8> {
     buf
 }
 
-fn decode_payload(kind: u8, payload: &[u8]) -> Option<JournalRecord> {
+/// One decoded record.
+enum Record {
+    Begin { tag: u64, label: String },
+    Adjudicated(u64, Adjudication),
+    Enqueued(u64, Vec<u8>),
+}
+
+fn decode_payload(kind: u8, payload: &[u8]) -> Option<Record> {
     let mut r = ByteReader::new("journal-record", payload);
-    let rec = match kind {
-        KIND_BEGIN => JournalRecord::Begin {
-            tag: r.u64().ok()?,
-            label: r.str().ok()?,
-        },
+    Some(match kind {
+        KIND_BEGIN => {
+            let (tag, label) = (r.u64().ok()?, r.str().ok()?);
+            if !r.is_empty() {
+                return None; // trailing garbage inside a checksummed record
+            }
+            Record::Begin { tag, label }
+        }
         KIND_ADJUDICATED => {
             let job_id = r.u64().ok()?;
             let outcome = AdjudicatedOutcome::from_u8(r.u8().ok()?)?;
             let attempts = r.u32().ok()?;
-            let mut payload_rest = Vec::with_capacity(r.remaining());
-            while !r.is_empty() {
-                payload_rest.push(r.u8().ok()?);
-            }
-            JournalRecord::Adjudicated {
+            let payload = r.rest().to_vec();
+            Record::Adjudicated(
                 job_id,
-                outcome,
-                attempts,
-                payload: payload_rest,
-            }
+                Adjudication {
+                    outcome,
+                    attempts,
+                    payload,
+                },
+            )
         }
-        KIND_INTERRUPTED => JournalRecord::Interrupted {
-            adjudicated: r.u64().ok()?,
-        },
-        KIND_ENQUEUED => {
-            let job_id = r.u64().ok()?;
-            let mut payload_rest = Vec::with_capacity(r.remaining());
-            while !r.is_empty() {
-                payload_rest.push(r.u8().ok()?);
-            }
-            JournalRecord::Enqueued {
-                job_id,
-                payload: payload_rest,
-            }
-        }
+        KIND_ENQUEUED => Record::Enqueued(r.u64().ok()?, r.rest().to_vec()),
         _ => return None,
-    };
-    if kind != KIND_ADJUDICATED && kind != KIND_ENQUEUED && !r.is_empty() {
-        return None; // trailing garbage inside a checksummed record
+    })
+}
+
+/// Files `value` under `id` unless an earlier record holds it, so
+/// replayed or duplicated appends can never rewrite history; a repeated id
+/// is noted once in `duplicates`.
+fn keep_first<V>(map: &mut BTreeMap<u64, V>, duplicates: &mut Vec<u64>, id: u64, value: V) {
+    match map.entry(id) {
+        Entry::Vacant(slot) => {
+            slot.insert(value);
+        }
+        Entry::Occupied(_) if !duplicates.contains(&id) => duplicates.push(id),
+        Entry::Occupied(_) => {}
     }
-    Some(rec)
 }
 
 /// Replays the journal at `path`, salvaging the longest valid prefix.
@@ -417,7 +383,12 @@ pub fn recover(path: &Path) -> Result<Recovery, JournalError> {
         });
     }
 
-    let mut events: Vec<JournalRecord> = Vec::new();
+    let mut begin: Option<(u64, String)> = None;
+    let mut records = 0usize;
+    let mut adjudicated: BTreeMap<u64, Adjudication> = BTreeMap::new();
+    let mut duplicate_adjudications: Vec<u64> = Vec::new();
+    let mut enqueued: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
+    let mut duplicate_enqueues: Vec<u64> = Vec::new();
     let mut pos = FILE_HEADER_LEN;
     let mut stop_reason: Option<String> = None;
     while pos < bytes.len() {
@@ -448,9 +419,8 @@ pub fn recover(path: &Path) -> Result<Recovery, JournalError> {
         let computed = fnv1a(body);
         if stored != computed {
             stop_reason = Some(format!(
-                "checksum mismatch in record {} at offset {pos}: computed {computed:#018x}, \
-                 stored {stored:#018x}",
-                events.len()
+                "checksum mismatch in record {records} at offset {pos}: computed \
+                 {computed:#018x}, stored {stored:#018x}"
             ));
             break;
         }
@@ -460,78 +430,44 @@ pub fn recover(path: &Path) -> Result<Recovery, JournalError> {
             ));
             break;
         };
-        // A Begin anywhere but first means two sweeps were interleaved
-        // into one file; trust only the first sweep's prefix.
-        if matches!(rec, JournalRecord::Begin { .. }) && !events.is_empty() {
-            stop_reason = Some(format!(
-                "second Begin record at offset {pos}: journal was reused for another sweep"
-            ));
-            break;
+        match rec {
+            Record::Begin { tag, label } if records == 0 => begin = Some((tag, label)),
+            // A Begin anywhere but first means two sweeps were interleaved
+            // into one file; trust only the first sweep's prefix.
+            Record::Begin { .. } => {
+                stop_reason = Some(format!(
+                    "second Begin record at offset {pos}: journal was reused for another sweep"
+                ));
+                break;
+            }
+            _ if records == 0 => break, // no Begin to verify the sweep by
+            Record::Adjudicated(id, adj) => {
+                keep_first(&mut adjudicated, &mut duplicate_adjudications, id, adj);
+            }
+            Record::Enqueued(id, payload) => {
+                keep_first(&mut enqueued, &mut duplicate_enqueues, id, payload);
+            }
         }
-        events.push(rec);
+        records += 1;
         pos += total;
     }
 
-    let Some(JournalRecord::Begin { tag, label }) = events.first().cloned() else {
+    let Some((tag, label)) = begin else {
         return Err(JournalError::MissingBegin);
     };
-
-    let mut adjudicated: BTreeMap<u64, Adjudication> = BTreeMap::new();
-    let mut duplicates: Vec<u64> = Vec::new();
-    let mut enqueued: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
-    let mut duplicate_enqueues: Vec<u64> = Vec::new();
-    for rec in &events {
-        match rec {
-            JournalRecord::Adjudicated {
-                job_id,
-                outcome,
-                attempts,
-                payload,
-            } => {
-                if adjudicated.contains_key(job_id) {
-                    if !duplicates.contains(job_id) {
-                        duplicates.push(*job_id);
-                    }
-                } else {
-                    adjudicated.insert(
-                        *job_id,
-                        Adjudication {
-                            outcome: *outcome,
-                            attempts: *attempts,
-                            payload: payload.clone(),
-                        },
-                    );
-                }
-            }
-            JournalRecord::Enqueued { job_id, payload } => {
-                if enqueued.contains_key(job_id) {
-                    if !duplicate_enqueues.contains(job_id) {
-                        duplicate_enqueues.push(*job_id);
-                    }
-                } else {
-                    enqueued.insert(*job_id, payload.clone());
-                }
-            }
-            _ => {}
-        }
-    }
-
     let salvage = stop_reason.map(|reason| TailSalvage {
-        records_kept: events.len(),
+        records_kept: records,
         valid_bytes: pos as u64,
         dropped_bytes: (bytes.len() - pos) as u64,
         reason,
     });
-    let interrupted = matches!(events.last(), Some(JournalRecord::Interrupted { .. }));
     Ok(Recovery {
         tag,
         label,
-        events,
         adjudicated,
-        duplicate_adjudications: duplicates,
+        duplicate_adjudications,
         enqueued,
         duplicate_enqueues,
-        interrupted,
         salvage,
         valid_bytes: pos as u64,
     })
@@ -632,13 +568,6 @@ impl JournalWriter {
         w.u32(attempts);
         w.bytes(payload);
         self.append(KIND_ADJUDICATED, w.as_slice())
-    }
-
-    /// Journals the clean-drain trailer after a signal-initiated stop.
-    pub fn interrupted(&mut self, adjudicated: u64) -> Result<(), JournalError> {
-        let mut w = ByteWriter::new();
-        w.u64(adjudicated);
-        self.append(KIND_INTERRUPTED, w.as_slice())
     }
 
     /// Journals a job admission with an opaque payload describing the

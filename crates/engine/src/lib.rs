@@ -51,8 +51,7 @@ pub use fsio::atomic_write;
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet};
 pub use hash::{fnv1a, Fnv1a};
 pub use journal::{
-    recover, AdjudicatedOutcome, Adjudication, JournalError, JournalRecord, JournalWriter,
-    Recovery, TailSalvage,
+    recover, AdjudicatedOutcome, Adjudication, JournalError, JournalWriter, Recovery, TailSalvage,
 };
 pub use metrics::{CounterHandle, Histogram, HistogramHandle, MetricsRegistry, HISTOGRAM_BUCKETS};
 pub use obs::Observer;

@@ -297,12 +297,6 @@ impl MetricsRegistry {
         self.histogram_vals[i].record_ns(ns);
     }
 
-    /// Records a [`Duration`] sample (picosecond durations are rounded
-    /// down to whole nanoseconds).
-    pub fn observe(&mut self, key: &str, d: Duration) {
-        self.observe_ns(key, d.as_ps() / 1000);
-    }
-
     /// The value of counter `key` (0 if never touched).
     pub fn counter(&self, key: &str) -> u64 {
         self.counter_idx
@@ -492,10 +486,8 @@ mod tests {
         m.add("a.first", 3);
         m.set("m.gauge", 7);
         m.set("m.gauge", 9);
-        m.observe(
-            "lat_ns",
-            Duration::from_ps(1500), // 1.5 ns rounds down to 1
-        );
+        let lat = m.histogram_handle("lat_ns");
+        m.observe_in(lat, Duration::from_ps(1500)); // 1.5 ns rounds down to 1
         assert_eq!(m.counter("a.first"), 5);
         assert_eq!(m.counter("m.gauge"), 9);
         let keys: Vec<&str> = m.counters().map(|(k, _)| k).collect();

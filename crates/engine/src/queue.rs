@@ -108,11 +108,6 @@ impl<T> EventQueue<T> {
         Some(ev)
     }
 
-    /// The timestamp of the next event without removing it.
-    pub fn peek_time(&self) -> Option<Time> {
-        self.heap.peek().map(|e| e.0.time)
-    }
-
     /// The time of the most recently popped event.
     pub fn now(&self) -> Time {
         self.now
@@ -204,15 +199,13 @@ mod tests {
     }
 
     #[test]
-    fn peek_does_not_remove() {
+    fn len_counts_pending_events() {
         let mut q = EventQueue::new();
         q.push(at(3), 'x');
-        assert_eq!(q.peek_time(), Some(at(3)));
         assert_eq!(q.len(), 1);
         assert!(!q.is_empty());
         q.pop();
         assert!(q.is_empty());
-        assert_eq!(q.peek_time(), None);
     }
 
     #[test]

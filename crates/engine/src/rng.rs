@@ -60,14 +60,6 @@ impl SimRng {
         }
     }
 
-    /// Splits off an independent child generator, advancing this one by a
-    /// single draw. Forking gives each consumer (e.g. one fuzz scenario per
-    /// case) its own stream, so adding draws inside one consumer cannot
-    /// perturb the values any other consumer sees.
-    pub fn fork(&mut self) -> SimRng {
-        SimRng::seed_from_u64(self.next_u64())
-    }
-
     /// Next 64 uniform random bits.
     pub fn next_u64(&mut self) -> u64 {
         let result = self.s[1].wrapping_mul(5).rotate_left(7).wrapping_mul(9);

@@ -11,9 +11,8 @@
 //! 2. [`Sweep::run`] feeds a batch of pending ids to the pool under their
 //!    sweep ids, journals each adjudication, and stops the sweep on the
 //!    first failed append;
-//! 3. [`Sweep::finish`] writes the `Interrupted` trailer after a drain and
-//!    returns every settled job in id order, with the [`SweepStats`] every
-//!    caller's report carries.
+//! 3. [`Sweep::finish`] returns every settled job in id order, with the
+//!    [`SweepStats`] every caller's report carries.
 //!
 //! A caller brings its job bodies and a [`SweepCodec`] for the values its
 //! jobs complete with; lost jobs need no codec, because the runner
@@ -103,8 +102,7 @@ pub struct SweepStats {
     /// Retried attempts, summed from per-job attempt counts, so a resumed
     /// sweep reports the same value as a straight one.
     pub retries: u64,
-    /// Journal warnings: a salvaged tail, duplicate or stray records, a
-    /// trailer that could not be written.
+    /// Journal warnings: a salvaged tail, duplicate or stray records.
     pub warnings: Vec<String>,
 }
 
@@ -327,18 +325,8 @@ impl<C: SweepCodec> Sweep<C> {
         Ok(())
     }
 
-    /// Ends the sweep: a drained journal gets its `Interrupted` trailer,
-    /// and every settled job comes back in id order.
+    /// Ends the sweep: every settled job comes back in id order.
     pub fn finish(mut self) -> (Vec<Settled<C::Value>>, SweepStats) {
-        if self.stats.interrupted {
-            if let Some(w) = self.journal.as_mut() {
-                if let Err(e) = w.interrupted(self.settled.len() as u64) {
-                    self.stats
-                        .warnings
-                        .push(format!("could not journal the Interrupted trailer: {e}"));
-                }
-            }
-        }
         self.settled.sort_by_key(|s| s.id);
         self.stats.retries = self
             .settled

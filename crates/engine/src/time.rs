@@ -42,11 +42,6 @@ impl Time {
         self.0 as f64 / 1e6
     }
 
-    /// Value in milliseconds (lossy).
-    pub fn as_ms(self) -> f64 {
-        self.0 as f64 / 1e9
-    }
-
     /// The later of two times.
     pub fn max(self, other: Time) -> Time {
         Time(self.0.max(other.0))

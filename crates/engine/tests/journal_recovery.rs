@@ -5,7 +5,7 @@
 
 use std::path::PathBuf;
 
-use oasis_engine::journal::{recover, JournalError, JournalRecord, JournalWriter, TailSalvage};
+use oasis_engine::journal::{recover, JournalError, JournalWriter, Recovery, TailSalvage};
 use oasis_engine::AdjudicatedOutcome;
 
 /// Fresh per-test path under the OS temp dir.
@@ -26,6 +26,48 @@ fn write_reference(path: &std::path::Path, tag: u64) -> Vec<u8> {
     std::fs::read(path).expect("journal bytes")
 }
 
+/// Records `rec` kept: `Begin` plus every admission and adjudication.
+fn records(rec: &Recovery) -> usize {
+    1 + rec.enqueued.len() + rec.adjudicated.len()
+}
+
+/// `rec` kept a prefix of [`write_reference`]'s records, which alternate
+/// admission and adjudication per id: it admits ids `0..k` and
+/// adjudicates `0..k` or `0..k-1`, with no gap where a record was skipped.
+fn assert_prefix(rec: &Recovery, what: &str) {
+    let (admitted, settled) = (rec.enqueued.len() as u64, rec.adjudicated.len() as u64);
+    assert!(
+        admitted == settled || admitted == settled + 1,
+        "{what} kept a non-prefix"
+    );
+    assert!(
+        rec.enqueued.keys().copied().eq(0..admitted),
+        "{what}: admissions are not ids 0..{admitted}"
+    );
+    assert!(
+        rec.adjudicated.keys().copied().eq(0..settled),
+        "{what}: adjudications are not ids 0..{settled}"
+    );
+}
+
+/// Every record `prefix` kept is the one `full` holds under its id.
+fn assert_faithful(prefix: &Recovery, full: &Recovery, what: &str) {
+    for (id, adj) in &prefix.adjudicated {
+        assert_eq!(
+            full.adjudicated.get(id),
+            Some(adj),
+            "{what}: adjudication {id}"
+        );
+    }
+    for (id, payload) in &prefix.enqueued {
+        assert_eq!(
+            full.enqueued.get(id),
+            Some(payload),
+            "{what}: admission {id}"
+        );
+    }
+}
+
 #[test]
 fn a_pristine_journal_recovers_everything_with_no_warnings() {
     let path = temp_journal("pristine.jnl");
@@ -33,12 +75,10 @@ fn a_pristine_journal_recovers_everything_with_no_warnings() {
     let rec = recover(&path).expect("recover");
     assert_eq!(rec.tag, 0xABCD);
     assert_eq!(rec.label, "test sweep");
-    assert_eq!(rec.events.len(), 7, "Begin + 3×(Enqueued, Adjudicated)");
     assert_eq!(rec.adjudicated.len(), 3);
     assert_eq!(rec.enqueued.len(), 3);
     assert!(rec.warnings().is_empty(), "{:?}", rec.warnings());
     assert!(rec.salvage.is_none());
-    assert!(!rec.interrupted);
     assert_eq!(rec.adjudicated[&2].payload, vec![2u8; 4]);
 }
 
@@ -62,15 +102,9 @@ fn every_truncation_point_salvages_a_valid_prefix() {
             Err(JournalError::MissingBegin) if !begin_complete => continue,
             Err(e) => panic!("cut at {cut}: {e}"),
         };
-        assert!(
-            rec.events.len() <= full_rec.events.len(),
-            "cut at {cut} invented records"
-        );
-        assert_eq!(
-            rec.events,
-            full_rec.events[..rec.events.len()],
-            "cut at {cut} changed surviving records"
-        );
+        assert_prefix(&rec, &format!("cut at {cut}"));
+        assert!(rec.enqueued.len() <= 3, "cut at {cut} invented records");
+        assert_faithful(&rec, &full_rec, &format!("cut at {cut}"));
         if rec.valid_bytes < cut as u64 {
             // The cut fell inside a record: the partial bytes are dropped
             // with a typed warning.
@@ -111,11 +145,17 @@ fn a_flipped_byte_drops_the_tail_from_that_record_on() {
         "{}",
         s.reason
     );
-    assert!(rec.events.len() < 7, "corrupt record must not survive");
+    assert!(records(&rec) < 7, "corrupt record must not survive");
+    assert_eq!(s.records_kept, records(&rec));
+    assert!(
+        s.valid_bytes as usize <= mid,
+        "kept bytes past the flipped one"
+    );
+    assert_prefix(&rec, "flipped byte");
     // The surviving prefix is bit-faithful to the uncorrupted journal.
     std::fs::write(&path, &full).expect("restore");
     let full_rec = recover(&path).expect("full recover");
-    assert_eq!(rec.events, full_rec.events[..rec.events.len()]);
+    assert_faithful(&rec, &full_rec, "flipped byte");
 
     // Flipping the *last* byte (inside the final checksum) drops exactly
     // the final record.
@@ -123,8 +163,9 @@ fn a_flipped_byte_drops_the_tail_from_that_record_on() {
     *bytes.last_mut().expect("nonempty") ^= 0x01;
     std::fs::write(&path, &bytes).expect("write tail-corrupted");
     let rec = recover(&path).expect("salvaged recover");
-    assert_eq!(rec.events.len(), 6, "exactly the last record is dropped");
+    assert_eq!(records(&rec), 6, "exactly the last record is dropped");
     assert_eq!(rec.adjudicated.len(), 2);
+    assert_prefix(&rec, "flipped last byte");
 }
 
 #[test]
@@ -191,31 +232,10 @@ fn resume_truncates_the_salvaged_tail_and_appends_cleanly() {
     // New appends land on the clean boundary and survive a re-recover.
     w.adjudicated(2, AdjudicatedOutcome::Completed, 1, &[2u8; 4])
         .expect("readjudicate");
-    w.interrupted(3).expect("trailer");
+    w.enqueued(3, b"three").expect("admit after the repair");
     drop(w);
     let rec = recover(&path).expect("recover after repair");
     assert!(rec.salvage.is_none(), "repaired journal is pristine");
     assert_eq!(rec.adjudicated.len(), 3);
-    assert!(rec.interrupted, "trailer is the last record");
-    assert_eq!(
-        rec.events.last(),
-        Some(&JournalRecord::Interrupted { adjudicated: 3 })
-    );
-}
-
-#[test]
-fn interrupted_is_only_clean_as_the_final_record() {
-    let path = temp_journal("trailer.jnl");
-    let mut w = JournalWriter::create(&path, 9, "drain").expect("create");
-    w.enqueued(0, b"zero").expect("enqueue");
-    w.adjudicated(0, AdjudicatedOutcome::Completed, 1, b"ok")
-        .expect("adjudicate");
-    w.interrupted(1).expect("trailer");
-    // A resume appends more work after the trailer: the journal is no
-    // longer "interrupted" because the drain was acted upon.
-    w.enqueued(1, b"one").expect("post-trailer admission");
-    drop(w);
-    let rec = recover(&path).expect("recover");
-    assert!(!rec.interrupted, "trailer mid-stream is not a clean drain");
-    assert_eq!(rec.events.len(), 5, "Begin + pair + trailer + admission");
+    assert_eq!(rec.pending().keys().copied().collect::<Vec<_>>(), vec![3]);
 }

@@ -13,7 +13,7 @@
 use std::path::PathBuf;
 
 use oasis_engine::failpoint::{arm_thread, FailPlan, FaultKind};
-use oasis_engine::journal::{recover, AdjudicatedOutcome, JournalRecord, JournalWriter};
+use oasis_engine::journal::{recover, AdjudicatedOutcome, JournalWriter};
 
 const TAG: u64 = 0x5045_5250; // arbitrary sweep tag
 const RECORDS: u64 = 3;
@@ -88,26 +88,15 @@ fn recovery_salvages_the_longest_clean_prefix_at_every_cut_offset() {
             let recovery = recover(&path).expect("recover never aborts on a torn tail");
             let whole = cut == rec_len;
             let kept_appends = if whole { k + 1 } else { k };
-            assert_eq!(
-                recovery.events.len() as u64,
-                1 + kept_appends,
-                "{spec}: Begin + {kept_appends} appends"
-            );
-            assert!(matches!(
-                recovery.events[0],
-                JournalRecord::Begin { tag: TAG, .. }
-            ));
-            for (i, rec) in recovery.events[1..].iter().enumerate() {
-                match rec {
-                    JournalRecord::Adjudicated {
-                        job_id, attempts, ..
-                    } => {
-                        assert_eq!(*job_id, i as u64, "{spec}");
-                        assert_eq!(*attempts, i as u32 + 1, "{spec}");
-                    }
-                    other => panic!("{spec}: unexpected record {other:?}"),
-                }
-            }
+            assert_eq!(recovery.tag, TAG, "{spec}");
+            let kept: Vec<(u64, u32)> = recovery
+                .adjudicated
+                .iter()
+                .map(|(&id, adj)| (id, adj.attempts))
+                .collect();
+            let expected: Vec<(u64, u32)> = (0..kept_appends).map(|i| (i, i as u32 + 1)).collect();
+            assert_eq!(kept, expected, "{spec}: the {kept_appends} whole appends");
+            assert!(recovery.enqueued.is_empty(), "{spec}");
             match (&recovery.salvage, cut) {
                 (None, 0) => {}          // nothing of the torn record persisted
                 (None, _) if whole => {} // the record landed whole
@@ -125,7 +114,7 @@ fn recovery_salvages_the_longest_clean_prefix_at_every_cut_offset() {
             drop(resumed);
             let clean = recover(&path).expect("recover after resume");
             assert!(clean.salvage.is_none(), "{spec}: {:?}", clean.salvage);
-            assert_eq!(clean.events.len() as u64, 1 + kept_appends + 1, "{spec}");
+            assert_eq!(clean.adjudicated.len() as u64, kept_appends + 1, "{spec}");
         }
     }
 }

@@ -10,7 +10,7 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use oasis_engine::SimRng;
-use oasis_mgpu::{Policy, RunReport, System};
+use oasis_mgpu::{kill_and_resume, Policy, RunReport, System};
 use oasis_workloads::Trace;
 
 use crate::scenario::Scenario;
@@ -236,7 +236,23 @@ pub fn check_runs(scenario: &Scenario) -> Result<[RunReport; 4], Violation> {
     let epochs = trace.phases.len() as u64;
     if epochs >= 2 {
         let kill_at = rng.gen_range(1..epochs);
-        let resumed = kill_and_resume(scenario, policy, &trace, kill_at)?;
+        let name = policy.name();
+        let leg = catch_unwind(AssertUnwindSafe(|| {
+            kill_and_resume(&scenario.config(), policy, &trace, kill_at)
+        }))
+        .map_err(|payload| Violation {
+            kind: OracleKind::Panic,
+            detail: format!(
+                "{name}: kill/resume leg panicked: {}",
+                panic_message(&*payload)
+            ),
+        })?;
+        let resumed = leg
+            .map_err(|e| Violation {
+                kind: OracleKind::ResumeDivergence,
+                detail: format!("{name}: {e}"),
+            })?
+            .report;
         if resumed.check_digests_against(straight).is_err() || !resumed.same_simulation(straight) {
             return Err(Violation {
                 kind: OracleKind::ResumeDivergence,
@@ -250,43 +266,6 @@ pub fn check_runs(scenario: &Scenario) -> Result<[RunReport; 4], Violation> {
 
     let reports: Vec<RunReport> = runs.into_iter().map(|run| run.report).collect();
     Ok(reports.try_into().expect("one run per core policy"))
-}
-
-fn kill_and_resume(
-    scenario: &Scenario,
-    policy: &Policy,
-    trace: &Trace,
-    kill_at: u64,
-) -> Result<RunReport, Violation> {
-    let name = policy.name();
-    let step = |what: &str, e: String| Violation {
-        kind: OracleKind::ResumeDivergence,
-        detail: format!("{name}: {what} failed: {e}"),
-    };
-    catch_unwind(AssertUnwindSafe(|| {
-        let mut buf = Vec::new();
-        {
-            let mut first = System::new(scenario.config(), policy);
-            first
-                .run_prefix(trace, kill_at)
-                .map_err(|e| step("prefix run", e.to_string()))?;
-            first
-                .checkpoint(&mut buf)
-                .map_err(|e| step("checkpoint", e.to_string()))?;
-        }
-        let mut resumed = System::resume(&mut buf.as_slice(), trace)
-            .map_err(|e| step("resume", e.to_string()))?;
-        resumed
-            .run(trace)
-            .map_err(|e| step("resumed run", e.to_string()))
-    }))
-    .map_err(|payload| Violation {
-        kind: OracleKind::Panic,
-        detail: format!(
-            "{name}: kill/resume leg panicked: {}",
-            panic_message(&*payload)
-        ),
-    })?
 }
 
 #[cfg(test)]

@@ -10,7 +10,7 @@
 //! [`FaultState`] is the *mutable* counterpart: which links are currently
 //! down, the RNG mid-stream state, and the recovery counters. It is part
 //! of the simulation state proper — serialized into state digests and the
-//! checkpoint's `"faults"` section — so same seed + same plan replays
+//! checkpoint's `"platform"` section — so same seed + same plan replays
 //! bit-identically even across a kill/resume.
 
 use std::collections::BTreeSet;

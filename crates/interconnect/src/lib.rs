@@ -263,14 +263,6 @@ impl Fabric {
         self.pcie.iter().map(Channel::bytes_moved).sum()
     }
 
-    /// Cumulative busy time of the busiest NVLink port.
-    pub fn max_nvlink_busy(&self) -> Duration {
-        self.nvlink
-            .iter()
-            .map(Channel::busy_time)
-            .fold(Duration::ZERO, Duration::max)
-    }
-
     /// Resets occupancy and statistics on all links, and rewinds the
     /// hardware-fault state (link health, fault RNG, retry/reroute
     /// rollups) to the start of the plan — so `link_stats()` and the
@@ -415,7 +407,7 @@ mod tests {
         f.transfer(Time::ZERO, gpu(0), gpu(1), 4096);
         f.reset();
         assert_eq!(f.nvlink_bytes(), 0);
-        assert_eq!(f.max_nvlink_busy(), Duration::ZERO);
+        assert!(f.link_stats().iter().all(|l| l.busy == Duration::ZERO));
     }
 
     #[test]

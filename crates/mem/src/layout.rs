@@ -3,13 +3,12 @@
 //! An *object* is one `cudaMallocManaged` allocation — the granularity at
 //! which OASIS learns page-management policies. The [`AddressSpace`] hands
 //! out contiguous, 2 MiB-aligned VA ranges in allocation order (matching the
-//! paper's "Obj_ID initialized based on the order of allocation"), and can
-//! answer the reverse query *which object owns this page*, which the
-//! characterization pass and the software shadow map both need.
+//! paper's "Obj_ID initialized based on the order of allocation"). Nothing
+//! maps a page back to its object through it: the trace compiler resolves
+//! every access from its object id, the characterization pass reads object
+//! ids off the trace, and OASIS-InMem keeps its own shadow map.
 
-use std::ops::Range;
-
-use crate::types::{ObjectId, PageSize, Va, Vpn, ADDR_MASK};
+use crate::types::{ObjectId, Va, ADDR_MASK};
 
 /// Base VA of the managed heap. Arbitrary but nonzero so null pointers are
 /// never valid, and 2 MiB-aligned so 4 KiB and 2 MiB runs see the same
@@ -30,39 +29,6 @@ pub struct ObjectAllocation {
     pub base: Va,
     /// Size in bytes.
     pub size: u64,
-    /// Whether the object has been freed.
-    pub freed: bool,
-}
-
-impl ObjectAllocation {
-    /// The half-open VPN range covering this object under `page`.
-    pub fn vpn_range(&self, page: PageSize) -> Range<u64> {
-        let first = self.base.vpn(page).0;
-        let last = Va(self.base.0 + self.size.max(1) - 1).vpn(page).0;
-        first..last + 1
-    }
-
-    /// Number of pages the object spans under `page`.
-    pub fn page_count(&self, page: PageSize) -> u64 {
-        let r = self.vpn_range(page);
-        r.end - r.start
-    }
-
-    /// True if the (untagged) address falls inside the object.
-    pub fn contains(&self, va: Va) -> bool {
-        let a = va.canonical().0;
-        a >= self.base.0 && a < self.base.0 + self.size
-    }
-
-    /// The VA of byte `offset` within the object.
-    ///
-    /// # Panics
-    ///
-    /// Panics in debug builds if `offset` is out of bounds.
-    pub fn va_of_offset(&self, offset: u64) -> Va {
-        debug_assert!(offset < self.size, "offset {offset} out of bounds");
-        Va(self.base.0 + offset)
-    }
 }
 
 /// The managed virtual address space of one application run.
@@ -82,6 +48,7 @@ impl AddressSpace {
     }
 
     /// Allocates `bytes` for a new object named `name`, returning its id.
+    /// Objects live until the run ends.
     ///
     /// # Panics
     ///
@@ -100,21 +67,8 @@ impl AddressSpace {
             name: name.into(),
             base: Va(base),
             size: bytes,
-            freed: false,
         });
         id
-    }
-
-    /// Marks an object freed. Its VA range is not recycled (matching UVM
-    /// allocators' typical behaviour within one run).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the id is unknown or the object was already freed.
-    pub fn free(&mut self, id: ObjectId) {
-        let obj = &mut self.objects[id.0 as usize];
-        assert!(!obj.freed, "{id} freed twice");
-        obj.freed = true;
     }
 
     /// The allocation record for `id`.
@@ -122,55 +76,14 @@ impl AddressSpace {
         &self.objects[id.0 as usize]
     }
 
-    /// All allocations, live and freed, in allocation order.
+    /// All allocations, in allocation order.
     pub fn objects(&self) -> &[ObjectAllocation] {
         &self.objects
-    }
-
-    /// Number of allocations ever made.
-    pub fn len(&self) -> usize {
-        self.objects.len()
     }
 
     /// True if nothing was ever allocated.
     pub fn is_empty(&self) -> bool {
         self.objects.is_empty()
-    }
-
-    /// The live object containing (untagged) `va`, if any.
-    pub fn object_containing(&self, va: Va) -> Option<&ObjectAllocation> {
-        let a = va.canonical().0;
-        // Objects are sorted by base; binary search for the last base <= a.
-        let idx = self.objects.partition_point(|o| o.base.0 <= a);
-        if idx == 0 {
-            return None;
-        }
-        let obj = &self.objects[idx - 1];
-        (!obj.freed && obj.contains(va)).then_some(obj)
-    }
-
-    /// The live object owning page `vpn`, if any. Because object bases are
-    /// 2 MiB-aligned, a page belongs to at most one object at either page
-    /// size.
-    pub fn object_of_vpn(&self, vpn: Vpn, page: PageSize) -> Option<&ObjectAllocation> {
-        self.object_containing(vpn.base(page))
-    }
-
-    /// Sum of live object sizes in bytes (the application footprint).
-    pub fn live_bytes(&self) -> u64 {
-        self.objects
-            .iter()
-            .filter(|o| !o.freed)
-            .map(|o| o.size)
-            .sum()
-    }
-
-    /// Every VPN belonging to live objects under `page`.
-    pub fn live_vpns(&self, page: PageSize) -> impl Iterator<Item = Vpn> + '_ {
-        self.objects
-            .iter()
-            .filter(|o| !o.freed)
-            .flat_map(move |o| o.vpn_range(page).map(Vpn))
     }
 }
 
@@ -192,88 +105,6 @@ mod tests {
         }
         assert_eq!(a.object(y).base.0, HEAP_BASE + OBJECT_ALIGN);
         assert_eq!(a.object(z).base.0, HEAP_BASE + 3 * OBJECT_ALIGN);
-    }
-
-    #[test]
-    fn page_counts_by_size() {
-        let mut a = AddressSpace::new();
-        let id = a.alloc("buf", 32 << 20); // 32 MB
-        let o = a.object(id);
-        assert_eq!(o.page_count(PageSize::Small4K), 8192);
-        assert_eq!(o.page_count(PageSize::Large2M), 16);
-    }
-
-    #[test]
-    fn reverse_lookup_by_va_and_vpn() {
-        let mut a = AddressSpace::new();
-        let x = a.alloc("x", 4096 * 4);
-        let y = a.alloc("y", 4096);
-        let xo = a.object(x).clone();
-        assert_eq!(a.object_containing(xo.base).unwrap().id, x);
-        assert_eq!(
-            a.object_containing(Va(xo.base.0 + 4096 * 4 - 1))
-                .unwrap()
-                .id,
-            x
-        );
-        // Gap between objects (alignment padding) belongs to nobody.
-        assert!(a.object_containing(Va(xo.base.0 + 4096 * 4)).is_none());
-        let yo = a.object(y).clone();
-        assert_eq!(
-            a.object_of_vpn(yo.base.vpn(PageSize::Small4K), PageSize::Small4K)
-                .unwrap()
-                .id,
-            y
-        );
-        assert!(a.object_containing(Va(0)).is_none());
-    }
-
-    #[test]
-    fn tagged_pointers_resolve() {
-        let mut a = AddressSpace::new();
-        let x = a.alloc("x", 4096);
-        let base = a.object(x).base;
-        let tagged = Va(base.0 | (0b1_0011u64 << 48));
-        assert_eq!(a.object_containing(tagged).unwrap().id, x);
-    }
-
-    #[test]
-    fn freed_objects_disappear_from_lookup() {
-        let mut a = AddressSpace::new();
-        let x = a.alloc("x", 4096);
-        let base = a.object(x).base;
-        a.free(x);
-        assert!(a.object_containing(base).is_none());
-        assert_eq!(a.live_bytes(), 0);
-        assert_eq!(a.len(), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "freed twice")]
-    fn double_free_panics() {
-        let mut a = AddressSpace::new();
-        let x = a.alloc("x", 1);
-        a.free(x);
-        a.free(x);
-    }
-
-    #[test]
-    fn live_vpns_cover_all_live_objects() {
-        let mut a = AddressSpace::new();
-        a.alloc("x", 4096 * 2);
-        let y = a.alloc("y", 4096 * 3);
-        a.free(y);
-        let vpns: Vec<Vpn> = a.live_vpns(PageSize::Small4K).collect();
-        assert_eq!(vpns.len(), 2);
-    }
-
-    #[test]
-    fn va_of_offset() {
-        let mut a = AddressSpace::new();
-        let x = a.alloc("x", 100);
-        let o = a.object(x);
-        assert_eq!(o.va_of_offset(0), o.base);
-        assert_eq!(o.va_of_offset(99).0, o.base.0 + 99);
     }
 
     #[test]

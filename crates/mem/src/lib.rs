@@ -19,7 +19,6 @@ pub mod cache;
 pub mod frames;
 pub mod layout;
 pub mod page;
-pub mod pte_word;
 pub mod tlb;
 pub mod types;
 
@@ -27,6 +26,5 @@ pub use cache::Cache;
 pub use frames::FrameAllocator;
 pub use layout::{AddressSpace, ObjectAllocation};
 pub use page::{HostEntry, HostPageTable, LocalPageTable, PolicyBits, Pte, Residency};
-pub use pte_word::PteWord;
 pub use tlb::Tlb;
 pub use types::{AccessKind, DeviceId, GpuId, ObjectId, PageSize, Va, Vpn};

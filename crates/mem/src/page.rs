@@ -9,10 +9,11 @@
 //! Both tables are slot arenas: a compact `Vpn -> slot` index (FxHash, no
 //! per-instance random state) plus dense parallel vectors holding the
 //! actual entries. Lookups on the access fast path hash once and land in a
-//! contiguous slot; invalidated pages leave a tombstone whose slot (and
-//! index entry) is reused if the page is mapped again, so the arena never
-//! churns allocation on migration ping-pong. Iteration and snapshots walk
-//! the dense vectors instead of hash buckets.
+//! contiguous slot. In a local table, invalidated pages leave a tombstone
+//! whose slot (and index entry) is reused if the page is mapped again, so
+//! the arena never churns allocation on migration ping-pong; the host
+//! table never drops a page. Iteration and snapshots walk the dense
+//! vectors instead of hash buckets.
 //!
 //! Each table also keeps a running [`SetDigest`] of its live entries,
 //! updated by every mutation, so the per-epoch state digest never walks or
@@ -20,6 +21,7 @@
 //! entry: writes go through [`HostPageTable::update`], which sees the
 //! entry before and after.
 
+use std::collections::hash_map::Entry;
 use std::fmt;
 
 use oasis_engine::codec::{ByteReader, CodecError, Encoder, Restore, Snapshot};
@@ -372,13 +374,14 @@ impl HostEntry {
 }
 
 /// The centralized page table maintained by the UVM driver on the host.
+/// A page is registered when its object is allocated and stays for the
+/// run, so the table only grows.
 #[derive(Debug, Clone, Default)]
 pub struct HostPageTable {
-    /// `Vpn -> slot`; survives unregistration so freed slots are reused.
+    /// `Vpn -> slot`.
     index: FxHashMap<Vpn, u32>,
     vpns: Vec<Vpn>,
-    entries: Vec<Option<HostEntry>>,
-    live: usize,
+    entries: Vec<HostEntry>,
     /// Running digest of the registered entries.
     sum: SetDigest,
 }
@@ -392,9 +395,7 @@ impl HostPageTable {
     /// The entry for `vpn`, if the page has been allocated.
     #[inline]
     pub fn get(&self, vpn: Vpn) -> Option<&HostEntry> {
-        self.index
-            .get(&vpn)
-            .and_then(|&i| self.entries[i as usize].as_ref())
+        self.index.get(&vpn).map(|&i| &self.entries[i as usize])
     }
 
     /// Applies `f` to the entry for `vpn` and returns its result, or
@@ -403,7 +404,7 @@ impl HostPageTable {
     #[inline]
     pub fn update<R>(&mut self, vpn: Vpn, f: impl FnOnce(&mut HostEntry) -> R) -> Option<R> {
         let &i = self.index.get(&vpn)?;
-        let e = self.entries[i as usize].as_mut()?;
+        let e = &mut self.entries[i as usize];
         let old = host_entry_hash(vpn, e);
         let r = f(e);
         self.sum.replace(old, host_entry_hash(vpn, e));
@@ -415,44 +416,23 @@ impl HostPageTable {
     /// Refuses a page that is already registered (overlapping allocation)
     /// without modifying the existing entry.
     pub fn register(&mut self, vpn: Vpn, entry: HostEntry) -> Result<(), TableError> {
-        let new = host_entry_hash(vpn, &entry);
-        match self.index.get(&vpn) {
-            Some(&i) => {
-                let slot = &mut self.entries[i as usize];
-                if slot.is_some() {
-                    return Err(TableError::DoubleRegistration { vpn: vpn.0 });
-                }
-                *slot = Some(entry);
-            }
-            None => {
-                let i = self.vpns.len() as u32;
-                self.index.insert(vpn, i);
+        match self.index.entry(vpn) {
+            Entry::Occupied(_) => Err(TableError::DoubleRegistration { vpn: vpn.0 }),
+            Entry::Vacant(slot) => {
+                slot.insert(self.vpns.len() as u32);
                 self.vpns.push(vpn);
-                self.entries.push(Some(entry));
+                self.sum.add(host_entry_hash(vpn, &entry));
+                self.entries.push(entry);
+                Ok(())
             }
         }
-        self.live += 1;
-        self.sum.add(new);
-        Ok(())
-    }
-
-    /// Removes a page (object freed). Returns its final entry.
-    pub fn unregister(&mut self, vpn: Vpn) -> Option<HostEntry> {
-        let removed = self
-            .index
-            .get(&vpn)
-            .and_then(|&i| self.entries[i as usize].take());
-        if let Some(e) = &removed {
-            self.live -= 1;
-            self.sum.remove(host_entry_hash(vpn, e));
-        }
-        removed
     }
 
     /// Folds the table into a state digest: the running sum of its
     /// entries, or a recomputation for a reference hasher.
     pub fn digest_into(&self, h: &mut StateHasher) {
-        h.table(format_args!("host page table"), self.live, self.sum, || {
+        let pages = self.len();
+        h.table(format_args!("host page table"), pages, self.sum, || {
             self.iter()
                 .map(|(vpn, e)| host_entry_hash(*vpn, e))
                 .collect()
@@ -461,27 +441,23 @@ impl HostPageTable {
 
     /// Number of registered pages.
     pub fn len(&self) -> usize {
-        self.live
+        self.vpns.len()
     }
 
     /// True if no pages are registered.
     pub fn is_empty(&self) -> bool {
-        self.live == 0
+        self.vpns.is_empty()
     }
 
-    /// Iterates over all registered pages (dense slot order).
+    /// Iterates over all registered pages (registration order).
     pub fn iter(&self) -> impl Iterator<Item = (&Vpn, &HostEntry)> {
-        self.vpns
-            .iter()
-            .zip(self.entries.iter())
-            .filter_map(|(vpn, e)| e.as_ref().map(|e| (vpn, e)))
+        self.vpns.iter().zip(&self.entries)
     }
 
     fn clear(&mut self) {
         self.index.clear();
         self.vpns.clear();
         self.entries.clear();
-        self.live = 0;
         self.sum = SetDigest::default();
     }
 }
@@ -536,9 +512,8 @@ impl Restore for HostPageTable {
                 touched_by,
             };
             self.vpns.push(vpn);
-            self.entries.push(Some(entry));
-            self.live += 1;
             self.sum.add(host_entry_hash(vpn, &entry));
+            self.entries.push(entry);
         }
         Ok(())
     }
@@ -643,22 +618,11 @@ mod tests {
         ht.update(Vpn(1), |e| e.policy = PolicyBits::Duplication)
             .unwrap();
         assert_eq!(ht.get(Vpn(1)).unwrap().policy, PolicyBits::Duplication);
-        assert!(ht.unregister(Vpn(1)).is_some());
-        assert!(ht.get(Vpn(1)).is_none());
-        assert!(!ht.is_empty());
-    }
-
-    #[test]
-    fn host_table_reregister_after_unregister() {
-        let mut ht = HostPageTable::new();
-        ht.register(Vpn(7), HostEntry::new_on_host()).unwrap();
-        assert!(ht.unregister(Vpn(7)).is_some());
-        // Freed slot is reused, and registration succeeds again.
-        ht.register(Vpn(7), HostEntry::new_at(DeviceId::Gpu(GpuId(1))))
-            .unwrap();
-        assert_eq!(ht.len(), 1);
-        assert_eq!(ht.vpns.len(), 1);
-        assert_eq!(ht.get(Vpn(7)).unwrap().owner, DeviceId::Gpu(GpuId(1)));
+        assert!(ht.get(Vpn(3)).is_none());
+        // A second registration is refused and leaves the entry alone.
+        assert!(ht.register(Vpn(1), HostEntry::new_on_host()).is_err());
+        assert_eq!(ht.get(Vpn(1)).unwrap().policy, PolicyBits::Duplication);
+        assert_eq!(ht.len(), 2);
     }
 
     #[test]

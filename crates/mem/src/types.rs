@@ -76,19 +76,9 @@ impl Va {
         Va(self.0 & ADDR_MASK)
     }
 
-    /// The raw upper 16 tag bits.
-    pub fn tag_bits(self) -> u16 {
-        (self.0 >> ADDR_BITS) as u16
-    }
-
     /// Virtual page number under the given page size.
     pub fn vpn(self, size: PageSize) -> Vpn {
         Vpn((self.0 & ADDR_MASK) >> size.shift())
-    }
-
-    /// Byte offset within the page under the given page size.
-    pub fn page_offset(self, size: PageSize) -> u64 {
-        (self.0 & ADDR_MASK) & (size.bytes() - 1)
     }
 }
 
@@ -209,7 +199,6 @@ mod tests {
     fn va_tag_and_canonical() {
         let raw = Va(0xABCD_0000_1234_5678);
         assert_eq!(raw.canonical(), Va(0x0000_0000_1234_5678));
-        assert_eq!(raw.tag_bits(), 0xABCD);
     }
 
     #[test]
@@ -219,7 +208,6 @@ mod tests {
             let vpn = va.vpn(size);
             assert_eq!(vpn, Vpn(7));
             assert_eq!(vpn.base(size), Va(7 * size.bytes()));
-            assert_eq!(va.page_offset(size), 123);
         }
     }
 

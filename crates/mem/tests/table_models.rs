@@ -155,13 +155,6 @@ fn host_page_table_matches_its_model() {
                     assert_eq!(registered, !model.contains_key(&vpn), "case {case} op {op}");
                     model.entry(vpn).or_insert(entry);
                 }
-                1 => {
-                    assert_eq!(
-                        table.unregister(Vpn(vpn)),
-                        model.remove(&vpn),
-                        "case {case} op {op}"
-                    );
-                }
                 _ => {
                     let f = edit(&mut rng);
                     let applied = table.update(Vpn(vpn), &f);

@@ -20,7 +20,7 @@ use oasis_workloads::trace::Trace;
 use oasis_workloads::{generate, App, WorkloadParams};
 
 use crate::config::{GuardMode, Policy, SystemConfig};
-use crate::replay::kill_and_resume;
+use crate::replay::audit;
 use crate::system::System;
 
 /// The perturbation kinds a campaign injects.
@@ -152,7 +152,7 @@ fn run_kill_and_resume(kind: Perturbation, seed: u64) -> InjectionOutcome {
     let epochs = trace.phases.len() as u64;
     // Kill somewhere strictly inside the run: epoch in [1, epochs-1].
     let kill_epoch = 1 + SimRng::seed_from_u64(seed).gen_below(epochs.max(2) as usize - 1) as u64;
-    let (ok, detail) = match kill_and_resume(&base_config(), &Policy::oasis(), &trace, kill_epoch) {
+    let (ok, detail) = match audit(&base_config(), &Policy::oasis(), &trace, kill_epoch) {
         Ok((bytes, report)) => (
             true,
             format!(

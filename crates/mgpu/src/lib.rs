@@ -29,6 +29,6 @@ pub use inject::{
     run_campaign, run_campaign_supervised, CampaignReport, InjectionOutcome, Perturbation,
 };
 pub use oasis_interconnect::{FaultCounters, FaultPlan};
-pub use replay::{run_verify_replay, ReplayAudit};
+pub use replay::{kill_and_resume, run_verify_replay, ReplayAudit, ResumeError, Resumed};
 pub use report::{EpochRollup, RunInstrumentation, RunReport};
 pub use system::{simulate, try_simulate, RunError, System};

@@ -1,28 +1,103 @@
 //! The checkpoint/kill/resume determinism audit.
 //!
-//! One body backs both the `inject` campaign's kill-and-resume scenario
-//! and `verify-replay`: run the trace straight through, run it again but
-//! kill it at an epoch boundary, checkpoint, drop the system, resume from
-//! the bytes and finish — then the resumed run must pass the sim-guard
-//! sweep and match the straight one digest for digest and counter for
-//! counter. `verify-replay` fans the audit over the four core policies
-//! on the journaled sweep runner.
+//! [`kill_and_resume`] is the leg every audit shares: run a trace to an
+//! epoch boundary, checkpoint, drop the system, resume from the bytes and
+//! finish. The fuzz oracle compares its report with a straight run it
+//! already has; the audit behind both the `inject` campaign's
+//! kill-and-resume scenario and `verify-replay` runs the trace straight
+//! through itself, and the resumed run must then pass the sim-guard sweep
+//! and match the straight one digest for digest and counter for counter.
+//! `verify-replay` fans the audit over the four core policies on the
+//! journaled sweep runner.
 
+use std::fmt;
 use std::sync::Arc;
 
 use oasis_engine::pool::Job;
 use oasis_engine::sweep::{clip, Sweep, SweepCodec, SweepError, SweepOptions, SweepStats};
-use oasis_engine::{fnv1a, ByteReader, ByteWriter, CodecError};
+use oasis_engine::{fnv1a, ByteReader, ByteWriter, CodecError, SimError};
 use oasis_workloads::Trace;
 
 use crate::config::{Policy, SystemConfig};
 use crate::report::RunReport;
-use crate::system::{trace_fingerprint, System};
+use crate::system::{trace_fingerprint, RunError, System};
 
-/// Audits `policy` on `trace`, killing the second run at `kill_epoch`.
-/// Returns the checkpoint's size in bytes and the resumed run's report,
-/// or the first step that failed.
-pub(crate) fn kill_and_resume(
+/// The step at which a kill/resume leg stopped, with its typed error.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ResumeError {
+    /// Running the first system to the kill epoch failed.
+    Prefix(RunError),
+    /// Writing the checkpoint failed.
+    Checkpoint(SimError),
+    /// Reading the checkpoint back failed.
+    Resume(SimError),
+    /// The resumed system could not finish the run.
+    Finish(RunError),
+}
+
+impl fmt::Display for ResumeError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ResumeError::Prefix(e) => write!(f, "prefix run failed: {e}"),
+            ResumeError::Checkpoint(e) => write!(f, "checkpoint failed: {e}"),
+            ResumeError::Resume(e) => write!(f, "resume failed: {e}"),
+            ResumeError::Finish(e) => write!(f, "resumed run failed: {e}"),
+        }
+    }
+}
+
+impl std::error::Error for ResumeError {}
+
+/// A run killed at an epoch boundary and resumed to its end.
+#[derive(Debug)]
+pub struct Resumed {
+    /// The resumed system, after the trace's last epoch.
+    pub system: System,
+    /// The resumed system's report.
+    pub report: RunReport,
+    /// Size of the checkpoint it resumed from, in bytes.
+    pub checkpoint_bytes: usize,
+}
+
+/// Runs `trace` under `policy` up to `kill_epoch`, checkpoints to memory,
+/// drops the system (the simulated crash), resumes a new one from the
+/// bytes and finishes the run.
+///
+/// # Errors
+///
+/// The first step that failed, typed.
+pub fn kill_and_resume(
+    config: &SystemConfig,
+    policy: &Policy,
+    trace: &Trace,
+    kill_epoch: u64,
+) -> Result<Resumed, ResumeError> {
+    let mut buf = Vec::new();
+    {
+        let mut first = System::new(config.clone(), policy);
+        first
+            .run_prefix(trace, kill_epoch)
+            .map_err(ResumeError::Prefix)?;
+        first
+            .checkpoint(&mut buf)
+            .map_err(ResumeError::Checkpoint)?;
+        // `first` drops here: the simulated crash.
+    }
+    let mut system = System::resume(&mut buf.as_slice(), trace).map_err(ResumeError::Resume)?;
+    let report = system.run(trace).map_err(ResumeError::Finish)?;
+    Ok(Resumed {
+        system,
+        report,
+        checkpoint_bytes: buf.len(),
+    })
+}
+
+/// Audits `policy` on `trace`: a straight run, then [`kill_and_resume`]
+/// at `kill_epoch`, whose resumed system must pass the sim-guard sweep and
+/// whose report must match the straight one. Returns the checkpoint's
+/// size in bytes and the resumed run's report, or the first step that
+/// failed.
+pub(crate) fn audit(
     config: &SystemConfig,
     policy: &Policy,
     trace: &Trace,
@@ -31,32 +106,19 @@ pub(crate) fn kill_and_resume(
     let straight = System::new(config.clone(), policy)
         .run(trace)
         .map_err(|e| format!("straight run failed: {e}"))?;
-    let mut buf = Vec::new();
-    {
-        let mut first = System::new(config.clone(), policy);
-        first
-            .run_prefix(trace, kill_epoch)
-            .map_err(|e| format!("prefix run failed: {e}"))?;
-        first
-            .checkpoint(&mut buf)
-            .map_err(|e| format!("checkpoint failed: {e}"))?;
-        // `first` drops here: the simulated crash.
-    }
-    let mut resumed =
-        System::resume(&mut buf.as_slice(), trace).map_err(|e| format!("resume failed: {e}"))?;
-    let report = resumed
-        .run(trace)
-        .map_err(|e| format!("resumed run failed: {e}"))?;
+    let resumed = kill_and_resume(config, policy, trace, kill_epoch).map_err(|e| e.to_string())?;
     resumed
+        .system
         .validate()
         .map_err(|e| format!("guard VIOLATED ({e})"))?;
-    report
+    resumed
+        .report
         .check_digests_against(&straight)
         .map_err(|e| e.to_string())?;
-    if !report.same_simulation(&straight) {
+    if !resumed.report.same_simulation(&straight) {
         return Err("resumed report differs from the straight run".into());
     }
-    Ok((buf.len(), report))
+    Ok((resumed.checkpoint_bytes, resumed.report))
 }
 
 /// What `verify-replay` found.
@@ -134,7 +196,7 @@ pub fn run_verify_replay(
         let (trace, config) = (Arc::clone(&trace), config.clone());
         Job::new(policy.name(), move || {
             let name = policy.name();
-            let verdict = kill_and_resume(&config, &policy, &trace, kill_epoch)
+            let verdict = audit(&config, &policy, &trace, kill_epoch)
                 .map(|(bytes, report)| {
                     let digests = report.digest_trail.len();
                     format!("  {name:<16} OK  checkpoint {bytes} bytes, {digests} epoch digests match\n")

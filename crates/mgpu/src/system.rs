@@ -5,7 +5,8 @@ use std::time::Instant;
 
 use oasis_core::tracker::ObjectTracker;
 use oasis_engine::codec::{
-    fnv1a, ByteWriter, CheckpointReader, CheckpointWriter, CodecError, Encoder, Restore, Snapshot,
+    fnv1a, ByteReader, ByteWriter, CheckpointReader, CheckpointWriter, CodecError, Encoder,
+    Restore, Snapshot,
 };
 use oasis_engine::digest::StateHasher;
 use oasis_engine::error::{ErrorPolicy, FaultError, SimError, SimResult, TraceError};
@@ -742,7 +743,8 @@ impl System {
     /// Encodes the mutable state outside the driver and the policy engine,
     /// in a fixed order: the progress scalars, tracker, fabric, fault
     /// state, and every GPU's TLBs, L2 cache and DRAM channel. Small and
-    /// fixed-size, so both digests take it from scratch.
+    /// fixed-size, so both digests take it from scratch; a checkpoint
+    /// stores the same bytes as its `platform` section.
     fn encode_platform<E: Encoder + ?Sized>(&self, w: &mut E) {
         w.u64(self.global.as_ps());
         w.u64(self.next_epoch);
@@ -763,6 +765,31 @@ impl System {
             g.l2_cache.snapshot(w);
             g.dram.snapshot(w);
         }
+    }
+
+    /// Reads back, field for field, what [`System::encode_platform`]
+    /// wrote.
+    fn restore_platform(&mut self, r: &mut ByteReader<'_>) -> Result<(), CodecError> {
+        self.global = Time::from_ps(r.u64()?);
+        self.next_epoch = r.u64()?;
+        self.step = r.u64()?;
+        self.accesses = r.u64()?;
+        self.local_accesses = r.u64()?;
+        self.remote_accesses = r.u64()?;
+        for v in &mut self.policy_mix {
+            *v = r.u64()?;
+        }
+        self.errors_recorded = r.u64()?;
+        self.tracker.restore(r)?;
+        self.fabric.restore(r)?;
+        self.fabric.fault_state_mut().restore(r)?;
+        for g in &mut self.gpus {
+            g.l1_tlb.restore(r)?;
+            g.l2_tlb.restore(r)?;
+            g.l2_cache.restore(r)?;
+            g.dram.restore(r)?;
+        }
+        Ok(())
     }
 
     /// Folds every piece of mutable simulation state (not the
@@ -832,16 +859,6 @@ impl System {
         });
         cw.section("progress", |w| {
             w.u64(self.trace_fingerprint);
-            w.u64(self.next_epoch);
-            w.u64(self.global.as_ps());
-            w.u64(self.step);
-            w.u64(self.accesses);
-            w.u64(self.local_accesses);
-            w.u64(self.remote_accesses);
-            for v in self.policy_mix {
-                w.u64(v);
-            }
-            w.u64(self.errors_recorded);
             w.u64(self.error_samples.len() as u64);
             for s in &self.error_samples {
                 w.str(s);
@@ -854,18 +871,7 @@ impl System {
             w.u64(self.instr.checkpoint_write_us);
             w.u64(self.instr.checkpoint_restore_us);
         });
-        cw.snapshot("tracker", &self.tracker);
-        cw.snapshot("fabric", &self.fabric);
-        cw.section("faults", |w| self.fabric.fault_state().snapshot(w));
-        cw.section("gpus", |w| {
-            w.u64(self.gpus.len() as u64);
-            for g in &self.gpus {
-                g.l1_tlb.snapshot(w);
-                g.l2_tlb.snapshot(w);
-                g.l2_cache.snapshot(w);
-                g.dram.snapshot(w);
-            }
-        });
+        cw.section("platform", |w| self.encode_platform(w));
         cw.snapshot("driver", &self.driver);
         cw.section("policy", |w| self.driver.policy.snapshot_state(w));
         let bytes = cw.finish();
@@ -915,25 +921,6 @@ impl System {
                 ))
                 .into());
         }
-        sys.next_epoch = sec.u64()?;
-        if sys.next_epoch > trace.phases.len() as u64 {
-            return Err(sec
-                .malformed(format!(
-                    "checkpoint is {} epochs in but the trace has {}",
-                    sys.next_epoch,
-                    trace.phases.len()
-                ))
-                .into());
-        }
-        sys.global = Time::from_ps(sec.u64()?);
-        sys.step = sec.u64()?;
-        sys.accesses = sec.u64()?;
-        sys.local_accesses = sec.u64()?;
-        sys.remote_accesses = sec.u64()?;
-        for v in &mut sys.policy_mix {
-            *v = sec.u64()?;
-        }
-        sys.errors_recorded = sec.u64()?;
         let samples = sec.u64()?;
         if samples > ERROR_SAMPLE_CAP as u64 {
             return Err(sec
@@ -945,14 +932,6 @@ impl System {
             sys.error_samples.push(s);
         }
         let epochs = sec.u64()?;
-        if epochs != sys.next_epoch {
-            return Err(sec
-                .malformed(format!(
-                    "digest trail covers {epochs} epochs but the cursor is at {}",
-                    sys.next_epoch
-                ))
-                .into());
-        }
         for _ in 0..epochs {
             let d = sec.u64()?;
             sys.digest_trail.push(d);
@@ -976,31 +955,27 @@ impl System {
             sys.tagged_bases.push(tagged);
         }
 
-        cr.restore("tracker", &mut sys.tracker)?;
-        cr.restore("fabric", &mut sys.fabric)?;
-        let mut sec = cr.section("faults")?;
-        sys.fabric.fault_state_mut().restore(&mut sec)?;
+        let mut sec = cr.section("platform")?;
+        sys.restore_platform(&mut sec)?;
         if !sec.is_empty() {
-            return Err(sec.malformed("trailing bytes after fault state").into());
+            return Err(sec.malformed("trailing bytes after platform state").into());
         }
-        let mut sec = cr.section("gpus")?;
-        let n = sec.usize()?;
-        if n != sys.gpus.len() {
+        if sys.next_epoch > trace.phases.len() as u64 {
             return Err(sec
                 .malformed(format!(
-                    "checkpoint carries {n} GPUs but the configuration builds {}",
-                    sys.gpus.len()
+                    "checkpoint is {} epochs in but the trace has {}",
+                    sys.next_epoch,
+                    trace.phases.len()
                 ))
                 .into());
         }
-        for g in &mut sys.gpus {
-            g.l1_tlb.restore(&mut sec)?;
-            g.l2_tlb.restore(&mut sec)?;
-            g.l2_cache.restore(&mut sec)?;
-            g.dram.restore(&mut sec)?;
-        }
-        if !sec.is_empty() {
-            return Err(sec.malformed("trailing bytes after GPU state").into());
+        if epochs != sys.next_epoch {
+            return Err(sec
+                .malformed(format!(
+                    "digest trail covers {epochs} epochs but the cursor is at {}",
+                    sys.next_epoch
+                ))
+                .into());
         }
         cr.restore("driver", &mut sys.driver)?;
         let mut sec = cr.section("policy")?;
@@ -1332,17 +1307,11 @@ mod tests {
 
     /// Runs `trace` halfway, checkpoints, drops the system (the "kill"),
     /// resumes from the serialized bytes, and finishes the run.
-    fn kill_and_resume(cfg: &SystemConfig, policy: &Policy, trace: &Trace) -> RunReport {
+    fn resumed_at_midpoint(cfg: &SystemConfig, policy: &Policy, trace: &Trace) -> RunReport {
         let midpoint = (trace.phases.len() as u64 / 2).max(1);
-        let mut buf = Vec::new();
-        {
-            let mut first = System::new(cfg.clone(), policy);
-            first.run_prefix(trace, midpoint).expect("prefix runs");
-            first.checkpoint(&mut buf).expect("checkpoint writes");
-            // `first` drops here: the process "dies".
-        }
-        let mut resumed = System::resume(&mut buf.as_slice(), trace).expect("resume");
-        resumed.run(trace).expect("resumed run completes")
+        crate::replay::kill_and_resume(cfg, policy, trace, midpoint)
+            .expect("kill/resume leg")
+            .report
     }
 
     #[test]
@@ -1360,7 +1329,7 @@ mod tests {
             let trace = small(App::C2d);
             let cfg = SystemConfig::default();
             let straight = simulate(&cfg, policy.clone(), &trace);
-            let resumed = kill_and_resume(&cfg, &policy, &trace);
+            let resumed = resumed_at_midpoint(&cfg, &policy, &trace);
             resumed
                 .check_digests_against(&straight)
                 .unwrap_or_else(|e| panic!("{}: {e}", policy.name()));
@@ -1394,7 +1363,7 @@ mod tests {
         let straight = simulate(&cfg, Policy::OnTouch, &trace);
         assert_eq!(straight.instrumentation.retired_steps, straight.accesses);
         assert_eq!(straight.instrumentation.checkpoint_write_us, 0);
-        let resumed = kill_and_resume(&cfg, &Policy::OnTouch, &trace);
+        let resumed = resumed_at_midpoint(&cfg, &Policy::OnTouch, &trace);
         assert_eq!(resumed.instrumentation.retired_steps, resumed.accesses);
     }
 
@@ -1450,9 +1419,10 @@ mod tests {
         );
     }
 
-    /// Version 3 checkpoints embed a digest trail in the previous format
-    /// and version 4 ones a trace fingerprint in the previous format;
-    /// resuming either would mix two formats in one run.
+    /// Version 3 checkpoints embed a digest trail in the previous format,
+    /// version 4 ones a trace fingerprint in the previous format, and
+    /// version 5 ones split the platform state over five sections;
+    /// resuming any of them would misread it.
     #[test]
     fn older_format_versions_fail_typed() {
         let trace = small(App::Mt);
@@ -1460,14 +1430,14 @@ mod tests {
         sys.run_prefix(&trace, 1).expect("first epoch");
         let mut buf = Vec::new();
         sys.checkpoint(&mut buf).expect("checkpoint");
-        for found in [3u32, 4] {
+        for found in [3u32, 4, 5] {
             let mut old = buf.clone();
             old[8..12].copy_from_slice(&found.to_le_bytes());
             let err = System::resume(&mut old.as_slice(), &trace)
                 .expect_err("an older format version must not resume");
             assert_eq!(
                 err,
-                SimError::Codec(CodecError::UnsupportedVersion { found, expected: 5 })
+                SimError::Codec(CodecError::UnsupportedVersion { found, expected: 6 })
             );
         }
     }

@@ -5,7 +5,7 @@
 //! kill/resume taken in the middle of a degraded window.
 
 use oasis_engine::error::{ErrorPolicy, SimError};
-use oasis_mgpu::{simulate, try_simulate, FaultPlan, Policy, System, SystemConfig};
+use oasis_mgpu::{kill_and_resume, simulate, try_simulate, FaultPlan, Policy, SystemConfig};
 use oasis_uvm::ECC_RETRY_BUDGET;
 use oasis_workloads::{generate, App, WorkloadParams};
 
@@ -72,15 +72,9 @@ fn kill_and_resume_mid_degradation_window_is_bit_identical() {
     for policy in Policy::core() {
         let cfg = degraded_config(spec);
         let straight = simulate(&cfg, policy.clone(), &trace);
-        let mut buf = Vec::new();
-        {
-            let mut first = System::new(cfg.clone(), &policy);
-            first.run_prefix(&trace, 4).expect("prefix runs degraded");
-            first.checkpoint(&mut buf).expect("checkpoint writes");
-            // `first` drops here: the simulated crash mid-degradation.
-        }
-        let mut resumed = System::resume(&mut buf.as_slice(), &trace).expect("resume");
-        let replayed = resumed.run(&trace).expect("resumed run completes");
+        let replayed = kill_and_resume(&cfg, &policy, &trace, 4)
+            .expect("kill/resume leg runs degraded")
+            .report;
         replayed
             .check_digests_against(&straight)
             .unwrap_or_else(|e| panic!("{}: {e}", policy.name()));

@@ -108,18 +108,12 @@ fn verify_replay_holds_with_tracing_enabled() {
     // Kill/resume under full observability: the resumed run must match
     // the straight run exactly (obs state is rebuilt from config, not
     // restored, and must not leak into checkpoints).
-    use oasis_mgpu::System;
     let trace = trace_with_seed(App::C2d, 2);
     let cfg = observed_config();
     let straight = simulate(&cfg, Policy::oasis(), &trace);
-    let mut buf = Vec::new();
-    {
-        let mut first = System::new(cfg.clone(), &Policy::oasis());
-        first.run_prefix(&trace, 4).expect("prefix");
-        first.checkpoint(&mut buf).expect("checkpoint");
-    }
-    let mut resumed = System::resume(&mut buf.as_slice(), &trace).expect("resume");
-    let replayed = resumed.run(&trace).expect("resumed run");
+    let replayed = oasis_mgpu::kill_and_resume(&cfg, &Policy::oasis(), &trace, 4)
+        .expect("kill/resume leg")
+        .report;
     assert!(replayed.same_simulation(&straight));
     // Rollups restart at the resume point: only post-checkpoint epochs.
     assert_eq!(

@@ -53,23 +53,6 @@ pub enum CacheRead {
     Corrupt(String),
 }
 
-fn outcome_to_u8(outcome: AdjudicatedOutcome) -> u8 {
-    match outcome {
-        AdjudicatedOutcome::Completed => 0,
-        AdjudicatedOutcome::Failed => 1,
-        AdjudicatedOutcome::Quarantined => 2,
-    }
-}
-
-fn outcome_from_u8(b: u8) -> Option<AdjudicatedOutcome> {
-    match b {
-        0 => Some(AdjudicatedOutcome::Completed),
-        1 => Some(AdjudicatedOutcome::Failed),
-        2 => Some(AdjudicatedOutcome::Quarantined),
-        _ => None,
-    }
-}
-
 /// The on-disk cache. Cheap to clone paths from; all state is the
 /// directory itself.
 #[derive(Debug)]
@@ -101,7 +84,7 @@ impl ResultCache {
         w.bytes(MAGIC);
         w.u32(VERSION);
         w.u64(digest);
-        w.u8(outcome_to_u8(result.outcome));
+        w.u8(result.outcome.as_u8());
         w.u32(result.attempts);
         // `ByteWriter::str` carries a u16 length; verdicts are short, but
         // clamp defensively so a pathological detail can never panic the
@@ -149,7 +132,7 @@ impl ResultCache {
                 "entry claims digest {key:#018x} but was filed under {digest:#018x}"
             ));
         }
-        let outcome = outcome_from_u8(r.u8().map_err(|e| format!("outcome: {e}"))?)
+        let outcome = AdjudicatedOutcome::from_u8(r.u8().map_err(|e| format!("outcome: {e}"))?)
             .ok_or_else(|| "unknown outcome byte".to_string())?;
         let attempts = r.u32().map_err(|e| format!("attempts: {e}"))?;
         let verdict = r.str().map_err(|e| format!("verdict: {e}"))?;

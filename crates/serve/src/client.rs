@@ -13,7 +13,8 @@
 //! apart they would leave as two TCP segments under `TCP_NODELAY`.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::io::Write;
+use std::fmt;
+use std::io::{self, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
@@ -37,11 +38,50 @@ pub struct SubmitOutcome {
     pub failed: usize,
 }
 
+/// Why a batch submission did not finish.
+#[derive(Debug)]
+pub enum SubmitError {
+    /// No server accepted a connection.
+    Connect {
+        /// The port on 127.0.0.1 tried.
+        port: u16,
+        /// Why the connect failed.
+        error: io::Error,
+    },
+    /// The connection failed or closed after it was made, the batch
+    /// deadline passed, or the server broke the protocol or reported an
+    /// error; the message says which.
+    Stream(String),
+}
+
+impl fmt::Display for SubmitError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            SubmitError::Connect { port, error } => {
+                write!(f, "submit: cannot connect to 127.0.0.1:{port}: {error}")
+            }
+            SubmitError::Stream(detail) => write!(f, "submit: {detail}"),
+        }
+    }
+}
+
+impl std::error::Error for SubmitError {}
+
 /// The terminal state of one submitted digest, as the client records it.
 #[derive(Debug, Clone)]
 enum Resolution {
     Verdict { outcome: String, verdict: String },
     Rejected { reason: String, detail: String },
+}
+
+impl Resolution {
+    fn completed(&self) -> bool {
+        matches!(self, Resolution::Verdict { outcome, .. } if outcome == "completed")
+    }
+
+    fn overloaded(&self) -> bool {
+        matches!(self, Resolution::Rejected { reason, .. } if reason == "overloaded")
+    }
 }
 
 fn result_line(digest: u64, res: &Resolution) -> String {
@@ -55,6 +95,26 @@ fn result_line(digest: u64, res: &Resolution) -> String {
     }
 }
 
+/// What one batch exchange brought back, before its result lines are
+/// rendered.
+struct Answers {
+    /// Each submission slot's digest and resolution, submission order.
+    slots: Vec<(u64, Resolution)>,
+    progress: Vec<String>,
+    stats: Vec<(String, u64)>,
+}
+
+impl Answers {
+    fn render(self) -> SubmitOutcome {
+        SubmitOutcome {
+            results: self.slots.iter().map(|(d, r)| result_line(*d, r)).collect(),
+            failed: self.slots.iter().filter(|(_, r)| !r.completed()).count(),
+            progress: self.progress,
+            stats: self.stats,
+        }
+    }
+}
+
 /// Submits `scenarios` to the server at `127.0.0.1:port` and waits for
 /// every one to resolve (verdict or typed rejection).
 ///
@@ -64,20 +124,31 @@ fn result_line(digest: u64, res: &Resolution) -> String {
 ///
 /// # Errors
 ///
-/// Returns a message for connection failures, protocol breaches (a line
-/// the client cannot parse), a server that closes the stream with
-/// submissions outstanding, or an overall `timeout` expiry.
+/// Connection failures, protocol breaches (a line the client cannot
+/// parse), a server that closes the stream with submissions outstanding,
+/// or an overall `timeout` expiry.
 pub fn submit_batch(
     port: u16,
     scenarios: &[Scenario],
     want_stats: bool,
     timeout: Duration,
-) -> Result<SubmitOutcome, String> {
+) -> Result<SubmitOutcome, SubmitError> {
+    exchange(port, scenarios, want_stats, timeout).map(Answers::render)
+}
+
+/// [`submit_batch`], with the answers still typed.
+fn exchange(
+    port: u16,
+    scenarios: &[Scenario],
+    want_stats: bool,
+    timeout: Duration,
+) -> Result<Answers, SubmitError> {
     let stream = TcpStream::connect(("127.0.0.1", port))
-        .map_err(|e| format!("submit: cannot connect to 127.0.0.1:{port}: {e}"))?;
+        .map_err(|error| SubmitError::Connect { port, error })?;
     let _ = stream.set_nodelay(true);
     let mut writer = &stream;
     let mut reader = LineReader::new(&stream, MAX_LINE_BYTES);
+    let io = |op| move |e| SubmitError::Stream(format!("{op}: {e}"));
 
     // digest -> submission slots awaiting it (duplicates share a digest).
     let mut slots: BTreeMap<u64, Vec<usize>> = BTreeMap::new();
@@ -88,9 +159,7 @@ pub fn submit_batch(
         slots.entry(digest).or_default().push(idx);
         if fresh {
             let line = format!("{}\n", to_json_line(scenario));
-            writer
-                .write_all(line.as_bytes())
-                .map_err(|e| format!("submit: send: {e}"))?;
+            writer.write_all(line.as_bytes()).map_err(io("send"))?;
             sent += 1;
         }
     }
@@ -111,40 +180,41 @@ pub fn submit_batch(
                 break;
             }
             if !stats_requested {
-                writer
-                    .write_all(b"stats\n")
-                    .map_err(|e| format!("submit: send stats: {e}"))?;
+                writer.write_all(b"stats\n").map_err(io("send stats"))?;
                 stats_requested = true;
             }
         }
         // Block for the next line, but never past the batch deadline.
         let left = deadline.saturating_duration_since(Instant::now());
         if left.is_zero() {
-            return Err(format!(
-                "submit: timed out after {timeout:?} with {} of {} digest(s) unresolved",
+            return Err(SubmitError::Stream(format!(
+                "timed out after {timeout:?} with {} of {} digest(s) unresolved",
                 slots.len() - resolved.len(),
                 slots.len()
-            ));
+            )));
         }
         stream
             .set_read_timeout(Some(left))
-            .map_err(|e| format!("submit: set_read_timeout: {e}"))?;
-        let line = match reader.poll_line() {
-            Ok(LinePoll::Line(l)) => l,
-            Ok(LinePoll::Pending) => continue,
-            Ok(LinePoll::Eof) => {
-                return Err(format!(
-                    "submit: server closed the stream with {} digest(s) unresolved",
+            .map_err(io("set_read_timeout"))?;
+        let polled = reader.poll_line();
+        let line = match polled.map_err(|e| SubmitError::Stream(e.to_string()))? {
+            LinePoll::Line(l) => l,
+            LinePoll::Pending => continue,
+            LinePoll::Eof => {
+                return Err(SubmitError::Stream(format!(
+                    "server closed the stream with {} digest(s) unresolved",
                     slots.len() - resolved.len()
-                ));
+                )));
             }
-            Err(e) => return Err(format!("submit: {e}")),
         };
         if line.is_empty() {
             continue;
         }
-        let text = String::from_utf8(line).map_err(|_| "submit: non-UTF-8 event".to_string())?;
-        match parse_event(&text).map_err(|e| format!("submit: unparsable event: {e} ({text})"))? {
+        let text = String::from_utf8(line)
+            .map_err(|_| SubmitError::Stream("non-UTF-8 event".to_string()))?;
+        let event = parse_event(&text)
+            .map_err(|e| SubmitError::Stream(format!("unparsable event: {e} ({text})")))?;
+        match event {
             ServerEvent::Accepted {
                 digest, coalesced, ..
             } => {
@@ -195,34 +265,29 @@ pub fn submit_batch(
                     .or_insert(Resolution::Rejected { reason, detail });
             }
             ServerEvent::Error { code, detail } => {
-                return Err(format!("submit: server reported {code}: {detail}"));
+                return Err(SubmitError::Stream(format!(
+                    "server reported {code}: {detail}"
+                )));
             }
             ServerEvent::Stats(counters) => stats = Some(counters),
             ServerEvent::Pong => {}
         }
     }
 
-    let mut results = Vec::with_capacity(scenarios.len());
-    let mut failed = 0usize;
-    for scenario in scenarios {
-        let digest = scenario_digest(scenario);
-        let res = resolved
-            .get(&digest)
-            .expect("loop exits only when every digest resolved");
-        if !matches!(
-            res,
-            Resolution::Verdict { outcome, .. } if outcome == "completed"
-        ) {
-            failed += 1;
-        }
-        results.push(result_line(digest, res));
-    }
-
-    Ok(SubmitOutcome {
-        results,
+    let slots = scenarios
+        .iter()
+        .map(|scenario| {
+            let digest = scenario_digest(scenario);
+            let res = resolved
+                .get(&digest)
+                .expect("loop exits only when every digest resolved");
+            (digest, res.clone())
+        })
+        .collect();
+    Ok(Answers {
+        slots,
         progress,
         stats: stats.unwrap_or_default(),
-        failed,
     })
 }
 
@@ -251,75 +316,61 @@ pub fn submit_batch_with_retry(
 ) -> Result<SubmitOutcome, String> {
     let mut attempt = 0u32;
     let mut delay = backoff;
-    let mut pre_progress: Vec<String> = Vec::new();
-    let mut out = loop {
-        match submit_batch(port, scenarios, want_stats, timeout) {
-            Ok(out) => break out,
-            Err(e) if e.contains("cannot connect") => {
+    let mut progress: Vec<String> = Vec::new();
+    let mut answers = loop {
+        match exchange(port, scenarios, want_stats, timeout) {
+            Ok(answers) => break answers,
+            Err(e @ SubmitError::Connect { .. }) => {
                 if attempt >= retries {
                     return Err(format!("{e} (after {} attempt(s))", attempt + 1));
                 }
                 attempt += 1;
-                pre_progress.push(format!(
+                progress.push(format!(
                     "connect failed; retry {attempt}/{retries} in {}ms",
                     delay.as_millis()
                 ));
                 std::thread::sleep(delay);
                 delay = delay.saturating_mul(2);
             }
-            Err(e) => return Err(e),
+            Err(e) => return Err(e.to_string()),
         }
     };
-    if !pre_progress.is_empty() {
-        pre_progress.append(&mut out.progress);
-        out.progress = pre_progress;
-    }
+    progress.append(&mut answers.progress);
+    answers.progress = progress;
 
     loop {
-        let overloaded: Vec<usize> = out
-            .results
-            .iter()
-            .enumerate()
-            .filter(|(_, line)| line.contains(" rejected: overloaded: "))
-            .map(|(i, _)| i)
+        let shed: Vec<usize> = (0..answers.slots.len())
+            .filter(|&i| answers.slots[i].1.overloaded())
             .collect();
-        if overloaded.is_empty() || attempt >= retries {
+        if shed.is_empty() || attempt >= retries {
             break;
         }
         attempt += 1;
         // One resubmission per distinct shed digest; duplicates share it.
         let mut seen: BTreeSet<u64> = BTreeSet::new();
-        let retry_scenarios: Vec<Scenario> = overloaded
+        let retry_scenarios: Vec<Scenario> = shed
             .iter()
-            .filter(|&&i| seen.insert(scenario_digest(&scenarios[i])))
+            .filter(|&&i| seen.insert(answers.slots[i].0))
             .map(|&i| scenarios[i].clone())
             .collect();
-        out.progress.push(format!(
+        answers.progress.push(format!(
             "{} scenario(s) shed as overloaded; retry {attempt}/{retries} in {}ms",
             retry_scenarios.len(),
             delay.as_millis()
         ));
         std::thread::sleep(delay);
         delay = delay.saturating_mul(2);
-        let retry_out = submit_batch(port, &retry_scenarios, false, timeout)?;
-        let by_digest: BTreeMap<u64, &String> = retry_scenarios
-            .iter()
-            .map(scenario_digest)
-            .zip(&retry_out.results)
-            .collect();
-        for &i in &overloaded {
-            if let Some(line) = by_digest.get(&scenario_digest(&scenarios[i])) {
-                out.results[i] = (*line).clone();
+        let retried =
+            exchange(port, &retry_scenarios, false, timeout).map_err(|e| e.to_string())?;
+        let by_digest: BTreeMap<u64, Resolution> = retried.slots.into_iter().collect();
+        for i in shed {
+            if let Some(res) = by_digest.get(&answers.slots[i].0) {
+                answers.slots[i].1 = res.clone();
             }
         }
-        out.progress.extend(retry_out.progress);
+        answers.progress.extend(retried.progress);
     }
-    out.failed = out
-        .results
-        .iter()
-        .filter(|line| !line.contains(" completed: "))
-        .count();
-    Ok(out)
+    Ok(answers.render())
 }
 
 #[cfg(test)]

@@ -34,7 +34,7 @@ pub mod protocol;
 pub mod server;
 
 pub use cache::{CacheRead, CachedResult, ResultCache};
-pub use client::{submit_batch, submit_batch_with_retry, SubmitOutcome};
+pub use client::{submit_batch, submit_batch_with_retry, SubmitError, SubmitOutcome};
 pub use protocol::{
     parse_event, parse_request, LinePoll, LineReader, ProtocolError, Request, ServerEvent,
     MAX_LINE_BYTES,

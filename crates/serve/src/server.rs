@@ -30,10 +30,11 @@
 //! jobs and lets the pool adjudicate the in-flight ones. Once the pool has
 //! settled, every waiter of an unfinished job gets a terminal `draining`
 //! line, every connection's read side is shut down (which wakes its
-//! blocked reader), and a loopback connect wakes the accept loop. The
-//! journal then gets its `Interrupted` trailer and [`run_serve`] returns
-//! a [`ServeSummary`] whose `drained` flag tells the CLI to exit
-//! `EX_TEMPFAIL` with a resume hint.
+//! blocked reader), and a loopback connect wakes the accept loop.
+//! [`run_serve`] then returns a [`ServeSummary`], and the CLI exits
+//! `EX_TEMPFAIL` with a resume hint. The journal needs no drain record:
+//! a restart re-queues whatever is admitted but not adjudicated, whether
+//! the server drained or was killed.
 //!
 //! # Durability
 //!
@@ -131,14 +132,10 @@ impl ServeConfig {
     }
 }
 
-/// What a serve run amounted to, for the CLI's exit path and logs.
+/// What a serve run amounted to, for the CLI's exit path and logs. A
+/// run only returns one after a drain.
 #[derive(Debug)]
 pub struct ServeSummary {
-    /// True when the run ended in a signal-initiated drain (the CLI maps
-    /// this to `EX_TEMPFAIL` and prints the resume hint).
-    pub drained: bool,
-    /// Port actually bound.
-    pub port: u16,
     /// Final `serve.*` counter snapshot, sorted by key.
     pub counters: Vec<(String, u64)>,
     /// Jobs adjudicated during this run (resumed ones included).
@@ -374,7 +371,6 @@ pub fn run_serve(
     let mut metrics = MetricsRegistry::enabled();
     let mut resumed: Vec<(u64, u64, Scenario)> = Vec::new();
     let mut next_job_id = 0u64;
-    let mut preadjudicated = 0u64;
 
     let journal = if journal_path.exists() {
         let (writer, recovery) =
@@ -391,7 +387,6 @@ pub fn run_serve(
         // already-decided jobs are cache hits after a crash even if the
         // cache write itself was lost.
         for (&job_id, adj) in &recovery.adjudicated {
-            preadjudicated += 1;
             let Some(wire) = recovery.enqueued.get(&job_id) else {
                 eprintln!(
                     "serve: warning: job {job_id} adjudicated without an Enqueued record; \
@@ -529,22 +524,15 @@ pub fn run_serve(
         let _ = h.join();
     }
 
-    let adjudicated_now = shared.state().adjudicated;
-    // Best-effort trailer: on a broken journal this fails (and stays
-    // recorded); the summary still reports the drain so the operator gets
-    // counters plus the typed journal error, not an opaque abort.
-    let _ = shared.journal_append(|j| j.interrupted(preadjudicated + adjudicated_now));
-
+    let adjudicated = shared.state().adjudicated;
     let journal_error = shared
         .journal_failure
         .lock()
         .expect("journal failure lock")
         .clone();
     Ok(ServeSummary {
-        drained: true,
-        port,
         counters: shared.counters(),
-        adjudicated: adjudicated_now,
+        adjudicated,
         journal_error,
     })
 }
@@ -960,6 +948,15 @@ mod tests {
         line.trim_end().to_string()
     }
 
+    /// The final value of counter `key`, 0 if it never moved.
+    fn counter(summary: &ServeSummary, key: &str) -> u64 {
+        summary
+            .counters
+            .iter()
+            .find(|(k, _)| k == key)
+            .map_or(0, |(_, v)| *v)
+    }
+
     fn small_cfg(state: PathBuf) -> ServeConfig {
         let mut cfg = ServeConfig::new(state);
         cfg.pool = PoolConfig::with_workers(2);
@@ -982,8 +979,7 @@ mod tests {
         let stats = read_event(&mut reader);
         assert!(stats.contains("\"serve\": \"stats\""), "{stats}");
         drop(stream);
-        let summary = server.shutdown();
-        assert!(summary.drained);
+        server.shutdown();
     }
 
     #[test]
@@ -1039,13 +1035,7 @@ mod tests {
 
         drop(stream);
         let summary = server.shutdown();
-        let hits = summary
-            .counters
-            .iter()
-            .find(|(k, _)| k == "serve.cache_hits")
-            .map(|(_, v)| *v)
-            .unwrap_or(0);
-        assert_eq!(hits, 1);
+        assert_eq!(counter(&summary, "serve.cache_hits"), 1);
     }
 
     #[test]
@@ -1081,13 +1071,7 @@ mod tests {
 
         drop(stream);
         let summary = server.shutdown();
-        let shed = summary
-            .counters
-            .iter()
-            .find(|(k, _)| k == "serve.rejected_overload")
-            .map(|(_, v)| *v)
-            .unwrap_or(0);
-        assert!(shed >= 1);
+        assert!(counter(&summary, "serve.rejected_overload") >= 1);
     }
 
     /// A cache write that fails on every attempt must cost recomputes,
@@ -1141,12 +1125,7 @@ mod tests {
         drop(stream);
         let summary = server.shutdown();
         drop(scope);
-        let failed = summary
-            .counters
-            .iter()
-            .find(|(k, _)| k == "serve.cache_write_failed")
-            .map(|(_, v)| *v)
-            .unwrap_or(0);
+        let failed = counter(&summary, "serve.cache_write_failed");
         assert!(failed >= 2, "both cache writes must be counted: {failed}");
         assert!(summary.journal_error.is_none());
     }
@@ -1193,15 +1172,12 @@ mod tests {
         drop(stream);
         let summary = server.shutdown();
         drop(scope);
-        let err = summary.journal_error.expect("journal error surfaces");
+        let err = summary
+            .journal_error
+            .as_deref()
+            .expect("journal error surfaces");
         assert!(err.contains("journal append failed"), "{err}");
-        let refused = summary
-            .counters
-            .iter()
-            .find(|(k, _)| k == "serve.rejected_unavailable")
-            .map(|(_, v)| *v)
-            .unwrap_or(0);
-        assert_eq!(refused, 1);
+        assert_eq!(counter(&summary, "serve.rejected_unavailable"), 1);
 
         // Restart on the same state dir, failpoint disarmed: B computes.
         let server = Server::start(small_cfg(state));
@@ -1334,8 +1310,7 @@ mod tests {
         writeln!(stream, "ping").unwrap();
         assert_eq!(read_event(&mut reader), event_pong());
         let started = Instant::now();
-        let summary = server.shutdown();
-        assert!(summary.drained);
+        server.shutdown();
         assert!(
             started.elapsed() < Duration::from_secs(2),
             "drain took {:?}",
@@ -1363,12 +1338,81 @@ mod tests {
         let mut line = String::new();
         assert_eq!(reader.read_line(&mut line).expect("read after close"), 0);
         let summary = server.shutdown();
-        let closed = summary
-            .counters
-            .iter()
-            .find(|(k, _)| k == "serve.rejected_protocol")
-            .map(|(_, v)| *v);
-        assert_eq!(closed, Some(1));
+        assert_eq!(counter(&summary, "serve.rejected_protocol"), 1);
+    }
+
+    /// With `conn_inflight` 1, a second distinct scenario on a connection
+    /// whose first job is unresolved gets the typed `connection-inflight`
+    /// rejection, while the first job still resolves.
+    #[test]
+    fn a_connection_at_its_inflight_cap_gets_a_typed_rejection() {
+        let mut cfg = small_cfg(temp_state("conn-inflight"));
+        cfg.conn_inflight = 1;
+        let server = Server::start(cfg);
+        let (mut reader, mut stream) = server.connect();
+        let scenarios = small_scenarios(2);
+        let digests: Vec<u64> = scenarios.iter().map(scenario_digest).collect();
+        // One write: the reader meets the second line right after admitting
+        // the first, long before the first job's oracle can finish.
+        let lines = format!(
+            "{}\n{}\n",
+            to_json_line(&scenarios[0]),
+            to_json_line(&scenarios[1])
+        );
+        stream.write_all(lines.as_bytes()).unwrap();
+        let events = events_until_results(&mut reader, 1);
+        assert!(
+            matches!(events[0], ServerEvent::Accepted { digest, .. } if digest == digests[0]),
+            "{events:?}"
+        );
+        let rejected = events.iter().find_map(|e| match e {
+            ServerEvent::Rejected { digest, reason, .. } => Some((*digest, reason.as_str())),
+            _ => None,
+        });
+        assert_eq!(
+            rejected,
+            Some((digests[1], "connection-inflight")),
+            "{events:?}"
+        );
+        assert!(
+            matches!(events.last(), Some(ServerEvent::Result { digest, .. }) if *digest == digests[0]),
+            "{events:?}"
+        );
+        drop(stream);
+        let summary = server.shutdown();
+        assert_eq!(counter(&summary, "serve.rejected_conn_inflight"), 1);
+        assert_eq!(counter(&summary, "serve.accepted"), 1);
+    }
+
+    /// Once `MAX_CONNECTIONS` connections are live, the next one gets the
+    /// typed `busy` line and is closed. Each live connection holds two
+    /// server threads, so this starts 64 of them.
+    #[test]
+    fn the_connection_past_the_limit_gets_busy() {
+        let server = Server::start(small_cfg(temp_state("busy")));
+        // A pong proves the connection is registered and its threads run.
+        let live: Vec<_> = (0..MAX_CONNECTIONS)
+            .map(|_| {
+                let (mut reader, mut stream) = server.connect();
+                writeln!(stream, "ping").unwrap();
+                assert_eq!(read_event(&mut reader), event_pong());
+                (reader, stream)
+            })
+            .collect();
+        let (mut reader, _stream) = server.connect();
+        assert_eq!(
+            read_event(&mut reader),
+            event_rejected(0, "busy", "connection limit reached")
+        );
+        let mut line = String::new();
+        assert_eq!(reader.read_line(&mut line).expect("read after busy"), 0);
+        drop(live);
+        let summary = server.shutdown();
+        assert_eq!(counter(&summary, "serve.rejected_busy"), 1);
+        assert_eq!(
+            counter(&summary, "serve.connections"),
+            MAX_CONNECTIONS as u64
+        );
     }
 
     #[test]

@@ -387,24 +387,6 @@ impl UvmDriver {
         Ok(())
     }
 
-    /// Unregisters all pages of a freed object and notifies the policy.
-    pub fn free_object(&mut self, obj: ObjectId, base: Va, bytes: u64) {
-        let first = base.vpn(self.state.page_size).0;
-        let last = Va(base.canonical().0 + bytes.max(1) - 1)
-            .vpn(self.state.page_size)
-            .0;
-        for p in first..=last {
-            let vpn = Vpn(p);
-            if self.state.host_table.unregister(vpn).is_some() {
-                for g in 0..self.state.gpu_count() {
-                    self.state.local_tables[g].invalidate(vpn);
-                    self.state.frames[g].remove(vpn);
-                }
-            }
-        }
-        self.policy.on_free(obj);
-    }
-
     /// Notifies the policy of an explicit phase boundary (kernel launch).
     pub fn kernel_launch(&mut self) {
         self.policy.on_kernel_launch();
@@ -412,8 +394,8 @@ impl UvmDriver {
 
     /// Resolves a page fault at simulated time `now`.
     ///
-    /// A fault on a page that was never registered (a trace touching freed
-    /// or unallocated memory) returns
+    /// A fault on a page that was never registered (a trace touching
+    /// unallocated memory) returns
     /// [`FaultError::UnregisteredPage`]; a fault naming a GPU outside the
     /// system returns [`FaultError::NoSuchGpu`]. Either leaves the driver
     /// state untouched.
@@ -1782,16 +1764,6 @@ mod tests {
             .alloc_object(ObjectId(1), Va(0x1000_0000), 4096, |_| DeviceId::Host)
             .expect_err("overlapping allocation must be rejected");
         assert!(matches!(err, SimError::Table(_)), "got {err}");
-    }
-
-    #[test]
-    fn free_object_unmaps_everywhere() {
-        let (mut d, mut f) = driver(Box::new(OnTouchPolicy), None);
-        fault(&mut d, &mut f, &far(2, 0, AccessKind::Write));
-        d.free_object(ObjectId(0), Va(0x1000_0000), 64 * 4096);
-        assert!(d.state.host_table.get(vpn(0)).is_none());
-        assert!(d.state.local_tables[2].get(vpn(0)).is_none());
-        assert!(!d.state.frames[2].contains(vpn(0)));
     }
 
     #[test]

@@ -71,9 +71,6 @@ pub trait PolicyEngine {
     /// Called when an object is allocated via the managed allocator.
     fn on_alloc(&mut self, _obj: ObjectId, _base: Va, _bytes: u64) {}
 
-    /// Called when an object is freed.
-    fn on_free(&mut self, _obj: ObjectId) {}
-
     /// Called when the driver observes that serving `va` by duplication
     /// would cross a permanently dead interconnect link. Stateful engines
     /// (OASIS) demote the page's object away from duplication so shared

@@ -69,15 +69,6 @@ impl UvmStats {
             .wrapping_add(self.fault_retries)
     }
 
-    /// Total pages moved between devices for any reason.
-    pub fn total_page_moves(&self) -> u64 {
-        self.migrations
-            + self.counter_migrations
-            + self.duplications
-            + self.ideal_copies
-            + self.evictions
-    }
-
     /// Field-wise difference `self - earlier`, for per-epoch rollups over
     /// a pair of cumulative snapshots. Saturates at zero (counters never
     /// decrease in a well-formed run).
@@ -175,7 +166,6 @@ mod tests {
             fault_retries: 1,
         };
         assert_eq!(s.total_faults(), 13);
-        assert_eq!(s.total_page_moves(), 14);
     }
 
     #[test]

@@ -6,11 +6,17 @@
 #
 # 1. Builds both sides from one source directory with one target directory,
 #    because cargo hashes a package's path into its symbols: one source built
-#    in two directories gives two different binaries. It extracts <BASE> with
-#    `git archive` into $WORK/src, builds perfbench and copies the binary out;
-#    then rewrites $WORK/src to this tree's files (`git ls-files -co
-#    --exclude-standard`), touching only files whose bytes differ so that only
-#    changed crates recompile, builds again and copies that binary out.
+#    in two directories gives two different binaries. That directory, $WORK,
+#    is the fixed target/bench-paired/ in this repository, so every call
+#    builds one revision into the same binary; each call wipes it first, and
+#    a call refuses to start while another holds it. The call extracts
+#    <BASE> with `git archive` into $WORK/src, builds perfbench and copies
+#    the binary out; then rewrites $WORK/src to this tree's files (`git
+#    ls-files -co --exclude-standard`), touching only files whose bytes
+#    differ so that only changed crates recompile, builds again and copies
+#    that binary out. Each side builds with its own tree's
+#    .cargo/config.toml and no other. Each side's binary size and SHA-256
+#    are printed.
 # 2. For every workload in BENCHMARK.json, runs PAIRS pairs of the two
 #    binaries at the same time, each for BENCHMARK.json's run_seconds and from
 #    a scratch directory of its own; the side launched first alternates
@@ -47,16 +53,38 @@ if [ -z "$WORKLOADS" ] || [ -z "$RUN_SECONDS" ] || [ -z "$BOUND" ]; then
     exit 2
 fi
 
-WORK=$(mktemp -d)
-trap 'rm -rf "$WORK"' EXIT
-mkdir "$WORK/src" "$WORK/bin" "$WORK/runs" "$WORK/run-base" "$WORK/run-change"
+WORK="$ROOT/target/bench-paired"
+mkdir -p "$ROOT/target"
+exec 9>"$ROOT/target/bench-paired.lock"
+if ! flock -n 9; then
+    echo "bench_paired: another call is using $WORK; not starting" >&2
+    exit 2
+fi
+rm -rf "$WORK"
+mkdir -p "$WORK/src" "$WORK/bin" "$WORK/runs" "$WORK/run-base" "$WORK/run-change"
 export CARGO_TARGET_DIR="$WORK/target"
 
+# "<side> binary: <bytes> bytes, sha256 <hash>" for side $1's binary.
+identify() {
+    printf '%s binary: %s bytes, sha256 %s\n' "$1" "$(wc -c <"$WORK/bin/$1")" \
+        "$(sha256sum "$WORK/bin/$1" | cut -d' ' -f1)"
+}
+
 # Builds perfbench from $WORK/src and copies the binary to $WORK/bin/$1.
+# Cargo reads the .cargo/config.toml of its working directory and of every
+# directory above it, and $WORK lies inside this repository, so the build
+# runs from / and gets the side's own config, if its tree has one, by
+# name: each side builds with the settings a checkout of it reads.
 build() {
+    local config=()
+    if [ -f "$WORK/src/.cargo/config.toml" ]; then
+        config=(--config "$WORK/src/.cargo/config.toml")
+    fi
     echo "bench_paired: building perfbench ($1)" >&2
-    cargo build --release --offline --quiet --manifest-path "$WORK/src/perfbench/Cargo.toml"
+    (cd / && cargo ${config[@]+"${config[@]}"} build --release --offline --quiet \
+        --manifest-path "$WORK/src/perfbench/Cargo.toml")
     cp "$CARGO_TARGET_DIR/release/oasis-perfbench" "$WORK/bin/$1"
+    echo "bench_paired: $(identify "$1")" >&2
 }
 
 git archive "$BASE" | tar -x -C "$WORK/src"
@@ -139,6 +167,8 @@ done
 
 echo "bench_paired: $BASE vs working tree, $PAIRS pairs x ${RUN_SECONDS}s per workload," \
     "$(($(date +%s) - START)) s"
+identify base
+identify change
 if [ "$FAILED" -ne 0 ]; then
     echo "bench_paired: FAIL: run_s median ratio over 1 + $BOUND" >&2
     exit 1

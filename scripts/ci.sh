@@ -68,6 +68,11 @@ cargo build --release --workspace
 step "cargo check --examples"
 cargo check -q --workspace --examples
 
+step "cargo check perfbench (the benchmark's use of the crate APIs)"
+# perfbench is its own workspace, so nothing above builds it; only the
+# CI bench job would, ten minutes later.
+cargo check --offline --manifest-path perfbench/Cargo.toml
+
 step "cargo test"
 cargo test -q --workspace
 

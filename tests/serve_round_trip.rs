@@ -126,7 +126,6 @@ fn two_connections_get_misses_then_byte_equal_cache_hits_then_drain() {
 
     stop.stop();
     let summary = server.join().expect("server thread").expect("serve result");
-    assert!(summary.drained);
     assert!(summary.journal_error.is_none());
     assert_eq!(summary.adjudicated, scenarios.len() as u64);
     let counter = |key: &str| {

@@ -3,9 +3,10 @@
 //! Models the per-GPU L2 cache of Table I (256 KB, 16-way, 64 B lines).
 //! Like the TLB model, it tracks which line addresses are resident so the
 //! simulator can decide whether an access pays DRAM latency; it does not
-//! hold data. Lines are indexed by their 64-bit line address (VA >> 6),
-//! tagged with the owning memory location epoch so invalidations on page
-//! migration can drop stale lines.
+//! hold data. Each set is a short `Vec` of (line address, last-use stamp)
+//! pairs, where the line address is the canonical VA >> 6 and its low bits
+//! pick the set; a page migrating away or a duplicate collapsing drops the
+//! page's lines with [`Cache::invalidate_page`].
 
 use oasis_engine::codec::{ByteReader, CodecError, Encoder, Restore, Snapshot};
 use oasis_engine::FxHashSet;
@@ -124,28 +125,52 @@ impl Cache {
     /// Drops every line belonging to virtual page `vpn` (done when a page
     /// migrates away or a duplicate is collapsed). Returns how many lines
     /// were dropped.
+    ///
+    /// A page with no more lines than the cache has sets (a 4 KiB page on
+    /// Table I's cache: 64 lines, 256 sets) puts each line in a set of its
+    /// own, so each line is looked up in its set. A larger page (2 MiB:
+    /// 32,768 lines) covers every set many times over, so each set is
+    /// visited once instead and its lines of the page dropped lowest
+    /// address first: the order a line-by-line walk drops them in, so
+    /// `swap_remove` leaves the set's other lines where that walk would.
+    /// Kept out of line: it runs on shootdowns only, and inlined into the
+    /// simulator's per-access loop it moved that loop's code.
+    #[inline(never)]
     pub fn invalidate_page(&mut self, vpn: Vpn, page: PageSize) -> usize {
         let first_line = (vpn.0 << page.shift()) >> self.line_shift;
         let lines_per_page = (page.bytes() >> self.line_shift).max(1);
         let mut dropped = 0;
-        for line in first_line..first_line + lines_per_page {
-            let idx = self.set_index(line);
-            let set = &mut self.sets[idx];
-            if let Some(pos) = set.lines.iter().position(|(a, _)| *a == line) {
-                set.lines.swap_remove(pos);
-                self.resident -= 1;
-                dropped += 1;
+        if lines_per_page <= self.sets.len() as u64 {
+            for line in first_line..first_line + lines_per_page {
+                let idx = self.set_index(line);
+                let set = &mut self.sets[idx];
+                if let Some(pos) = set.lines.iter().position(|(a, _)| *a == line) {
+                    set.lines.swap_remove(pos);
+                    dropped += 1;
+                }
+            }
+        } else {
+            for set in &mut self.sets {
+                loop {
+                    // The page's lowest line in this set: the smallest
+                    // offset into the page below `lines_per_page`.
+                    let (mut lowest, mut pos) = (lines_per_page, usize::MAX);
+                    for (i, &(a, _)) in set.lines.iter().enumerate() {
+                        let offset = a.wrapping_sub(first_line);
+                        if offset < lowest {
+                            (lowest, pos) = (offset, i);
+                        }
+                    }
+                    if pos == usize::MAX {
+                        break;
+                    }
+                    set.lines.swap_remove(pos);
+                    dropped += 1;
+                }
             }
         }
+        self.resident -= dropped;
         dropped
-    }
-
-    /// Drops all contents.
-    pub fn flush(&mut self) {
-        for set in &mut self.sets {
-            set.lines.clear();
-        }
-        self.resident = 0;
     }
 
     /// Number of resident lines.
@@ -161,12 +186,6 @@ impl Cache {
     /// (hits, misses) counters.
     pub fn stats(&self) -> (u64, u64) {
         (self.hits, self.misses)
-    }
-
-    /// Resets hit/miss counters (contents retained).
-    pub fn reset_stats(&mut self) {
-        self.hits = 0;
-        self.misses = 0;
     }
 }
 
@@ -210,12 +229,17 @@ impl Restore for Cache {
                     self.ways
                 )));
             }
-            let set = &mut self.sets[idx];
-            set.lines.clear();
+            self.sets[idx].lines.clear();
             for _ in 0..n_lines {
                 let line = r.u64()?;
                 let stamp = r.u64()?;
-                set.lines.push((line, stamp));
+                let home = self.set_index(line);
+                if home != idx {
+                    return Err(r.malformed(format!(
+                        "line {line:#x} stored in set {idx} but belongs in set {home}"
+                    )));
+                }
+                self.sets[idx].lines.push((line, stamp));
                 if !seen.insert(line) {
                     return Err(r.malformed(format!("line {line:#x} cached twice")));
                 }
@@ -236,7 +260,8 @@ mod tests {
         let mut c = Cache::new(256 * 1024, 16, 64);
         assert!(!c.access(Va(0x1000)));
         assert!(c.access(Va(0x1000)));
-        assert!(c.access(Va(0x1038))); // same 64B line region? 0x1038 is line 0x40.. no:
+        assert!(c.access(Va(0x1038))); // 0x1000..0x1040 is one 64 B line
+        assert_eq!(c.stats(), (2, 1));
     }
 
     #[test]
@@ -285,18 +310,6 @@ mod tests {
     }
 
     #[test]
-    fn flush_and_stats() {
-        let mut c = Cache::new(1024, 2, 64);
-        c.access(Va(0));
-        c.access(Va(0));
-        assert_eq!(c.stats(), (1, 1));
-        c.flush();
-        assert!(c.is_empty());
-        c.reset_stats();
-        assert_eq!(c.stats(), (0, 0));
-    }
-
-    #[test]
     #[should_panic(expected = "power of two")]
     fn bad_line_size_rejected() {
         let _ = Cache::new(1024, 2, 60);
@@ -332,6 +345,31 @@ mod tests {
         let mut small = Cache::new(256, 2, 64);
         let mut r = ByteReader::new("cache", &buf);
         assert!(small.restore(&mut r).is_err());
+    }
+
+    #[test]
+    fn restore_rejects_a_line_in_another_set() {
+        // 2 sets: line 1 belongs in set 1, but this snapshot stores it in
+        // set 0, where no access or invalidation would ever look for it.
+        let mut w = ByteWriter::new();
+        w.u64(1); // stamp
+        w.u64(0); // hits
+        w.u64(1); // misses
+        w.u64(2); // sets
+        w.u16(1); // set 0: line 1, stamp 1
+        w.u64(1);
+        w.u64(1);
+        w.u16(0); // set 1: empty
+        let buf = w.into_vec();
+        let mut c = Cache::new(256, 2, 64);
+        let err = c
+            .restore(&mut ByteReader::new("cache", &buf))
+            .expect_err("misplaced line");
+        assert!(
+            err.to_string()
+                .contains("line 0x1 stored in set 0 but belongs in set 1"),
+            "{err}"
+        );
     }
 
     #[test]

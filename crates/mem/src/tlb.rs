@@ -314,6 +314,12 @@ impl Restore for Tlb {
             for i in 0..n_lines {
                 let vpn = Vpn(r.u64()?);
                 let stamp = r.u64()?;
+                let home = self.set_index(vpn);
+                if home != set {
+                    return Err(r.malformed(format!(
+                        "page {vpn:?} stored in set {set} but belongs in set {home}"
+                    )));
+                }
                 self.line_vpn[base + i] = vpn;
                 self.line_stamp[base + i] = stamp;
                 if !seen.insert(vpn) {
@@ -459,6 +465,31 @@ mod tests {
         let mut small = Tlb::new(32, 32);
         let mut r = ByteReader::new("tlb", &buf);
         assert!(small.restore(&mut r).is_err());
+    }
+
+    #[test]
+    fn restore_rejects_a_page_in_another_set() {
+        // 2 sets: page 3 belongs in set 1, but this snapshot stores it in
+        // set 0, where no lookup or shootdown would ever look for it.
+        let mut w = ByteWriter::new();
+        w.u64(1); // stamp
+        w.u64(0); // hits
+        w.u64(0); // misses
+        w.u64(2); // sets
+        w.u16(1); // set 0: page 3, stamp 1
+        w.u64(3);
+        w.u64(1);
+        w.u16(0); // set 1: empty
+        let buf = w.into_vec();
+        let mut tlb = Tlb::new(8, 4);
+        let err = tlb
+            .restore(&mut ByteReader::new("tlb", &buf))
+            .expect_err("misplaced page");
+        assert!(
+            err.to_string()
+                .contains("page Vpn(3) stored in set 0 but belongs in set 1"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -1,20 +1,23 @@
 //! Op-sequence tests of the page tables and the frame allocator against a
-//! `BTreeMap` reference model, and of the TLB against a plain per-set
-//! model without its last-hit memo, driven by the in-tree deterministic
-//! [`SimRng`] (the build is offline, so there is no property-testing
-//! crate). After every operation the running digest must equal its
-//! from-scratch recomputation and the snapshot bytes must equal the
-//! model's encoding; a snapshot -> restore round trip must leave the digest
-//! unchanged. A failing case index pins the exact op sequence.
+//! `BTreeMap` reference model, of the TLB against a plain per-set model
+//! without its last-hit memo, and of the L2 cache against a plain per-set
+//! model that drops a page line by line, driven by the in-tree
+//! deterministic [`SimRng`] (the build is offline, so there is no
+//! property-testing crate). After every operation (for the cache, every
+//! page invalidation) the snapshot bytes must equal the model's encoding,
+//! and for the tables the running digest must equal its from-scratch
+//! recomputation; a snapshot -> restore round trip must leave the digest
+//! or bytes unchanged. A failing case index pins the exact op sequence.
 
 use std::collections::BTreeMap;
 
 use oasis_engine::codec::{ByteReader, ByteWriter, Restore, Snapshot};
 use oasis_engine::{SimRng, StateHasher};
+use oasis_mem::cache::Cache;
 use oasis_mem::frames::FrameAllocator;
 use oasis_mem::page::{device_to_byte, HostEntry, HostPageTable, LocalPageTable, PolicyBits, Pte};
 use oasis_mem::tlb::Tlb;
-use oasis_mem::types::{DeviceId, GpuId, Vpn};
+use oasis_mem::types::{DeviceId, GpuId, PageSize, Va, Vpn};
 
 const CASES: u64 = 40;
 const OPS: u64 = 300;
@@ -292,6 +295,24 @@ fn frame_allocator_matches_its_model() {
     }
 }
 
+/// The snapshot layout the TLB and the L2 cache share: the counters, then
+/// each set's `(key, stamp)` lines in order.
+fn per_set_bytes(stamp: u64, hits: u64, misses: u64, sets: &[Vec<(u64, u64)>]) -> Vec<u8> {
+    let mut w = ByteWriter::new();
+    w.u64(stamp);
+    w.u64(hits);
+    w.u64(misses);
+    w.u64(sets.len() as u64);
+    for set in sets {
+        w.u16(set.len() as u16);
+        for &(key, stamp) in set {
+            w.u64(key);
+            w.u64(stamp);
+        }
+    }
+    w.into_vec()
+}
+
 /// The TLB's reference model: each set a plain list of `(vpn, stamp)`
 /// lines, scanned on every lookup, evicting the least recently used line
 /// with the same swap-remove as the TLB.
@@ -355,19 +376,7 @@ impl TlbModel {
     }
 
     fn bytes(&self) -> Vec<u8> {
-        let mut w = ByteWriter::new();
-        w.u64(self.stamp);
-        w.u64(self.hits);
-        w.u64(self.misses);
-        w.u64(self.sets.len() as u64);
-        for set in &self.sets {
-            w.u16(set.len() as u16);
-            for &(vpn, stamp) in set {
-                w.u64(vpn);
-                w.u64(stamp);
-            }
-        }
-        w.into_vec()
+        per_set_bytes(self.stamp, self.hits, self.misses, &self.sets)
     }
 }
 
@@ -420,6 +429,135 @@ fn tlb_matches_its_model() {
             assert_eq!(snapshot_bytes(&tlb), model.bytes(), "case {case} op {op}");
         }
         let back = restored(Tlb::new(entries, ways), &snapshot_bytes(&tlb));
+        assert_eq!(snapshot_bytes(&back), model.bytes(), "case {case}");
+    }
+}
+
+/// The L2 cache's reference model: each set a plain list of
+/// `(line, stamp)` pairs, evicting the least recently used line with the
+/// same swap-remove as the cache, and a page invalidation that looks up
+/// each of the page's lines in turn, lowest address first.
+struct CacheModel {
+    sets: Vec<Vec<(u64, u64)>>,
+    ways: usize,
+    stamp: u64,
+    hits: u64,
+    misses: u64,
+}
+
+impl CacheModel {
+    const LINE_SHIFT: u32 = 6;
+
+    fn new(capacity: u64, ways: usize) -> Self {
+        let lines = (capacity >> Self::LINE_SHIFT) as usize;
+        CacheModel {
+            sets: vec![Vec::new(); lines / ways],
+            ways,
+            stamp: 0,
+            hits: 0,
+            misses: 0,
+        }
+    }
+
+    fn set(&mut self, line: u64) -> &mut Vec<(u64, u64)> {
+        let n = self.sets.len();
+        &mut self.sets[line as usize % n]
+    }
+
+    fn access(&mut self, va: u64) -> bool {
+        let line = va >> Self::LINE_SHIFT;
+        self.stamp += 1;
+        let (stamp, ways) = (self.stamp, self.ways);
+        let set = self.set(line);
+        if let Some(l) = set.iter_mut().find(|(a, _)| *a == line) {
+            l.1 = stamp;
+            self.hits += 1;
+            return true;
+        }
+        if set.len() == ways {
+            let lru = (0..set.len()).min_by_key(|&i| set[i].1).expect("full set");
+            set.swap_remove(lru);
+        }
+        set.push((line, stamp));
+        self.misses += 1;
+        false
+    }
+
+    fn invalidate_page(&mut self, vpn: u64, page: PageSize) -> usize {
+        let first = (vpn << page.shift()) >> Self::LINE_SHIFT;
+        let lines = page.bytes() >> Self::LINE_SHIFT;
+        let mut dropped = 0;
+        for line in first..first + lines {
+            let set = self.set(line);
+            if let Some(pos) = set.iter().position(|(a, _)| *a == line) {
+                set.swap_remove(pos);
+                dropped += 1;
+            }
+        }
+        dropped
+    }
+
+    fn len(&self) -> usize {
+        self.sets.iter().map(Vec::len).sum()
+    }
+
+    fn bytes(&self) -> Vec<u8> {
+        per_set_bytes(self.stamp, self.hits, self.misses, &self.sets)
+    }
+}
+
+#[test]
+fn cache_matches_its_model() {
+    // Table I's L2, a smaller one, and one so small that a 4 KiB page
+    // also spans every set, each at both page sizes.
+    const GEOMETRIES: [(u64, usize); 3] = [(256 * 1024, 16), (64 * 1024, 4), (1024, 2)];
+    const PAGES: [PageSize; 2] = [PageSize::Small4K, PageSize::Large2M];
+    const ROUNDS: u64 = 24;
+    for case in 0..18 {
+        let mut rng = SimRng::seed_from_u64(0xCAC4_0000 + case);
+        let (capacity, ways) = GEOMETRIES[case as usize % 3];
+        let page = PAGES[case as usize / 3 % 2];
+        let mut cache = Cache::new(capacity, ways, 64);
+        let mut model = CacheModel::new(capacity, ways);
+        // Four pages, or enough of them to hold four times the cache, so
+        // sets fill and evict and hold several lines of one page.
+        let pages = (4 * capacity / page.bytes()).max(4);
+        let region = pages * page.bytes();
+        let lines = capacity >> CacheModel::LINE_SHIFT;
+        let mut va = 0;
+        for round in 0..ROUNDS {
+            for op in 0..rng.gen_range(0..2 * lines + 64) {
+                // Stay near the last line half the time, so lines hit.
+                va = if rng.gen_range(0..2) == 0 {
+                    (va + rng.gen_range(0..4) * 64) % region
+                } else {
+                    rng.gen_range(0..region)
+                };
+                assert_eq!(
+                    cache.access(Va(va)),
+                    model.access(va),
+                    "case {case} round {round} op {op}: access {va:#x}"
+                );
+            }
+            assert_eq!(
+                cache.stats(),
+                (model.hits, model.misses),
+                "case {case} round {round}"
+            );
+            let vpn = rng.gen_range(0..pages);
+            assert_eq!(
+                cache.invalidate_page(Vpn(vpn), page),
+                model.invalidate_page(vpn, page),
+                "case {case} round {round}: invalidate {vpn} ({page:?})"
+            );
+            assert_eq!(cache.len(), model.len(), "case {case} round {round}");
+            assert_eq!(
+                snapshot_bytes(&cache),
+                model.bytes(),
+                "case {case} round {round}"
+            );
+        }
+        let back = restored(Cache::new(capacity, ways, 64), &snapshot_bytes(&cache));
         assert_eq!(snapshot_bytes(&back), model.bytes(), "case {case}");
     }
 }

@@ -13,9 +13,9 @@
 # resumed from its file with a cmp'd digest trail, byte-identical trace
 # files, and byte-identical fuzz reports at any --jobs count), a parallel
 # corpus replay with skip-hardening and failure-propagation probes, and —
-# in strict mode — the pinned golden-digest gate (two fixed-seed scenarios
-# cmp'd against fixtures in tests/golden/, catching cross-version semantic
-# drift), the figures gate (a full-size `reproduce` diffed against the
+# in strict mode — the pinned golden-digest gate (three fixed-seed
+# scenarios, one with 2 MiB pages, cmp'd against fixtures in tests/golden/,
+# catching cross-version semantic drift), the figures gate (a full-size `reproduce` diffed against the
 # committed results/), the graceful-degradation matrix (every core policy
 # must finish a run under a fixed hardware-fault plan and report its
 # recovery counters), a bounded property-fuzz smoke over the differential
@@ -119,24 +119,29 @@ echo "traces are byte-identical ($(wc -c <"$T1") bytes)"
 
 step "golden digest trails (pinned cross-version determinism fixtures)"
 if [ "$STRICT" = "1" ]; then
-    # Two fixed-seed scenarios re-run from scratch; their per-epoch state
+    # Three fixed-seed scenarios re-run from scratch; their per-epoch state
     # digest trails (System::digest, composed from component digests) must
     # cmp byte-identical against fixtures pinned in tests/golden/. Unlike
     # the same-binary determinism audits above, this gate spans versions:
     # any semantic drift in the access pipeline — however subtle — shows
-    # up here even when the run still agrees with itself. Refreshing a
-    # fixture is a deliberate, reviewed act; tests/golden_digests.rs pins
-    # the same runs' trails in the older snapshot-digest format, which
+    # up here even when the run still agrees with itself. The third runs
+    # with 2 MiB pages, whose shootdowns drop many lines from each L2-cache
+    # set, so the order they are dropped in shows in its trail. Refreshing
+    # a fixture is a deliberate, reviewed act; tests/golden_digests.rs pins
+    # the first two runs' trails in the older snapshot-digest format, which
     # does not change with the digest format.
-    D1="$(mktemp)" D2="$(mktemp)"
+    D1="$(mktemp)" D2="$(mktemp)" D3="$(mktemp)"
     ./target/release/oasis-sim run --app C2D --policy oasis --footprint-mb 4 \
         --digest-out "$D1" >/dev/null
     cmp "$D1" tests/golden/c2d-oasis.digests
     ./target/release/oasis-sim run --app MM --policy duplication --footprint-mb 4 \
         --digest-out "$D2" >/dev/null
     cmp "$D2" tests/golden/mm-duplication.digests
-    rm -f "$D1" "$D2"
-    echo "digest trails match the pinned fixtures (C2D/oasis, MM/duplication)"
+    ./target/release/oasis-sim run --app C2D --policy on-touch --page-size 2m \
+        --footprint-mb 4 --digest-out "$D3" >/dev/null
+    cmp "$D3" tests/golden/c2d-2m-on-touch.digests
+    rm -f "$D1" "$D2" "$D3"
+    echo "digest trails match the pinned fixtures (C2D/oasis, MM/duplication, C2D/on-touch at 2 MiB pages)"
 else
     echo "developer mode (CI_STRICT unset); skipping the golden digest gate"
 fi

@@ -6,10 +6,12 @@
 //! channels, driver tables, policy state), collected by stepping the run
 //! one epoch at a time. The trails below were captured before the
 //! pre-resolved access pipeline landed and are asserted byte-for-byte
-//! since; the last test pins what the CI golden fixtures held before the
-//! run's own digest changed format. Any change to simulation semantics
-//! (an extra fault, a different eviction victim, a reordered shootdown)
-//! shows up here by name. Performance work must keep every one green.
+//! since; `ci_fixture_runs_keep_their_legacy_trails` pins what the CI
+//! golden fixtures held before the run's own digest changed format, and
+//! the last two tests pin every app's final state at both page sizes. Any
+//! change to simulation semantics (an extra fault, a different eviction
+//! victim, a reordered shootdown) shows up here by name. Performance work
+//! must keep every one green.
 
 use oasis::mgpu::{Policy, System, SystemConfig};
 use oasis::workloads::{generate, App, Trace, WorkloadParams, ALL_APPS};
@@ -255,25 +257,145 @@ const FINAL_STATES: [(App, [u64; 4]); 11] = [
     ),
 ];
 
-#[test]
-fn every_app_final_state_is_pinned_under_every_core_policy() {
-    let apps: Vec<App> = FINAL_STATES.iter().map(|&(app, _)| app).collect();
+/// The same runs as [`FINAL_STATES`] under [`SystemConfig::with_large_pages`]:
+/// a 2 MiB page spans 32,768 lines of Table I's 256-set L2 cache, so a
+/// shootdown drops many lines from each set, and the order it drops them
+/// in decides the order of the set's other lines, which the snapshot
+/// records. With 4 KiB pages no set ever holds two lines of one page, so
+/// only these values pin that order.
+const LARGE_PAGE_FINAL_STATES: [(App, [u64; 4]); 11] = [
+    (
+        App::Bfs,
+        [
+            0x4914e7431085c901,
+            0x068a4f30f77707af,
+            0x6474eed6f78a673f,
+            0x3e828a0f874466f4,
+        ],
+    ),
+    (
+        App::C2d,
+        [
+            0x08f9bb6d1323a669,
+            0xe29663b8670ea619,
+            0x922a06633a1fedd7,
+            0x3f51f47e02553a5b,
+        ],
+    ),
+    (
+        App::Fft,
+        [
+            0xf383d40f5d0a737f,
+            0x0671587e2f07e2dd,
+            0xfcafe4efb33df04a,
+            0x840a6a0c16e8f51c,
+        ],
+    ),
+    (
+        App::I2c,
+        [
+            0xa683d1fa656b48bc,
+            0x260e66b698b470eb,
+            0xea310d8252b62383,
+            0xd4161a74d1fd7d2c,
+        ],
+    ),
+    (
+        App::Mm,
+        [
+            0xa0cec9c54d1bc343,
+            0xe0de35d415996119,
+            0x2c3311c287e477b6,
+            0xf8571750c8160cbe,
+        ],
+    ),
+    (
+        App::Mt,
+        [
+            0x1c3a905eaa7f6d4c,
+            0xe1d3bed7f50a8668,
+            0x10e9d1741689e77b,
+            0x7281f6b4f9f04cba,
+        ],
+    ),
+    (
+        App::Pr,
+        [
+            0x460ca5607768e607,
+            0xc5989c6ff720b2ad,
+            0x05a3fa3150ce7e6e,
+            0xbc1d978fb510389f,
+        ],
+    ),
+    (
+        App::St,
+        [
+            0x2fda1b29ca96e8d6,
+            0x85c1b8f6377dd4ec,
+            0xc6e1dea0d0406bec,
+            0xbcbfdafd5ec18556,
+        ],
+    ),
+    (
+        App::LeNet,
+        [
+            0x3d4f2882fdd50788,
+            0xf76d90aded5a980a,
+            0xd14f1815d7aea695,
+            0x4ba8293481d8be04,
+        ],
+    ),
+    (
+        App::Vgg16,
+        [
+            0x77813ebca21eb722,
+            0x11330aa630eb69d0,
+            0x7340e08743dbc9e0,
+            0xc3f70d93f95bd7ab,
+        ],
+    ),
+    (
+        App::ResNet18,
+        [
+            0xe8377f07f31e57fd,
+            0xdc89722f6dfa0696,
+            0x7a588c2a0d5fcbfd,
+            0xebd279f422d7d5dc,
+        ],
+    ),
+];
+
+/// Runs every app under every core policy at a 1 MB footprint on `config`
+/// and checks each final [`System::snapshot_digest`] against `pinned`,
+/// listing every mismatching row in the table's own syntax.
+fn check_final_states(config: &SystemConfig, pinned: &[(App, [u64; 4]); 11]) {
+    let apps: Vec<App> = pinned.iter().map(|&(app, _)| app).collect();
     assert_eq!(apps, ALL_APPS, "one row per app, in order");
     let mut mismatches = Vec::new();
-    for (app, pinned) in FINAL_STATES {
+    for &(app, expected) in pinned {
         let params = WorkloadParams {
             footprint_mb: 1,
             ..WorkloadParams::small(app, 4)
         };
         let trace = generate(app, &params);
         let finals = Policy::core().map(|policy| {
-            let mut sys = System::new(SystemConfig::default(), &policy);
+            let mut sys = System::new(config.clone(), &policy);
             sys.run(&trace).expect("run completes");
             sys.snapshot_digest()
         });
-        if finals != pinned {
+        if finals != expected {
             mismatches.push(format!("(App::{app:?}, {finals:#018x?})"));
         }
     }
     assert!(mismatches.is_empty(), "{}", mismatches.join(",\n"));
+}
+
+#[test]
+fn every_app_final_state_is_pinned_under_every_core_policy() {
+    check_final_states(&SystemConfig::default(), &FINAL_STATES);
+}
+
+#[test]
+fn every_app_final_state_is_pinned_with_large_pages() {
+    check_final_states(&SystemConfig::with_large_pages(), &LARGE_PAGE_FINAL_STATES);
 }

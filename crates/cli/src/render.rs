@@ -1,7 +1,9 @@
-//! Report rendering: aligned text and minimal hand-rolled JSON.
+//! Report rendering: aligned text, and flat JSON through
+//! [`oasis_engine::json`].
 
 use std::fmt::Write as _;
 
+use oasis_engine::json::Writer;
 use oasis_mem::types::PageSize;
 use oasis_mgpu::characterize::{profile, RwPattern, Scope, SharePattern};
 use oasis_mgpu::{InjectionOutcome, RunReport};
@@ -90,78 +92,41 @@ fn pct(n: u64, d: u64) -> f64 {
     }
 }
 
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 /// Machine-readable single-run report.
 pub fn report_json(r: &RunReport) -> String {
-    let mut out = String::from("{\n");
-    let _ = writeln!(out, "  \"app\": {},", json_str(&r.app));
-    let _ = writeln!(out, "  \"policy\": {},", json_str(&r.policy));
-    let _ = writeln!(out, "  \"total_time_us\": {:.3},", r.total_time.as_us());
-    let _ = writeln!(out, "  \"phases\": {},", r.phases);
-    let _ = writeln!(out, "  \"accesses\": {},", r.accesses);
-    let _ = writeln!(out, "  \"local_accesses\": {},", r.local_accesses);
-    let _ = writeln!(out, "  \"remote_accesses\": {},", r.remote_accesses);
-    let _ = writeln!(out, "  \"far_faults\": {},", r.uvm.far_faults);
-    let _ = writeln!(out, "  \"protection_faults\": {},", r.uvm.protection_faults);
-    let _ = writeln!(out, "  \"migrations\": {},", r.uvm.migrations);
-    let _ = writeln!(
-        out,
-        "  \"counter_migrations\": {},",
-        r.uvm.counter_migrations
-    );
-    let _ = writeln!(out, "  \"duplications\": {},", r.uvm.duplications);
-    let _ = writeln!(out, "  \"collapses\": {},", r.uvm.collapses);
-    let _ = writeln!(out, "  \"remote_maps\": {},", r.uvm.remote_maps);
-    let _ = writeln!(out, "  \"evictions\": {},", r.uvm.evictions);
-    let _ = writeln!(out, "  \"thrash_pins\": {},", r.uvm.thrash_pins);
-    let _ = writeln!(out, "  \"nvlink_bytes\": {},", r.nvlink_bytes);
-    let _ = writeln!(out, "  \"pcie_bytes\": {},", r.pcie_bytes);
-    let _ = writeln!(out, "  \"link_faults\": {},", r.faults.link_faults);
-    let _ = writeln!(out, "  \"reroutes\": {},", r.faults.reroutes);
-    let _ = writeln!(out, "  \"rerouted_bytes\": {},", r.faults.rerouted_bytes);
-    let _ = writeln!(out, "  \"crc_retries\": {},", r.faults.crc_retries);
-    let _ = writeln!(out, "  \"ecc_quarantines\": {},", r.uvm.ecc_quarantines);
-    let _ = writeln!(out, "  \"fault_retries\": {},", r.uvm.fault_retries);
-    let _ = writeln!(
-        out,
-        "  \"policy_mix\": [{}, {}, {}],",
-        r.policy_mix[0], r.policy_mix[1], r.policy_mix[2]
-    );
     let i = &r.instrumentation;
-    let _ = writeln!(out, "  \"wall_clock_us\": {},", i.wall_clock_us);
-    let _ = writeln!(out, "  \"retired_steps\": {},", i.retired_steps);
-    let _ = writeln!(out, "  \"checkpoint_write_us\": {},", i.checkpoint_write_us);
-    let _ = writeln!(
-        out,
-        "  \"checkpoint_restore_us\": {},",
-        i.checkpoint_restore_us
-    );
-    // Digests exceed 2^53, so emit them as hex strings to stay exact in
-    // every JSON consumer.
-    let digests: Vec<String> = r
-        .digest_trail
-        .iter()
-        .map(|d| format!("\"{d:#018x}\""))
-        .collect();
-    let _ = writeln!(out, "  \"digest_trail\": [{}]", digests.join(", "));
-    out.push('}');
-    out
+    Writer::pretty()
+        .str("app", &r.app)
+        .str("policy", &r.policy)
+        .fixed3("total_time_us", r.total_time.as_us())
+        .u64("phases", r.phases as u64)
+        .u64("accesses", r.accesses)
+        .u64("local_accesses", r.local_accesses)
+        .u64("remote_accesses", r.remote_accesses)
+        .u64("far_faults", r.uvm.far_faults)
+        .u64("protection_faults", r.uvm.protection_faults)
+        .u64("migrations", r.uvm.migrations)
+        .u64("counter_migrations", r.uvm.counter_migrations)
+        .u64("duplications", r.uvm.duplications)
+        .u64("collapses", r.uvm.collapses)
+        .u64("remote_maps", r.uvm.remote_maps)
+        .u64("evictions", r.uvm.evictions)
+        .u64("thrash_pins", r.uvm.thrash_pins)
+        .u64("nvlink_bytes", r.nvlink_bytes)
+        .u64("pcie_bytes", r.pcie_bytes)
+        .u64("link_faults", r.faults.link_faults)
+        .u64("reroutes", r.faults.reroutes)
+        .u64("rerouted_bytes", r.faults.rerouted_bytes)
+        .u64("crc_retries", r.faults.crc_retries)
+        .u64("ecc_quarantines", r.uvm.ecc_quarantines)
+        .u64("fault_retries", r.uvm.fault_retries)
+        .u64s("policy_mix", r.policy_mix)
+        .u64("wall_clock_us", i.wall_clock_us)
+        .u64("retired_steps", i.retired_steps)
+        .u64("checkpoint_write_us", i.checkpoint_write_us)
+        .u64("checkpoint_restore_us", i.checkpoint_restore_us)
+        .hexes("digest_trail", r.digest_trail.iter().copied())
+        .finish()
 }
 
 /// Metrics-registry breakdown: top-N counters by value, every latency
@@ -230,14 +195,14 @@ pub fn stats_text(r: &RunReport, top: usize) -> String {
 pub fn inject_json(outcomes: &[InjectionOutcome]) -> String {
     let mut out = String::new();
     for o in outcomes {
-        let _ = writeln!(
-            out,
-            "{{\"kind\": {}, \"seed\": \"{:#018x}\", \"ok\": {}, \"line\": {}}}",
-            json_str(o.kind.name()),
-            o.seed,
-            o.ok,
-            json_str(&o.line)
-        );
+        let line = Writer::line()
+            .str("kind", o.kind.name())
+            .hex("seed", o.seed)
+            .bool("ok", o.ok)
+            .str("line", &o.line)
+            .finish();
+        out.push_str(&line);
+        out.push('\n');
     }
     out
 }
@@ -317,12 +282,112 @@ pub fn characterization_text(trace: &Trace, page: PageSize) -> String {
 mod tests {
     use super::*;
 
+    /// `run --json` and `inject --json` are read by scripts: these bytes
+    /// may never move.
     #[test]
-    fn json_escaping() {
-        assert_eq!(json_str("plain"), "\"plain\"");
-        assert_eq!(json_str("a\"b"), "\"a\\\"b\"");
-        assert_eq!(json_str("a\\b"), "\"a\\\\b\"");
-        assert_eq!(json_str("a\nb"), "\"a\\u000ab\"");
+    fn report_and_inject_json_are_pinned() {
+        let mut r = RunReport {
+            app: "C2D".to_string(),
+            policy: "oasis".to_string(),
+            total_time: oasis_engine::Duration::from_ns(1_234_567),
+            phases: 9,
+            accesses: 1000,
+            local_accesses: 700,
+            remote_accesses: 300,
+            l1_tlb: (1, 2),
+            l2_tlb: (3, 4),
+            l2_cache: (5, 6),
+            uvm: Default::default(),
+            policy_mix: [11, 22, 33],
+            nvlink_bytes: 4096,
+            pcie_bytes: 8192,
+            faults: Default::default(),
+            errors_recorded: 0,
+            error_samples: Vec::new(),
+            digest_trail: vec![0x1, 0xdead_beef_0bad_f00d],
+            instrumentation: Default::default(),
+            epoch_rollups: Vec::new(),
+            metrics: oasis_engine::MetricsRegistry::disabled(),
+            trace_events: Vec::new(),
+        };
+        r.uvm.far_faults = 12;
+        r.uvm.protection_faults = 13;
+        r.uvm.migrations = 14;
+        r.uvm.counter_migrations = 15;
+        r.uvm.duplications = 16;
+        r.uvm.collapses = 17;
+        r.uvm.remote_maps = 18;
+        r.uvm.evictions = 19;
+        r.uvm.thrash_pins = 20;
+        r.uvm.ecc_quarantines = 21;
+        r.uvm.fault_retries = 22;
+        r.faults.link_faults = 1;
+        r.faults.reroutes = 2;
+        r.faults.rerouted_bytes = 3;
+        r.faults.crc_retries = 4;
+        r.instrumentation.wall_clock_us = 55;
+        r.instrumentation.retired_steps = 66;
+        r.instrumentation.checkpoint_write_us = 77;
+        r.instrumentation.checkpoint_restore_us = 88;
+        let pinned = r#"{
+  "app": "C2D",
+  "policy": "oasis",
+  "total_time_us": 1234.567,
+  "phases": 9,
+  "accesses": 1000,
+  "local_accesses": 700,
+  "remote_accesses": 300,
+  "far_faults": 12,
+  "protection_faults": 13,
+  "migrations": 14,
+  "counter_migrations": 15,
+  "duplications": 16,
+  "collapses": 17,
+  "remote_maps": 18,
+  "evictions": 19,
+  "thrash_pins": 20,
+  "nvlink_bytes": 4096,
+  "pcie_bytes": 8192,
+  "link_faults": 1,
+  "reroutes": 2,
+  "rerouted_bytes": 3,
+  "crc_retries": 4,
+  "ecc_quarantines": 21,
+  "fault_retries": 22,
+  "policy_mix": [11, 22, 33],
+  "wall_clock_us": 55,
+  "retired_steps": 66,
+  "checkpoint_write_us": 77,
+  "checkpoint_restore_us": 88,
+  "digest_trail": ["0x0000000000000001", "0xdeadbeef0badf00d"]
+}"#;
+        assert_eq!(report_json(&r), pinned);
+        r.digest_trail.clear();
+        assert!(report_json(&r).contains("\n  \"digest_trail\": []\n}"));
+
+        let outcomes = [
+            InjectionOutcome {
+                kind: oasis_mgpu::Perturbation::LinkDown,
+                seed: 0xfeed,
+                ok: true,
+                line: "link-down: \"0-1\" down at epoch 2".to_string(),
+            },
+            InjectionOutcome {
+                kind: oasis_mgpu::Perturbation::OutOfRangeAccess,
+                seed: u64::MAX,
+                ok: false,
+                line: "aborted at step 3".to_string(),
+            },
+        ];
+        let pinned = concat!(
+            r#"{"kind": "link-down", "seed": "0x000000000000feed", "ok": true, "#,
+            r#""line": "link-down: \"0-1\" down at epoch 2"}"#,
+            "\n",
+            r#"{"kind": "out-of-range-access", "seed": "0xffffffffffffffff", "ok": false, "#,
+            r#""line": "aborted at step 3"}"#,
+            "\n",
+        );
+        assert_eq!(inject_json(&outcomes), pinned);
     }
 
     #[test]

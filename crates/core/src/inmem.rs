@@ -79,11 +79,6 @@ impl ShadowMap {
         (id, l1)
     }
 
-    /// Number of live second-level tables.
-    pub fn l2_tables(&self) -> usize {
-        self.l1.len()
-    }
-
     /// Memory footprint per the paper's accounting: 128 MB first level +
     /// `2^12 × 2 B` per second-level table.
     pub fn modelled_bytes(&self) -> u64 {
@@ -158,16 +153,6 @@ impl OasisInMem {
     /// Behaviour counters shared with the hardware controller.
     pub fn stats(&self) -> OasisStats {
         self.core.stats
-    }
-
-    /// `(total shadow lookups, cold lookups that paid a memory access)`.
-    pub fn shadow_stats(&self) -> (u64, u64) {
-        (self.shadow_lookups, self.shadow_cold)
-    }
-
-    /// The shadow map (inspection / overhead accounting).
-    pub fn shadow_map(&self) -> &ShadowMap {
-        &self.shadow
     }
 
     fn charge_lookup(&mut self, l1: u64, tag: u16) -> Duration {
@@ -352,10 +337,21 @@ mod tests {
     #[test]
     fn shadow_map_memory_accounting() {
         let mut m = ShadowMap::new();
-        assert_eq!(m.l2_tables(), 0);
+        assert_eq!(m.modelled_bytes(), 128 * 1024 * 1024);
+        // One second-level table of 2^12 two-byte entries.
         m.set_range(Va(0x1000_0000), 4096, 1);
-        assert_eq!(m.l2_tables(), 1);
         assert_eq!(m.modelled_bytes(), 128 * 1024 * 1024 + (1 << 12) * 2);
+    }
+
+    /// `(total shadow lookups, cold lookups that paid a memory access)`,
+    /// as the controller publishes them.
+    fn shadow_stats(c: &OasisInMem) -> (u64, u64) {
+        let mut m = MetricsRegistry::enabled();
+        c.publish_metrics(&mut m);
+        (
+            m.counter("shadow.lookups"),
+            m.counter("shadow.cold_lookups"),
+        )
     }
 
     fn shared_state(vpn: Vpn) -> MemState {
@@ -385,7 +381,7 @@ mod tests {
         // Second fault: everything warm in the LLC.
         let d = c.resolve(&f, &s);
         assert_eq!(d.metadata_latency, Duration::from_ns(90));
-        assert_eq!(c.shadow_stats(), (2, 1));
+        assert_eq!(shadow_stats(&c), (2, 1));
     }
 
     #[test]
@@ -424,7 +420,7 @@ mod tests {
         let d = c.resolve(&f, &s);
         assert_eq!(d.resolution, Resolution::Migrate);
         assert_eq!(d.metadata_latency, Duration::ZERO);
-        assert_eq!(c.shadow_stats().0, 0, "host-PT filter avoided the lookup");
+        assert_eq!(shadow_stats(&c).0, 0, "host-PT filter avoided the lookup");
     }
 
     #[test]
@@ -453,10 +449,10 @@ mod tests {
         fresh.restore_state(&mut r).expect("valid inmem state");
         assert!(r.is_empty(), "payload fully consumed");
         assert_eq!(fresh.stats(), c.stats());
-        assert_eq!(fresh.shadow_stats(), c.shadow_stats());
-        assert_eq!(fresh.shadow_map().lookup(Va(0x1000_0000)).0, Some(300));
-        // The restored controller is warm: the next lookup charges LLC
-        // hits, exactly like the uninterrupted run.
+        assert_eq!(shadow_stats(&fresh), shadow_stats(&c));
+        // The restored controller finds the object in its rebuilt shadow
+        // map and is warm: the next lookup charges LLC hits, exactly like
+        // the uninterrupted run.
         let a = c.resolve(&f, &s);
         let b = fresh.resolve(&f, &s);
         assert_eq!(a, b);

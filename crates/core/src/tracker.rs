@@ -65,7 +65,8 @@ pub fn decode(ptr: Va, id_bits: u32) -> (u16, bool) {
 /// let mut tracker = ObjectTracker::hardware();
 /// let tagged = tracker.on_alloc(Va(0x1000_0000));
 /// assert_eq!(tagged.canonical(), Va(0x1000_0000));
-/// assert_eq!(tracker.object_of(tagged), Some(0));
+/// // Obj_ID 0, config bit set.
+/// assert_eq!(oasis_core::decode(tagged, tracker.id_bits()), (0, true));
 /// ```
 #[derive(Debug, Clone)]
 pub struct ObjectTracker {
@@ -109,12 +110,6 @@ impl ObjectTracker {
         self.id_bits
     }
 
-    /// Whether pointers carry the Obj_ID (hardware OASIS) or only the
-    /// config bit (InMem).
-    pub fn is_hardware(&self) -> bool {
-        self.hardware
-    }
-
     /// Called when a new object is allocated at `base`; returns the tagged
     /// pointer handed back to the application. IDs are assigned in
     /// allocation order ("the first allocated object is assigned 0000, the
@@ -138,13 +133,6 @@ impl ObjectTracker {
         } else {
             encode(ptr, ObjectId(0), 0, false)
         }
-    }
-
-    /// The raw Obj_ID carried by `ptr`, or `None` for InMem-tagged pointers
-    /// (whose id must come from the shadow map).
-    pub fn object_of(&self, ptr: Va) -> Option<u16> {
-        let (id, hardware) = decode(ptr, self.id_bits);
-        hardware.then_some(id)
     }
 }
 
@@ -239,9 +227,9 @@ mod tests {
         let a = t.on_alloc(Va(0x1000));
         let b = t.on_alloc(Va(0x2000));
         let c = t.on_alloc(Va(0x3000));
-        assert_eq!(t.object_of(a), Some(0));
-        assert_eq!(t.object_of(b), Some(1));
-        assert_eq!(t.object_of(c), Some(2));
+        assert_eq!(decode(a, t.id_bits()), (0, true));
+        assert_eq!(decode(b, t.id_bits()), (1, true));
+        assert_eq!(decode(c, t.id_bits()), (2, true));
     }
 
     #[test]
@@ -249,8 +237,8 @@ mod tests {
         let mut t = ObjectTracker::in_mem();
         let p = t.on_alloc(Va(0x1234_5000));
         assert_eq!(p.0 >> 49, 0, "only the config bit may be set");
-        assert_eq!(t.object_of(p), None);
-        assert!(!t.is_hardware());
+        // No Obj_ID: the id must come from the shadow map.
+        assert_eq!(decode(p, t.id_bits()), (0, false));
     }
 
     #[test]
@@ -266,7 +254,7 @@ mod tests {
         let mut r = ByteReader::new("tracker", &buf);
         fresh.restore(&mut r).expect("valid tracker state");
         let next = fresh.on_alloc(Va(0x3000));
-        assert_eq!(fresh.object_of(next), Some(2));
+        assert_eq!(decode(next, fresh.id_bits()), (2, true));
 
         // A checkpoint from a different tracker mode is rejected.
         let mut inmem = ObjectTracker::in_mem();

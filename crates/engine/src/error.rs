@@ -127,14 +127,6 @@ pub enum MigrationError {
         /// The page being moved.
         vpn: u64,
     },
-    /// A mechanic needed the page resident on a specific GPU but the local
-    /// page table disagrees.
-    ResidencyMismatch {
-        /// The page in question.
-        vpn: u64,
-        /// The GPU expected to hold it.
-        gpu: u8,
-    },
 }
 
 /// Errors raised by oversubscription eviction.
@@ -156,11 +148,6 @@ pub enum TableError {
     /// `register` called twice for the same page (overlapping allocations).
     DoubleRegistration {
         /// The page registered twice.
-        vpn: u64,
-    },
-    /// A lookup expected an entry that is not there.
-    MissingEntry {
-        /// The missing page.
         vpn: u64,
     },
 }
@@ -272,9 +259,6 @@ impl fmt::Display for MigrationError {
             MigrationError::SourceMissing { vpn } => {
                 write!(f, "page {vpn:#x} disappeared from the host table mid-move")
             }
-            MigrationError::ResidencyMismatch { vpn, gpu } => {
-                write!(f, "page {vpn:#x} not resident on GPU {gpu} as required")
-            }
         }
     }
 }
@@ -295,9 +279,6 @@ impl fmt::Display for TableError {
         match self {
             TableError::DoubleRegistration { vpn } => {
                 write!(f, "page {vpn:#x} registered twice")
-            }
-            TableError::MissingEntry { vpn } => {
-                write!(f, "no host-table entry for page {vpn:#x}")
             }
         }
     }

@@ -240,8 +240,6 @@ impl fmt::Display for TailSalvage {
 pub struct Recovery {
     /// Sweep parameter tag from the `Begin` record.
     pub tag: u64,
-    /// Human-readable sweep label from the `Begin` record.
-    pub label: String,
     /// Final outcome per job id; the *first* `Adjudicated` record wins so
     /// replayed or duplicated appends can never rewrite history.
     pub adjudicated: BTreeMap<u64, Adjudication>,
@@ -308,7 +306,7 @@ fn encode_record(kind: u8, payload: &[u8]) -> Vec<u8> {
 
 /// One decoded record.
 enum Record {
-    Begin { tag: u64, label: String },
+    Begin { tag: u64 },
     Adjudicated(u64, Adjudication),
     Enqueued(u64, Vec<u8>),
 }
@@ -317,11 +315,13 @@ fn decode_payload(kind: u8, payload: &[u8]) -> Option<Record> {
     let mut r = ByteReader::new("journal-record", payload);
     Some(match kind {
         KIND_BEGIN => {
-            let (tag, label) = (r.u64().ok()?, r.str().ok()?);
+            // The label is for people reading the file; recovery only
+            // checks that it is there.
+            let (tag, _label) = (r.u64().ok()?, r.str().ok()?);
             if !r.is_empty() {
                 return None; // trailing garbage inside a checksummed record
             }
-            Record::Begin { tag, label }
+            Record::Begin { tag }
         }
         KIND_ADJUDICATED => {
             let job_id = r.u64().ok()?;
@@ -383,7 +383,7 @@ pub fn recover(path: &Path) -> Result<Recovery, JournalError> {
         });
     }
 
-    let mut begin: Option<(u64, String)> = None;
+    let mut begin: Option<u64> = None;
     let mut records = 0usize;
     let mut adjudicated: BTreeMap<u64, Adjudication> = BTreeMap::new();
     let mut duplicate_adjudications: Vec<u64> = Vec::new();
@@ -431,7 +431,7 @@ pub fn recover(path: &Path) -> Result<Recovery, JournalError> {
             break;
         };
         match rec {
-            Record::Begin { tag, label } if records == 0 => begin = Some((tag, label)),
+            Record::Begin { tag } if records == 0 => begin = Some(tag),
             // A Begin anywhere but first means two sweeps were interleaved
             // into one file; trust only the first sweep's prefix.
             Record::Begin { .. } => {
@@ -452,7 +452,7 @@ pub fn recover(path: &Path) -> Result<Recovery, JournalError> {
         pos += total;
     }
 
-    let Some((tag, label)) = begin else {
+    let Some(tag) = begin else {
         return Err(JournalError::MissingBegin);
     };
     let salvage = stop_reason.map(|reason| TailSalvage {
@@ -463,7 +463,6 @@ pub fn recover(path: &Path) -> Result<Recovery, JournalError> {
     });
     Ok(Recovery {
         tag,
-        label,
         adjudicated,
         duplicate_adjudications,
         enqueued,

@@ -27,6 +27,7 @@ pub mod fsio;
 pub mod fxhash;
 pub mod hash;
 pub mod journal;
+pub mod json;
 pub mod metrics;
 pub mod obs;
 pub mod pool;

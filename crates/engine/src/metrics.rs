@@ -112,11 +112,6 @@ impl Histogram {
         self.max_ns
     }
 
-    /// Raw count in bucket `i`.
-    pub fn bucket(&self, i: usize) -> u64 {
-        self.buckets[i]
-    }
-
     /// Bucket-resolution estimate of quantile `q` in `[0, 1]`: the floor of
     /// the bucket containing the q-th sample (exact for bucket 0). The
     /// overflow bucket reports the recorded maximum.
@@ -248,8 +243,7 @@ impl MetricsRegistry {
         self.counter_live[i] = true;
     }
 
-    /// Records `ns` into the histogram behind `h` (the hot-path form of
-    /// [`MetricsRegistry::observe_ns`]).
+    /// Records `ns` into the histogram behind `h`.
     #[inline]
     pub fn observe_ns_in(&mut self, h: HistogramHandle, ns: u64) {
         if !self.enabled {
@@ -288,15 +282,6 @@ impl MetricsRegistry {
         self.counter_live[i] = true;
     }
 
-    /// Records a latency sample of `ns` nanoseconds into histogram `key`.
-    pub fn observe_ns(&mut self, key: &str, ns: u64) {
-        if !self.enabled {
-            return;
-        }
-        let i = self.histogram_slot(key);
-        self.histogram_vals[i].record_ns(ns);
-    }
-
     /// The value of counter `key` (0 if never touched).
     pub fn counter(&self, key: &str) -> u64 {
         self.counter_idx
@@ -329,11 +314,6 @@ impl MetricsRegistry {
             .filter(|(_, &i)| self.histogram_vals[i as usize].count() > 0)
             .map(|(k, &i)| (k.as_str(), &self.histogram_vals[i as usize]))
     }
-
-    /// Number of distinct counters recorded.
-    pub fn counter_count(&self) -> usize {
-        self.counter_live.iter().filter(|&&l| l).count()
-    }
 }
 
 /// Logical equality: same enablement and the same *recorded* content.
@@ -356,17 +336,17 @@ mod tests {
         let mut h = Histogram::default();
         h.record_ns(0);
         h.record_ns(0);
-        assert_eq!(h.bucket(0), 2);
         assert_eq!(h.count(), 2);
         assert_eq!(h.sum_ns(), 0);
         assert_eq!(h.mean_ns(), 0.0);
         assert_eq!(h.min_ns(), 0);
         assert_eq!(h.max_ns(), 0);
         assert_eq!(h.quantile_ns(0.5), 0);
-        // Bucket 0 is exclusively for zeros: a 1 ns sample goes to bucket 1.
+        // Bucket 0 is exclusively for zeros: a 1 ns sample goes to bucket 1,
+        // whose floor is 1.
         h.record_ns(1);
-        assert_eq!(h.bucket(0), 2);
-        assert_eq!(h.bucket(1), 1);
+        assert_eq!(h.quantile_ns(2.0 / 3.0), 0);
+        assert_eq!(h.quantile_ns(1.0), 1);
     }
 
     #[test]
@@ -374,9 +354,10 @@ mod tests {
         let mut h = Histogram::default();
         h.record_ns(u64::MAX);
         h.record_ns(1 << 40); // ~18 minutes in ns — far past the last range
-        assert_eq!(h.bucket(HISTOGRAM_BUCKETS - 1), 2);
         assert_eq!(h.max_ns(), u64::MAX);
-        // The overflow bucket reports the true max for quantiles.
+        // The overflow bucket reports the true max for quantiles, so
+        // both samples are in it.
+        assert_eq!(h.quantile_ns(0.0), u64::MAX);
         assert_eq!(h.quantile_ns(0.99), u64::MAX);
         // Sum saturates rather than wrapping.
         assert_eq!(h.sum_ns(), u64::MAX);
@@ -419,7 +400,8 @@ mod tests {
         m.add_to(c, 1);
         assert_eq!(m.counter("access.local"), 6);
         m.observe_ns_in(h, 100);
-        m.observe_ns("walk_ns", 200);
+        let again = m.histogram_handle("walk_ns");
+        m.observe_ns_in(again, 200);
         assert_eq!(m.histogram("walk_ns").unwrap().count(), 2);
         m.observe_in(h, Duration::from_ps(1500));
         assert_eq!(m.histogram("walk_ns").unwrap().count(), 3);
@@ -432,12 +414,11 @@ mod tests {
         let _h = m.histogram_handle("never.observed");
         m.add("real", 1);
         assert_eq!(m.counters().count(), 1);
-        assert_eq!(m.counter_count(), 1);
         assert!(m.histogram("never.observed").is_none());
         assert_eq!(m.histograms().count(), 0);
         // An explicit zero gauge, by contrast, is recorded.
         m.set("zero.gauge", 0);
-        assert_eq!(m.counter_count(), 2);
+        assert_eq!(m.counters().count(), 2);
     }
 
     #[test]
@@ -446,9 +427,11 @@ mod tests {
         let ah = a.counter_handle("x");
         a.counter_handle("unused");
         a.add_to(ah, 5);
-        a.observe_ns("lat", 7);
+        let lat = a.histogram_handle("lat");
+        a.observe_ns_in(lat, 7);
         let mut b = MetricsRegistry::enabled();
-        b.observe_ns("lat", 7);
+        let lat = b.histogram_handle("lat");
+        b.observe_ns_in(lat, 7);
         b.add("x", 5);
         assert_eq!(a, b);
         b.add("x", 1);
@@ -470,7 +453,8 @@ mod tests {
     fn disabled_registry_records_nothing() {
         let mut m = MetricsRegistry::disabled();
         m.add("a.b", 5);
-        m.observe_ns("c.d", 100);
+        let h = m.histogram_handle("c.d");
+        m.observe_ns_in(h, 100);
         m.set("e.f", 9);
         assert!(!m.is_enabled());
         assert_eq!(m.counter("a.b"), 0);
@@ -492,6 +476,6 @@ mod tests {
         assert_eq!(m.counter("m.gauge"), 9);
         let keys: Vec<&str> = m.counters().map(|(k, _)| k).collect();
         assert_eq!(keys, ["a.first", "m.gauge", "z.last"]);
-        assert_eq!(m.histogram("lat_ns").unwrap().bucket(1), 1);
+        assert_eq!(m.histogram("lat_ns").unwrap().max_ns(), 1);
     }
 }

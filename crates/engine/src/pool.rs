@@ -206,11 +206,6 @@ pub enum JobOutcome<T> {
 }
 
 impl<T> JobOutcome<T> {
-    /// Whether the job produced a value.
-    pub fn is_completed(&self) -> bool {
-        matches!(self, JobOutcome::Completed(_))
-    }
-
     /// The completed value, if any.
     pub fn value(&self) -> Option<&T> {
         match self {
@@ -362,7 +357,9 @@ pub fn open_feed<T>() -> (Feed<T>, Intake<T>) {
     (Feed { tx: tx.clone() }, Intake { tx, rx })
 }
 
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+/// The message a panic carried: its `&str` or `String` payload, or a
+/// placeholder for any other payload type.
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {

@@ -74,7 +74,6 @@ fn a_pristine_journal_recovers_everything_with_no_warnings() {
     write_reference(&path, 0xABCD);
     let rec = recover(&path).expect("recover");
     assert_eq!(rec.tag, 0xABCD);
-    assert_eq!(rec.label, "test sweep");
     assert_eq!(rec.adjudicated.len(), 3);
     assert_eq!(rec.enqueued.len(), 3);
     assert!(rec.warnings().is_empty(), "{:?}", rec.warnings());

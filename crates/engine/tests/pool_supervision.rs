@@ -68,7 +68,7 @@ fn completed(report: &SweepReport<u64>) -> usize {
     report
         .jobs
         .iter()
-        .filter(|j| j.outcome.is_completed())
+        .filter(|j| j.outcome.value().is_some())
         .count()
 }
 

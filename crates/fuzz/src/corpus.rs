@@ -3,8 +3,8 @@
 //! Every shrunk repro is written as one flat JSON object under
 //! `tests/corpus/` so the regression suite replays it forever after. The
 //! format is deliberately minimal — scalar fields only, the fault plan as
-//! its spec-grammar string — and the workspace is dependency-free, so both
-//! the writer and the (tiny) parser are hand-rolled here.
+//! its spec-grammar string — and is written and read by
+//! [`oasis_engine::json`]. This module owns the field list.
 //!
 //! ```json
 //! {
@@ -25,10 +25,12 @@
 //! }
 //! ```
 
-use std::collections::BTreeMap;
 use std::io;
 use std::path::{Path, PathBuf};
 
+use oasis_engine::json::{
+    bool_field, opt_u64_field, parse_flat_object, str_field, u64_field, Writer,
+};
 use oasis_interconnect::FaultPlan;
 use oasis_workloads::{App, ALL_APPS};
 
@@ -41,28 +43,7 @@ pub const SCHEMA: &str = "oasis-fuzz-scenario-v1";
 /// Serializes a scenario (plus the oracle kind it violated, if any) into
 /// the corpus JSON format.
 pub fn to_json(scenario: &Scenario, oracle: Option<OracleKind>) -> String {
-    format!(
-        "{{\n  \"schema\": \"{SCHEMA}\",\n  \"oracle\": \"{}\",\n  \"seed\": {},\n  \
-         \"app\": \"{}\",\n  \"gpu_count\": {},\n  \"footprint_mb\": {},\n  \
-         \"workload_seed\": {},\n  \"max_phases\": {},\n  \"large_pages\": {},\n  \
-         \"striped\": {},\n  \"lanes_per_gpu\": {},\n  \"counter_threshold\": {},\n  \
-         \"capacity_pages\": {},\n  \"fault_plan\": \"{}\"\n}}\n",
-        oracle.map_or("none", OracleKind::as_str),
-        scenario.seed,
-        scenario.app.abbr(),
-        scenario.gpu_count,
-        scenario.footprint_mb,
-        scenario.workload_seed,
-        scenario.max_phases,
-        scenario.large_pages,
-        scenario.striped,
-        scenario.lanes_per_gpu,
-        scenario.counter_threshold,
-        scenario
-            .capacity_pages
-            .map_or_else(|| "null".to_string(), |c| c.to_string()),
-        scenario.fault_plan.to_spec(),
-    )
+    write_fields(Writer::pretty(), scenario, oracle) + "\n"
 }
 
 /// Serializes a scenario into its *canonical wire line*: the same flat
@@ -72,26 +53,26 @@ pub fn to_json(scenario: &Scenario, oracle: Option<OracleKind>) -> String {
 /// the byte sequence is a compatibility contract, so any change here
 /// invalidates every content-addressed result cache in the wild.
 pub fn to_json_line(scenario: &Scenario) -> String {
-    format!(
-        "{{\"schema\": \"{SCHEMA}\", \"oracle\": \"none\", \"seed\": {}, \"app\": \"{}\", \
-         \"gpu_count\": {}, \"footprint_mb\": {}, \"workload_seed\": {}, \"max_phases\": {}, \
-         \"large_pages\": {}, \"striped\": {}, \"lanes_per_gpu\": {}, \"counter_threshold\": {}, \
-         \"capacity_pages\": {}, \"fault_plan\": \"{}\"}}",
-        scenario.seed,
-        scenario.app.abbr(),
-        scenario.gpu_count,
-        scenario.footprint_mb,
-        scenario.workload_seed,
-        scenario.max_phases,
-        scenario.large_pages,
-        scenario.striped,
-        scenario.lanes_per_gpu,
-        scenario.counter_threshold,
-        scenario
-            .capacity_pages
-            .map_or_else(|| "null".to_string(), |c| c.to_string()),
-        scenario.fault_plan.to_spec(),
-    )
+    write_fields(Writer::line(), scenario, None)
+}
+
+/// The one field list of both layouts, in file order.
+fn write_fields(w: Writer, scenario: &Scenario, oracle: Option<OracleKind>) -> String {
+    w.str("schema", SCHEMA)
+        .str("oracle", oracle.map_or("none", OracleKind::as_str))
+        .u64("seed", scenario.seed)
+        .str("app", scenario.app.abbr())
+        .u64("gpu_count", scenario.gpu_count as u64)
+        .u64("footprint_mb", scenario.footprint_mb)
+        .u64("workload_seed", scenario.workload_seed)
+        .u64("max_phases", scenario.max_phases as u64)
+        .bool("large_pages", scenario.large_pages)
+        .bool("striped", scenario.striped)
+        .u64("lanes_per_gpu", scenario.lanes_per_gpu as u64)
+        .u64("counter_threshold", scenario.counter_threshold.into())
+        .opt_u64("capacity_pages", scenario.capacity_pages)
+        .str("fault_plan", &scenario.fault_plan.to_spec())
+        .finish()
 }
 
 /// The scenario's content address: FNV-1a 64 over the canonical wire line
@@ -124,15 +105,7 @@ pub fn from_json(text: &str) -> Result<(Scenario, Option<OracleKind>), String> {
     };
     let abbr = str_field(&fields, "app")?;
     let app = app_from_abbr(&abbr).ok_or_else(|| format!("unknown app '{abbr}'"))?;
-    let capacity_pages = match field(&fields, "capacity_pages")? {
-        JsonValue::Null => None,
-        JsonValue::Num(n) => Some(*n),
-        v => {
-            return Err(format!(
-                "field 'capacity_pages' should be a number or null, got {v:?}"
-            ))
-        }
-    };
+    let capacity_pages = opt_u64_field(&fields, "capacity_pages")?;
     let plan_spec = str_field(&fields, "fault_plan")?;
     let fault_plan =
         FaultPlan::parse(&plan_spec).map_err(|e| format!("field 'fault_plan': {e}"))?;
@@ -297,163 +270,6 @@ pub fn load_dir(dir: &Path) -> Result<Corpus, String> {
     Ok(corpus)
 }
 
-/// The scalar values the corpus format uses.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum JsonValue {
-    /// A double-quoted string (no escape sequences).
-    Str(String),
-    /// A non-negative integer.
-    Num(u64),
-    /// `true` or `false`.
-    Bool(bool),
-    /// The `null` literal.
-    Null,
-}
-
-/// Parses one flat JSON object of scalar fields. Not a general JSON
-/// parser: nesting and arrays are rejected, which doubles as corpus-file
-/// validation. Public because the sweep-server wire protocol reuses this
-/// exact subset for its request and response lines — one parser, one
-/// grammar.
-///
-/// # Errors
-///
-/// Returns a message naming the first malformed construct.
-pub fn parse_flat_object(text: &str) -> Result<BTreeMap<String, JsonValue>, String> {
-    let mut chars = text.chars().peekable();
-    skip_ws(&mut chars);
-    if chars.next() != Some('{') {
-        return Err("expected '{' at start of corpus file".to_string());
-    }
-    let mut fields = BTreeMap::new();
-    loop {
-        skip_ws(&mut chars);
-        match chars.peek() {
-            Some('}') => {
-                chars.next();
-                break;
-            }
-            Some('"') => {}
-            other => return Err(format!("expected field name or '}}', got {other:?}")),
-        }
-        let key = parse_string(&mut chars)?;
-        skip_ws(&mut chars);
-        if chars.next() != Some(':') {
-            return Err(format!("expected ':' after field '{key}'"));
-        }
-        skip_ws(&mut chars);
-        let value = match chars.peek() {
-            Some('"') => JsonValue::Str(parse_string(&mut chars)?),
-            Some(c) if c.is_ascii_digit() => {
-                let mut digits = String::new();
-                while chars.peek().is_some_and(char::is_ascii_digit) {
-                    digits.push(chars.next().expect("peeked"));
-                }
-                JsonValue::Num(
-                    digits
-                        .parse()
-                        .map_err(|_| format!("bad number '{digits}' in field '{key}'"))?,
-                )
-            }
-            Some('t' | 'f' | 'n') => {
-                let mut word = String::new();
-                while chars.peek().is_some_and(|c| c.is_ascii_alphabetic()) {
-                    word.push(chars.next().expect("peeked"));
-                }
-                match word.as_str() {
-                    "true" => JsonValue::Bool(true),
-                    "false" => JsonValue::Bool(false),
-                    "null" => JsonValue::Null,
-                    w => return Err(format!("bad literal '{w}' in field '{key}'")),
-                }
-            }
-            other => return Err(format!("unsupported value {other:?} in field '{key}'")),
-        };
-        if fields.insert(key.clone(), value).is_some() {
-            return Err(format!("duplicate field '{key}'"));
-        }
-        skip_ws(&mut chars);
-        match chars.peek() {
-            Some(',') => {
-                chars.next();
-            }
-            Some('}') => {}
-            other => return Err(format!("expected ',' or '}}' after field, got {other:?}")),
-        }
-    }
-    skip_ws(&mut chars);
-    if chars.next().is_some() {
-        return Err("trailing content after corpus object".to_string());
-    }
-    Ok(fields)
-}
-
-fn field<'a>(fields: &'a BTreeMap<String, JsonValue>, key: &str) -> Result<&'a JsonValue, String> {
-    fields
-        .get(key)
-        .ok_or_else(|| format!("missing field '{key}'"))
-}
-
-/// The string field `key` of a [`parse_flat_object`] result.
-///
-/// # Errors
-///
-/// "missing field 'key'" if it is absent, "field 'key' should be a
-/// string" if it holds another type.
-pub fn str_field(fields: &BTreeMap<String, JsonValue>, key: &str) -> Result<String, String> {
-    match field(fields, key)? {
-        JsonValue::Str(s) => Ok(s.clone()),
-        v => Err(format!("field '{key}' should be a string, got {v:?}")),
-    }
-}
-
-/// The integer field `key` of a [`parse_flat_object`] result.
-///
-/// # Errors
-///
-/// As [`str_field`], for a number.
-pub fn u64_field(fields: &BTreeMap<String, JsonValue>, key: &str) -> Result<u64, String> {
-    match field(fields, key)? {
-        JsonValue::Num(n) => Ok(*n),
-        v => Err(format!("field '{key}' should be a number, got {v:?}")),
-    }
-}
-
-/// The boolean field `key` of a [`parse_flat_object`] result.
-///
-/// # Errors
-///
-/// As [`str_field`], for a boolean.
-pub fn bool_field(fields: &BTreeMap<String, JsonValue>, key: &str) -> Result<bool, String> {
-    match field(fields, key)? {
-        JsonValue::Bool(b) => Ok(*b),
-        v => Err(format!("field '{key}' should be a boolean, got {v:?}")),
-    }
-}
-
-fn skip_ws(chars: &mut std::iter::Peekable<std::str::Chars<'_>>) {
-    while chars.peek().is_some_and(|c| c.is_ascii_whitespace()) {
-        chars.next();
-    }
-}
-
-fn parse_string(chars: &mut std::iter::Peekable<std::str::Chars<'_>>) -> Result<String, String> {
-    if chars.next() != Some('"') {
-        return Err("expected '\"'".to_string());
-    }
-    let mut out = String::new();
-    for c in chars.by_ref() {
-        match c {
-            '"' => return Ok(out),
-            // The writer never emits escapes (fault-plan specs and app
-            // abbreviations are plain ASCII); reject rather than guess.
-            '\\' => return Err("escape sequences are not supported".to_string()),
-            c => out.push(c),
-        }
-    }
-    Err("unterminated string".to_string())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -491,6 +307,73 @@ mod tests {
             scenario_digest(&Scenario::generate(1)),
             scenario_digest(&Scenario::generate(2))
         );
+    }
+
+    /// A scenario with every field off what the generator usually picks,
+    /// a capacity cap, and a fault plan with every clause kind.
+    fn pinned_scenario() -> Scenario {
+        Scenario {
+            seed: 0xDEAD_BEEF_0BAD_F00D,
+            app: App::C2d,
+            gpu_count: 4,
+            footprint_mb: 3,
+            workload_seed: 12_345_678_901_234_567_890,
+            max_phases: 2,
+            large_pages: true,
+            striped: true,
+            lanes_per_gpu: 16,
+            counter_threshold: 64,
+            capacity_pages: Some(96),
+            fault_plan: FaultPlan::parse("seed:7,down:0-1@2,flaky:2-3@1-6:1/8,ecc:0@3x2")
+                .expect("valid plan"),
+        }
+    }
+
+    /// The corpus file, the wire line and the serve cache key are
+    /// compatibility contracts: these bytes may never move.
+    #[test]
+    fn corpus_file_wire_line_and_digest_are_pinned() {
+        let s = pinned_scenario();
+        let file = r#"{
+  "schema": "oasis-fuzz-scenario-v1",
+  "oracle": "resume-divergence",
+  "seed": 16045690981293355021,
+  "app": "C2D",
+  "gpu_count": 4,
+  "footprint_mb": 3,
+  "workload_seed": 12345678901234567890,
+  "max_phases": 2,
+  "large_pages": true,
+  "striped": true,
+  "lanes_per_gpu": 16,
+  "counter_threshold": 64,
+  "capacity_pages": 96,
+  "fault_plan": "seed:7,down:0-1@2,flaky:2-3@1-6:1/8,ecc:0@3x2"
+}
+"#;
+        assert_eq!(to_json(&s, Some(OracleKind::ResumeDivergence)), file);
+        let line = concat!(
+            r#"{"schema": "oasis-fuzz-scenario-v1", "oracle": "none", "#,
+            r#""seed": 16045690981293355021, "app": "C2D", "gpu_count": 4, "footprint_mb": 3, "#,
+            r#""workload_seed": 12345678901234567890, "max_phases": 2, "large_pages": true, "#,
+            r#""striped": true, "lanes_per_gpu": 16, "counter_threshold": 64, "#,
+            r#""capacity_pages": 96, "fault_plan": "seed:7,down:0-1@2,flaky:2-3@1-6:1/8,ecc:0@3x2"}"#,
+        );
+        assert_eq!(to_json_line(&s), line);
+        assert_eq!(scenario_digest(&s), 0xfd22_77d9_be33_5acd);
+    }
+
+    #[test]
+    fn committed_corpus_files_reserialize_to_their_own_bytes() {
+        let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/corpus");
+        let corpus = load_dir(&dir).expect("corpus directory");
+        assert!(corpus.skipped.is_empty(), "{:?}", corpus.skipped);
+        assert!(!corpus.is_empty());
+        for entry in &corpus.entries {
+            let text = std::fs::read_to_string(&entry.path).expect("read corpus file");
+            let (scenario, oracle) = from_json(&text).expect("parse corpus file");
+            assert_eq!(to_json(&scenario, oracle), text, "{}", entry.path.display());
+        }
     }
 
     #[test]

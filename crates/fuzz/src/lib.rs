@@ -33,13 +33,14 @@ use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 use oasis_engine::codec::{ByteReader, ByteWriter, CodecError};
+use oasis_engine::json::Writer;
 use oasis_engine::pool::Job;
 use oasis_engine::sweep::{clip, Sweep, SweepCodec, SweepError, SweepOptions, SweepStats};
 use oasis_engine::{fnv1a, SimRng};
 
 pub use corpus::{
-    bool_field, from_json, load_dir, parse_flat_object, scenario_digest, str_field, to_json,
-    to_json_line, u64_field, write_repro, Corpus, CorpusEntry, JsonValue, SkippedFile,
+    from_json, load_dir, scenario_digest, to_json, to_json_line, write_repro, Corpus, CorpusEntry,
+    SkippedFile,
 };
 pub use oracle::{check, check_runs, OracleKind, Violation};
 pub use scenario::{Scenario, FUZZ_APPS};
@@ -315,43 +316,22 @@ pub fn run_fuzz(opts: &FuzzOptions) -> Result<FuzzReport, SweepError> {
 /// one line. (A time budget makes `cases_run` wall-clock dependent, so
 /// budgeted runs are not byte-comparable.)
 pub fn report_json(opts: &FuzzOptions, report: &FuzzReport) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"schema\": \"oasis-fuzz-report-v2\",\n");
-    out.push_str(&format!("  \"master_seed\": {},\n", opts.seed));
-    out.push_str(&format!("  \"cases_requested\": {},\n", opts.cases));
-    out.push_str(&format!("  \"cases_run\": {},\n", report.cases_run));
-    out.push_str(&format!(
-        "  \"elapsed_secs\": {:.3},\n",
-        report.elapsed.as_secs_f64()
-    ));
-    out.push_str(&format!("  \"violations\": {},\n", report.violations.len()));
-    out.push_str(&format!(
-        "  \"violation_cases\": [{}],\n",
-        report
-            .violations
-            .iter()
-            .map(|v| v.case_index.to_string())
-            .collect::<Vec<_>>()
-            .join(", ")
-    ));
-    out.push_str(&format!(
-        "  \"job_failures\": {},\n",
-        report.job_failures.len()
-    ));
-    out.push_str(&format!(
-        "  \"quarantined_cases\": [{}],\n",
-        report
-            .job_failures
-            .iter()
-            .filter(|f| f.quarantined)
-            .map(|f| f.case_index.to_string())
-            .collect::<Vec<_>>()
-            .join(", ")
-    ));
-    out.push_str(&format!("  \"retries\": {}\n", report.sweep.retries));
-    out.push_str("}\n");
-    out
+    let violations = report.violations.iter().map(|v| v.case_index);
+    let lost = report.job_failures.iter();
+    let quarantined = lost.filter(|f| f.quarantined).map(|f| f.case_index);
+    Writer::pretty()
+        .str("schema", "oasis-fuzz-report-v2")
+        .u64("master_seed", opts.seed)
+        .u64("cases_requested", opts.cases)
+        .u64("cases_run", report.cases_run)
+        .fixed3("elapsed_secs", report.elapsed.as_secs_f64())
+        .u64("violations", report.violations.len() as u64)
+        .u64s("violation_cases", violations)
+        .u64("job_failures", report.job_failures.len() as u64)
+        .u64s("quarantined_cases", quarantined)
+        .u64("retries", report.sweep.retries)
+        .finish()
+        + "\n"
 }
 
 #[cfg(test)]
@@ -417,6 +397,63 @@ mod tests {
         assert!(report.sweep.interrupted);
         assert_eq!(report.cases_run, 0);
         assert!(report.failure.is_none());
+    }
+
+    /// `fuzz --json` is `cmp`'d across `--jobs` counts and resumes: these
+    /// bytes may never move.
+    #[test]
+    fn report_json_is_pinned() {
+        let violation = |case_index| CaseViolation {
+            case_index,
+            scenario: Scenario::generate(case_index),
+            violation: Violation {
+                kind: OracleKind::Abort,
+                detail: "aborted".to_string(),
+            },
+        };
+        let lost = |case_index, quarantined| JobFailure {
+            case_index,
+            scenario_seed: case_index,
+            error: "panicked".to_string(),
+            attempts: 2,
+            quarantined,
+        };
+        let report = FuzzReport {
+            cases_run: 9,
+            elapsed: Duration::from_millis(1500),
+            violations: vec![violation(3), violation(5)],
+            failure: None,
+            job_failures: vec![lost(1, true), lost(4, false), lost(6, true)],
+            sweep: SweepStats {
+                retries: 4,
+                ..SweepStats::default()
+            },
+        };
+        let pinned = r#"{
+  "schema": "oasis-fuzz-report-v2",
+  "master_seed": 7,
+  "cases_requested": 10,
+  "cases_run": 9,
+  "elapsed_secs": 1.500,
+  "violations": 2,
+  "violation_cases": [3, 5],
+  "job_failures": 3,
+  "quarantined_cases": [1, 6],
+  "retries": 4
+}
+"#;
+        assert_eq!(report_json(&FuzzOptions::new(7, 10), &report), pinned);
+        let clean = FuzzReport {
+            violations: Vec::new(),
+            job_failures: Vec::new(),
+            ..report
+        };
+        let pinned = pinned
+            .replace("\"violations\": 2", "\"violations\": 0")
+            .replace("[3, 5]", "[]")
+            .replace("\"job_failures\": 3", "\"job_failures\": 0")
+            .replace("[1, 6]", "[]");
+        assert_eq!(report_json(&FuzzOptions::new(7, 10), &clean), pinned);
     }
 
     #[test]

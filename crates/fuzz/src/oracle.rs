@@ -9,6 +9,7 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
+use oasis_engine::pool::panic_message;
 use oasis_engine::SimRng;
 use oasis_mgpu::{kill_and_resume, Policy, RunReport, System};
 use oasis_workloads::Trace;
@@ -128,16 +129,6 @@ fn run_policy(scenario: &Scenario, policy: &Policy, trace: &Trace) -> Result<Pol
         detail: format!("{name}: post-run validate failed: {e}"),
     })?;
     Ok(PolicyRun { report, pages })
-}
-
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
 }
 
 /// Checks every oracle against `scenario`, returning the first violation

@@ -25,6 +25,6 @@ pub mod types;
 pub use cache::Cache;
 pub use frames::FrameAllocator;
 pub use layout::{AddressSpace, ObjectAllocation};
-pub use page::{HostEntry, HostPageTable, LocalPageTable, PolicyBits, Pte, Residency};
+pub use page::{HostEntry, HostPageTable, LocalPageTable, PolicyBits, Pte};
 pub use tlb::Tlb;
 pub use types::{AccessKind, DeviceId, GpuId, ObjectId, PageSize, Va, Vpn};

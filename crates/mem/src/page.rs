@@ -263,23 +263,6 @@ impl Restore for LocalPageTable {
     }
 }
 
-/// Where a page's data lives right now, as a validated view of a
-/// [`HostEntry`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Residency {
-    /// Exactly one device holds the page (it may be written there).
-    Exclusive(DeviceId),
-    /// The owner holds the master copy and `copy_mask` GPUs hold read-only
-    /// duplicates; every copy is read-only.
-    ReadShared {
-        /// Device holding the master copy.
-        owner: DeviceId,
-        /// Bitmask of GPUs (bit *i* = GPU *i*) holding duplicates, not
-        /// including the owner.
-        copy_mask: u32,
-    },
-}
-
 /// Centralized (host) page-table entry: the UVM driver's view of one page.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HostEntry {
@@ -321,33 +304,11 @@ impl HostEntry {
         }
     }
 
-    /// Validated residency view.
-    pub fn residency(&self) -> Residency {
-        if self.copy_mask == 0 {
-            Residency::Exclusive(self.owner)
-        } else {
-            Residency::ReadShared {
-                owner: self.owner,
-                copy_mask: self.copy_mask,
-            }
-        }
-    }
-
-    /// True if `gpu` can serve reads locally (owner or duplicate holder).
-    pub fn readable_at(&self, gpu: GpuId) -> bool {
-        self.owner == DeviceId::Gpu(gpu) || self.copy_mask & (1 << gpu.0) != 0
-    }
-
     /// GPUs holding duplicates (excluding the owner).
     pub fn duplicate_holders(&self) -> impl Iterator<Item = GpuId> + '_ {
         (0..32u8)
             .filter(move |g| self.copy_mask & (1 << g) != 0)
             .map(GpuId)
-    }
-
-    /// Number of duplicate copies.
-    pub fn duplicate_count(&self) -> u32 {
-        self.copy_mask.count_ones()
     }
 
     /// GPUs holding remote mappings to the owner's copy.
@@ -365,11 +326,6 @@ impl HostEntry {
     /// Records that `gpu` touched the page (characterization metadata).
     pub fn mark_touched(&mut self, gpu: GpuId) {
         self.touched_by |= 1 << gpu.0;
-    }
-
-    /// True if more than one GPU has ever touched the page.
-    pub fn touched_by_multiple(&self) -> bool {
-        self.touched_by.count_ones() > 1
     }
 }
 
@@ -574,23 +530,11 @@ mod tests {
     }
 
     #[test]
-    fn residency_views() {
+    fn duplicate_holders_exclude_the_owner() {
         let mut e = HostEntry::new_on_host();
-        assert_eq!(e.residency(), Residency::Exclusive(DeviceId::Host));
+        assert_eq!(e.duplicate_holders().count(), 0);
         e.owner = DeviceId::Gpu(GpuId(0));
         e.copy_mask = 0b0110;
-        assert_eq!(
-            e.residency(),
-            Residency::ReadShared {
-                owner: DeviceId::Gpu(GpuId(0)),
-                copy_mask: 0b0110
-            }
-        );
-        assert!(e.readable_at(GpuId(0))); // owner
-        assert!(e.readable_at(GpuId(1))); // duplicate
-        assert!(e.readable_at(GpuId(2))); // duplicate
-        assert!(!e.readable_at(GpuId(3)));
-        assert_eq!(e.duplicate_count(), 2);
         let holders: Vec<_> = e.duplicate_holders().collect();
         assert_eq!(holders, vec![GpuId(1), GpuId(2)]);
     }
@@ -598,13 +542,13 @@ mod tests {
     #[test]
     fn touched_tracking() {
         let mut e = HostEntry::new_on_host();
-        assert!(!e.touched_by_multiple());
+        assert_eq!(e.touched_by, 0);
         e.mark_touched(GpuId(0));
-        assert!(!e.touched_by_multiple());
+        assert_eq!(e.touched_by, 0b1);
         e.mark_touched(GpuId(0));
-        assert!(!e.touched_by_multiple());
+        assert_eq!(e.touched_by, 0b1);
         e.mark_touched(GpuId(3));
-        assert!(e.touched_by_multiple());
+        assert_eq!(e.touched_by, 0b1001);
     }
 
     #[test]

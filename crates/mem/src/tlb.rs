@@ -206,13 +206,6 @@ impl Tlb {
         }
     }
 
-    /// Drops every entry (full flush).
-    pub fn flush(&mut self) {
-        self.set_len.fill(0);
-        self.cached = 0;
-        self.memo_idx = u32::MAX;
-    }
-
     /// True if `vpn` is currently cached (does not touch LRU state).
     pub fn contains(&self, vpn: Vpn) -> bool {
         let set = self.set_index(vpn);
@@ -255,12 +248,6 @@ impl Tlb {
     /// this counter feeds the metrics registry only.
     pub fn shootdowns(&self) -> u64 {
         self.shootdowns
-    }
-
-    /// Resets hit/miss counters (contents retained).
-    pub fn reset_stats(&mut self) {
-        self.hits = 0;
-        self.misses = 0;
     }
 }
 
@@ -386,17 +373,6 @@ mod tests {
     }
 
     #[test]
-    fn flush_empties() {
-        let mut tlb = Tlb::new(8, 4);
-        for i in 0..8 {
-            tlb.fill(Vpn(i));
-        }
-        tlb.flush();
-        assert!(tlb.is_empty());
-        assert!(!tlb.access(Vpn(0)));
-    }
-
-    #[test]
     fn refill_refreshes_instead_of_duplicating() {
         let mut tlb = Tlb::new(2, 2);
         tlb.fill(Vpn(0));
@@ -490,15 +466,5 @@ mod tests {
                 .contains("page Vpn(3) stored in set 0 but belongs in set 1"),
             "{err}"
         );
-    }
-
-    #[test]
-    fn reset_stats_keeps_contents() {
-        let mut tlb = Tlb::new(4, 4);
-        tlb.fill(Vpn(1));
-        tlb.access(Vpn(1));
-        tlb.reset_stats();
-        assert_eq!(tlb.stats(), (0, 0));
-        assert!(tlb.contains(Vpn(1)));
     }
 }

@@ -153,14 +153,6 @@ impl ObjectProfile {
                 if prw != rw && psh != share)
         })
     }
-
-    /// Fraction of touched pages (coverage within the scope).
-    pub fn touched_fraction(&self) -> f64 {
-        if self.page_stats.is_empty() {
-            return 0.0;
-        }
-        self.page_stats.iter().filter(|p| p.touched()).count() as f64 / self.page_stats.len() as f64
-    }
 }
 
 /// Profiles every object of `trace` over `scope` at the given page size.
@@ -340,7 +332,7 @@ mod tests {
         if params.accesses == 0 {
             assert_eq!(params.rw_pattern(), None);
             assert_eq!(params.share_pattern(), None);
-            assert_eq!(params.touched_fraction(), 0.0);
+            assert!(!params.page_stats.iter().any(PageStats::touched));
         }
     }
 }

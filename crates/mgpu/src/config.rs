@@ -579,9 +579,15 @@ mod tests {
 
     #[test]
     fn trackers_match_policy_modes() {
-        assert!(Policy::oasis().tracker().is_hardware());
-        assert!(!Policy::oasis_inmem().tracker().is_hardware());
-        assert!(!Policy::OnTouch.tracker().is_hardware());
+        // Whether a tagged pointer carries the Obj_ID (the config bit).
+        let hardware = |p: Policy| {
+            let mut t = p.tracker();
+            let ptr = t.on_alloc(oasis_mem::types::Va(0x1000_0000));
+            oasis_core::decode(ptr, t.id_bits()).1
+        };
+        assert!(hardware(Policy::oasis()));
+        assert!(!hardware(Policy::oasis_inmem()));
+        assert!(!hardware(Policy::OnTouch));
     }
 
     #[test]

@@ -60,7 +60,7 @@ fn observability_never_perturbs_the_simulation() {
         "tracing/metrics changed simulated behavior"
     );
     assert!(dark.trace_events.is_empty(), "dark run records nothing");
-    assert_eq!(dark.metrics.counter_count(), 0);
+    assert_eq!(dark.metrics.counters().count(), 0);
 }
 
 #[test]

@@ -5,10 +5,11 @@
 //! line. Requests are either a bare keyword (`ping`, `stats`) or a
 //! scenario job payload — the exact `oasis-fuzz-scenario-v1` flat JSON
 //! object the repro corpus already uses, parsed by the same
-//! [`oasis_fuzz::parse_flat_object`] grammar (scalar fields only, no
-//! nesting, no escapes). Server events are flat JSON objects tagged by a
-//! `"serve"` field (`accepted`, `rejected`, `dispatched`, `progress`,
-//! `result`, `pong`, `stats`, `error`).
+//! [`oasis_engine::json::parse_flat_object`] grammar (scalar fields only,
+//! no nesting, no escapes). Server events are [`ServerEvent`]s, written by
+//! [`ServerEvent::line`] as flat JSON objects tagged by a `"serve"` field
+//! (`accepted`, `rejected`, `dispatched`, `progress`, `result`, `pong`,
+//! `stats`, `error`) and read back by [`parse_event`].
 //!
 //! Hardening rules, enforced by [`LineReader`] and [`parse_request`]:
 //!
@@ -24,21 +25,21 @@
 //!
 //! Nothing in this module panics on wire input, whatever the bytes.
 
-use std::collections::BTreeMap;
 use std::fmt;
 use std::io::{self, Read};
 
-use oasis_fuzz::{
-    bool_field, from_json, parse_flat_object, str_field, u64_field, JsonValue, Scenario,
+use oasis_engine::json::{
+    bool_field, hex_field, parse_flat_object, str_field, u64_field, JsonValue, Writer,
 };
+use oasis_fuzz::{from_json, Scenario};
 
 /// Hard cap on one request line, bytes (newline included). A scenario
 /// wire line is ~300 bytes; 64 KiB leaves two orders of magnitude of
 /// headroom while bounding per-connection buffer growth.
 pub const MAX_LINE_BYTES: usize = 64 * 1024;
 
-/// A typed wire-protocol failure. Conversion to an `error` event line is
-/// [`event_error`]; [`ProtocolError::code`] is the stable machine tag.
+/// A typed wire-protocol failure. Conversion to an `error` event is
+/// `ServerEvent::from`; [`ProtocolError::code`] is the stable machine tag.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ProtocolError {
     /// A request line exceeded the server's line cap without a newline.
@@ -253,114 +254,12 @@ pub fn sanitize(s: &str) -> String {
         .collect()
 }
 
-/// Renders a digest the way every protocol line spells it (`0x%016x`).
+/// Spells a digest the way protocol lines do ([`Writer::hex`], unquoted).
 pub fn digest_hex(digest: u64) -> String {
     format!("{digest:#018x}")
 }
 
-// ---------------------------------------------------------------------
-// Server-event builders: every line the server can write.
-// ---------------------------------------------------------------------
-
-/// `accepted`: the job was admitted (or coalesced onto an identical
-/// queued job) and a `result` event will follow.
-pub fn event_accepted(job: u64, digest: u64, coalesced: bool) -> String {
-    format!(
-        "{{\"serve\": \"accepted\", \"job\": {job}, \"digest\": \"{}\", \"coalesced\": {coalesced}}}",
-        digest_hex(digest)
-    )
-}
-
-/// `rejected`: admission control shed this submission; no result will
-/// follow. `reason` is a stable tag (`overloaded`, `connection-inflight`,
-/// `draining`, `busy`).
-pub fn event_rejected(digest: u64, reason: &str, detail: &str) -> String {
-    format!(
-        "{{\"serve\": \"rejected\", \"digest\": \"{}\", \"reason\": \"{reason}\", \
-         \"detail\": \"{}\"}}",
-        digest_hex(digest),
-        sanitize(detail)
-    )
-}
-
-/// `dispatched`: an attempt for the job was handed to a pool worker.
-pub fn event_dispatched(digest: u64, attempt: u32) -> String {
-    format!(
-        "{{\"serve\": \"dispatched\", \"digest\": \"{}\", \"attempt\": {attempt}}}",
-        digest_hex(digest)
-    )
-}
-
-/// `progress`: deterministic activity counts from the scenario's run
-/// under the oasis policy, named after the engine's `TraceEvent` taxonomy
-/// (far faults, migrations, duplications, shootdowns, evictions). Emitted
-/// for freshly computed clean jobs only — cached results recompute
-/// nothing, so they stream nothing.
-pub fn event_progress(
-    digest: u64,
-    far_faults: u64,
-    migrations: u64,
-    duplications: u64,
-    shootdowns: u64,
-    evictions: u64,
-) -> String {
-    format!(
-        "{{\"serve\": \"progress\", \"digest\": \"{}\", \"far_fault\": {far_faults}, \
-         \"migration\": {migrations}, \"duplication\": {duplications}, \
-         \"shootdown\": {shootdowns}, \"eviction\": {evictions}}}",
-        digest_hex(digest)
-    )
-}
-
-/// `result`: the job's final verdict. `outcome` is the journal taxonomy
-/// (`completed` / `failed` / `quarantined`); `verdict` is the rendered
-/// oracle verdict (`clean`, `violation <kind>: ...`, or the supervision
-/// failure); `cached` marks a content-addressed cache hit (zero
-/// recompute).
-pub fn event_result(
-    digest: u64,
-    outcome: &str,
-    verdict: &str,
-    cached: bool,
-    attempts: u32,
-) -> String {
-    format!(
-        "{{\"serve\": \"result\", \"digest\": \"{}\", \"outcome\": \"{outcome}\", \
-         \"verdict\": \"{}\", \"cached\": {cached}, \"attempts\": {attempts}}}",
-        digest_hex(digest),
-        sanitize(verdict)
-    )
-}
-
-/// `error`: a typed protocol failure for the offending request line.
-pub fn event_error(err: &ProtocolError) -> String {
-    format!(
-        "{{\"serve\": \"error\", \"code\": \"{}\", \"detail\": \"{}\"}}",
-        err.code(),
-        sanitize(&err.to_string())
-    )
-}
-
-/// `pong`: the `ping` reply.
-pub fn event_pong() -> String {
-    "{\"serve\": \"pong\"}".to_string()
-}
-
-/// `stats`: a flat snapshot of the server's `serve.*` counters.
-pub fn event_stats(counters: &[(String, u64)]) -> String {
-    let mut out = String::from("{\"serve\": \"stats\"");
-    for (key, value) in counters {
-        out.push_str(&format!(", \"{}\": {value}", sanitize(key)));
-    }
-    out.push('}');
-    out
-}
-
-// ---------------------------------------------------------------------
-// Client-side event parsing.
-// ---------------------------------------------------------------------
-
-/// One parsed server event, the client's view of the conversation.
+/// One server event: what the server writes and the client reads.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ServerEvent {
     /// Submission admitted; a result will follow.
@@ -372,11 +271,12 @@ pub enum ServerEvent {
         /// Whether it coalesced onto an identical queued job.
         coalesced: bool,
     },
-    /// Submission shed by admission control.
+    /// Submission shed by admission control; no result will follow.
     Rejected {
         /// Scenario content digest.
         digest: u64,
-        /// Stable rejection tag.
+        /// Stable rejection tag (`overloaded`, `connection-inflight`,
+        /// `draining`, `unavailable`, `busy`).
         reason: String,
         /// Human-readable detail.
         detail: String,
@@ -388,20 +288,26 @@ pub enum ServerEvent {
         /// 1-based attempt number.
         attempt: u64,
     },
-    /// Deterministic activity counts for a freshly computed job.
+    /// Deterministic activity counts from the scenario's run under the
+    /// oasis policy, named after the engine's `TraceEvent` taxonomy (far
+    /// faults, migrations, duplications, shootdowns, evictions). Sent for
+    /// freshly computed clean jobs only: a cached result recomputes
+    /// nothing, so it streams nothing.
     Progress {
         /// Scenario content digest.
         digest: u64,
-        /// `(event kind, count)` in wire order.
+        /// `(event kind, count)` pairs, written in this order;
+        /// [`parse_event`] returns them in key order.
         counts: Vec<(String, u64)>,
     },
     /// Final verdict for a job.
     Result {
         /// Scenario content digest.
         digest: u64,
-        /// `completed` / `failed` / `quarantined`.
+        /// `completed` / `failed` / `quarantined`, the journal taxonomy.
         outcome: String,
-        /// Rendered verdict string.
+        /// Rendered oracle verdict (`clean`, `violation <kind>: ...`) or
+        /// the supervision failure.
         verdict: String,
         /// Served from the content-addressed cache (zero recompute).
         cached: bool,
@@ -421,12 +327,77 @@ pub enum ServerEvent {
     },
 }
 
-fn field_digest(fields: &BTreeMap<String, JsonValue>) -> Result<u64, String> {
-    let s = str_field(fields, "digest")?;
-    let hex = s
-        .strip_prefix("0x")
-        .ok_or_else(|| format!("digest '{s}' lacks its 0x prefix"))?;
-    u64::from_str_radix(hex, 16).map_err(|e| format!("digest '{s}': {e}"))
+impl ServerEvent {
+    /// The event's wire line, without its newline. Every string goes
+    /// through [`sanitize`] first: the reader on the other end accepts no
+    /// escapes.
+    pub fn line(&self) -> String {
+        let w = Writer::line();
+        match self {
+            ServerEvent::Accepted {
+                job,
+                digest,
+                coalesced,
+            } => w
+                .str("serve", "accepted")
+                .u64("job", *job)
+                .hex("digest", *digest)
+                .bool("coalesced", *coalesced),
+            ServerEvent::Rejected {
+                digest,
+                reason,
+                detail,
+            } => w
+                .str("serve", "rejected")
+                .hex("digest", *digest)
+                .str("reason", &sanitize(reason))
+                .str("detail", &sanitize(detail)),
+            ServerEvent::Dispatched { digest, attempt } => w
+                .str("serve", "dispatched")
+                .hex("digest", *digest)
+                .u64("attempt", *attempt),
+            ServerEvent::Progress { digest, counts } => {
+                let w = w.str("serve", "progress").hex("digest", *digest);
+                counts
+                    .iter()
+                    .fold(w, |w, (kind, n)| w.u64(&sanitize(kind), *n))
+            }
+            ServerEvent::Result {
+                digest,
+                outcome,
+                verdict,
+                cached,
+                attempts,
+            } => w
+                .str("serve", "result")
+                .hex("digest", *digest)
+                .str("outcome", &sanitize(outcome))
+                .str("verdict", &sanitize(verdict))
+                .bool("cached", *cached)
+                .u64("attempts", *attempts),
+            ServerEvent::Pong => w.str("serve", "pong"),
+            ServerEvent::Stats(counters) => {
+                let w = w.str("serve", "stats");
+                counters
+                    .iter()
+                    .fold(w, |w, (key, n)| w.u64(&sanitize(key), *n))
+            }
+            ServerEvent::Error { code, detail } => w
+                .str("serve", "error")
+                .str("code", &sanitize(code))
+                .str("detail", &sanitize(detail)),
+        }
+        .finish()
+    }
+}
+
+impl From<&ProtocolError> for ServerEvent {
+    fn from(err: &ProtocolError) -> Self {
+        ServerEvent::Error {
+            code: err.code().to_string(),
+            detail: err.to_string(),
+        }
+    }
 }
 
 /// Parses one server event line.
@@ -437,52 +408,44 @@ fn field_digest(fields: &BTreeMap<String, JsonValue>) -> Result<u64, String> {
 /// unparsable event as a fatal protocol breach (servers never emit them).
 pub fn parse_event(line: &str) -> Result<ServerEvent, String> {
     let fields = parse_flat_object(line)?;
+    // Progress and stats carry their counts as the object's integer
+    // fields; the tag and the digest are strings.
+    let counts = || {
+        let numbers = fields.iter().filter_map(|(k, v)| match v {
+            JsonValue::Num(n) => Some((k.clone(), *n)),
+            _ => None,
+        });
+        numbers.collect()
+    };
     let kind = str_field(&fields, "serve")?;
     Ok(match kind.as_str() {
         "accepted" => ServerEvent::Accepted {
             job: u64_field(&fields, "job")?,
-            digest: field_digest(&fields)?,
+            digest: hex_field(&fields, "digest")?,
             coalesced: bool_field(&fields, "coalesced")?,
         },
         "rejected" => ServerEvent::Rejected {
-            digest: field_digest(&fields)?,
+            digest: hex_field(&fields, "digest")?,
             reason: str_field(&fields, "reason")?,
             detail: str_field(&fields, "detail")?,
         },
         "dispatched" => ServerEvent::Dispatched {
-            digest: field_digest(&fields)?,
+            digest: hex_field(&fields, "digest")?,
             attempt: u64_field(&fields, "attempt")?,
         },
-        "progress" => {
-            let digest = field_digest(&fields)?;
-            let counts = fields
-                .iter()
-                .filter(|(k, _)| k.as_str() != "serve" && k.as_str() != "digest")
-                .filter_map(|(k, v)| match v {
-                    JsonValue::Num(n) => Some((k.clone(), *n)),
-                    _ => None,
-                })
-                .collect();
-            ServerEvent::Progress { digest, counts }
-        }
+        "progress" => ServerEvent::Progress {
+            digest: hex_field(&fields, "digest")?,
+            counts: counts(),
+        },
         "result" => ServerEvent::Result {
-            digest: field_digest(&fields)?,
+            digest: hex_field(&fields, "digest")?,
             outcome: str_field(&fields, "outcome")?,
             verdict: str_field(&fields, "verdict")?,
             cached: bool_field(&fields, "cached")?,
             attempts: u64_field(&fields, "attempts")?,
         },
         "pong" => ServerEvent::Pong,
-        "stats" => ServerEvent::Stats(
-            fields
-                .iter()
-                .filter(|(k, _)| k.as_str() != "serve")
-                .filter_map(|(k, v)| match v {
-                    JsonValue::Num(n) => Some((k.clone(), *n)),
-                    _ => None,
-                })
-                .collect(),
-        ),
+        "stats" => ServerEvent::Stats(counts()),
         "error" => ServerEvent::Error {
             code: str_field(&fields, "code")?,
             detail: str_field(&fields, "detail")?,
@@ -534,7 +497,7 @@ mod tests {
             assert_eq!(err.code(), "bad-request", "{bad:?}");
             assert!(!err.fatal_to_connection(), "{bad:?}");
             // And the error renders without leaking unsanitized bytes.
-            let line = event_error(&err);
+            let line = ServerEvent::from(&err).line();
             assert!(parse_event(&line).is_ok(), "{line}");
         }
 
@@ -585,42 +548,149 @@ mod tests {
 
     #[test]
     fn events_round_trip_through_the_flat_parser() {
-        let cases = [
-            event_accepted(7, 0xdead_beef, false),
-            event_rejected(1, "overloaded", "queue depth 8 at limit 8"),
-            event_dispatched(2, 1),
-            event_progress(3, 10, 4, 2, 1, 0),
-            event_result(4, "completed", "clean", true, 1),
-            event_error(&ProtocolError::NotUtf8),
-            event_pong(),
-            event_stats(&[("serve.cache_hits".to_string(), 5)]),
+        let counts = [
+            "far_fault",
+            "migration",
+            "duplication",
+            "shootdown",
+            "eviction",
+        ]
+        .into_iter()
+        .zip([10, 4, 2, 1, 0])
+        .map(|(kind, n)| (kind.to_string(), n))
+        .collect();
+        let events = [
+            ServerEvent::Accepted {
+                job: 7,
+                digest: 0xdead_beef,
+                coalesced: false,
+            },
+            ServerEvent::Rejected {
+                digest: 1,
+                reason: "overloaded".to_string(),
+                detail: "queue depth 8 at limit 8".to_string(),
+            },
+            ServerEvent::Dispatched {
+                digest: 2,
+                attempt: 1,
+            },
+            ServerEvent::Progress { digest: 3, counts },
+            ServerEvent::Result {
+                digest: u64::MAX,
+                outcome: "completed".to_string(),
+                verdict: "clean".to_string(),
+                cached: true,
+                attempts: 1,
+            },
+            ServerEvent::from(&ProtocolError::NotUtf8),
+            ServerEvent::Pong,
+            ServerEvent::Stats(vec![("serve.cache_hits".to_string(), 5)]),
         ];
-        for line in &cases {
-            let ev = parse_event(line).unwrap_or_else(|e| panic!("{line}: {e}"));
-            match (line, &ev) {
-                (
-                    l,
-                    ServerEvent::Result {
-                        verdict, cached, ..
-                    },
-                ) if l.contains("result") => {
-                    assert_eq!(verdict, "clean");
-                    assert!(*cached);
+        for event in events {
+            let line = event.line();
+            let back = parse_event(&line).unwrap_or_else(|e| panic!("{line}: {e}"));
+            // The reader hands progress counts back in key order.
+            let want = match event {
+                ServerEvent::Progress { digest, mut counts } => {
+                    counts.sort();
+                    ServerEvent::Progress { digest, counts }
                 }
-                (l, ServerEvent::Stats(counters)) if l.contains("stats") => {
-                    assert_eq!(counters, &[("serve.cache_hits".to_string(), 5)]);
-                }
-                _ => {}
-            }
+                event => event,
+            };
+            assert_eq!(back, want, "{line}");
         }
         // Verdicts with JSON-hostile characters are sanitized, not escaped.
-        let hostile = event_result(9, "completed", "violation \"abort\": a\\b\nc", false, 2);
-        match parse_event(&hostile).unwrap() {
+        let hostile = ServerEvent::Result {
+            digest: 9,
+            outcome: "completed".to_string(),
+            verdict: "violation \"abort\": a\\b\nc".to_string(),
+            cached: false,
+            attempts: 2,
+        };
+        match parse_event(&hostile.line()).unwrap() {
             ServerEvent::Result { verdict, .. } => {
-                assert!(!verdict.contains('"') && !verdict.contains('\\'));
-                assert!(verdict.contains("violation"));
+                assert_eq!(verdict, "violation  abort : a b c");
             }
             other => panic!("{other:?}"),
+        }
+    }
+
+    /// One literal line per event kind: the bytes every client reads.
+    #[test]
+    fn every_event_line_is_pinned() {
+        let digest = 0x0123_4567_89ab_cdef;
+        let cases = [
+            (
+                ServerEvent::Accepted {
+                    job: 7,
+                    digest,
+                    coalesced: false,
+                },
+                r#"{"serve": "accepted", "job": 7, "digest": "0x0123456789abcdef", "coalesced": false}"#,
+            ),
+            (
+                ServerEvent::Rejected {
+                    digest,
+                    reason: "overloaded".to_string(),
+                    detail: "queue \"full\"\nretry".to_string(),
+                },
+                concat!(
+                    r#"{"serve": "rejected", "digest": "0x0123456789abcdef", "#,
+                    r#""reason": "overloaded", "detail": "queue  full  retry"}"#
+                ),
+            ),
+            (
+                ServerEvent::Dispatched { digest, attempt: 2 },
+                r#"{"serve": "dispatched", "digest": "0x0123456789abcdef", "attempt": 2}"#,
+            ),
+            (
+                ServerEvent::Progress {
+                    digest,
+                    counts: [
+                        "far_fault",
+                        "migration",
+                        "duplication",
+                        "shootdown",
+                        "eviction",
+                    ]
+                    .into_iter()
+                    .zip([10, 4, 2, 1, 0])
+                    .map(|(kind, n)| (kind.to_string(), n))
+                    .collect(),
+                },
+                concat!(
+                    r#"{"serve": "progress", "digest": "0x0123456789abcdef", "far_fault": 10, "#,
+                    r#""migration": 4, "duplication": 2, "shootdown": 1, "eviction": 0}"#
+                ),
+            ),
+            (
+                ServerEvent::Result {
+                    digest,
+                    outcome: "completed".to_string(),
+                    verdict: "clean".to_string(),
+                    cached: true,
+                    attempts: 1,
+                },
+                concat!(
+                    r#"{"serve": "result", "digest": "0x0123456789abcdef", "#,
+                    r#""outcome": "completed", "verdict": "clean", "cached": true, "attempts": 1}"#
+                ),
+            ),
+            (
+                ServerEvent::from(&ProtocolError::BadRequest("scenario: \"x\"".to_string())),
+                r#"{"serve": "error", "code": "bad-request", "detail": "bad request: scenario:  x "}"#,
+            ),
+            (ServerEvent::Pong, r#"{"serve": "pong"}"#),
+            (
+                ServerEvent::Stats(vec![
+                    ("serve.cache_hits".to_string(), 5),
+                    ("serve.connections".to_string(), 2),
+                ]),
+                r#"{"serve": "stats", "serve.cache_hits": 5, "serve.connections": 2}"#,
+            ),
+        ];
+        for (event, want) in cases {
+            assert_eq!(event.line(), want);
         }
     }
 

@@ -77,9 +77,8 @@ use oasis_mgpu::Policy;
 
 use crate::cache::{CacheRead, CachedResult, ResultCache};
 use crate::protocol::{
-    event_accepted, event_dispatched, event_error, event_pong, event_progress, event_rejected,
-    event_result, event_stats, parse_request, sanitize, LinePoll, LineReader, ProtocolError,
-    Request, MAX_LINE_BYTES,
+    parse_request, sanitize, LinePoll, LineReader, ProtocolError, Request, ServerEvent,
+    MAX_LINE_BYTES,
 };
 
 /// The journal `Begin` tag for serve queues; a resume against a journal
@@ -152,7 +151,7 @@ pub struct ServeSummary {
 /// violating scenario already has its verdict).
 struct JobResult {
     verdict: String,
-    events: Option<[u64; 5]>,
+    progress: Option<ServerEvent>,
 }
 
 /// One admitted, not-yet-adjudicated job.
@@ -176,7 +175,7 @@ impl Admitted {
 /// One live connection, as the state lock sees it.
 struct Conn {
     /// The connection's event channel, drained by its writer thread.
-    out: Sender<String>,
+    out: Sender<ServerEvent>,
     /// A handle on the socket, so the drain can wake the blocked reader.
     socket: TcpStream,
     /// Admitted jobs this connection still waits for.
@@ -201,12 +200,12 @@ struct QueueState {
     adjudicated: u64,
 }
 
-/// Sends `line` to each of `subscribers` still connected; a `settled` line
-/// ends their wait for the job.
-fn tell(conns: &mut BTreeMap<u64, Conn>, subscribers: &[u64], line: &str, settled: bool) {
+/// Sends `event` to each of `subscribers` still connected; a `settled`
+/// event ends their wait for the job.
+fn tell(conns: &mut BTreeMap<u64, Conn>, subscribers: &[u64], event: &ServerEvent, settled: bool) {
     for id in subscribers {
         if let Some(conn) = conns.get_mut(id) {
-            let _ = conn.out.send(line.to_string());
+            let _ = conn.out.send(event.clone());
             if settled {
                 conn.waiting -= 1;
                 conn.last_result = Instant::now();
@@ -301,10 +300,21 @@ fn render_verdict(outcome: &JobOutcome<JobResult>) -> String {
     }
 }
 
+/// The `result` event reporting `r`, freshly computed or `cached`.
+fn result_event(digest: u64, r: CachedResult, cached: bool) -> ServerEvent {
+    ServerEvent::Result {
+        digest,
+        outcome: r.outcome.kind().to_string(),
+        verdict: r.verdict,
+        cached,
+        attempts: r.attempts.into(),
+    }
+}
+
 /// The deterministic job body: run the differential oracle; for a clean
 /// scenario, the oracle's own oasis run supplies the `TraceEvent`-taxonomy
 /// activity counts the `progress` event streams.
-fn run_job(scenario: &Scenario) -> Result<JobResult, String> {
+fn run_job(scenario: &Scenario, digest: u64) -> Result<JobResult, String> {
     match check_runs(scenario) {
         Err(violation) => Ok(JobResult {
             verdict: sanitize(&format!(
@@ -312,7 +322,7 @@ fn run_job(scenario: &Scenario) -> Result<JobResult, String> {
                 violation.kind.as_str(),
                 violation.detail
             )),
-            events: None,
+            progress: None,
         }),
         Ok(reports) => {
             let oasis = Policy::oasis();
@@ -322,15 +332,17 @@ fn run_job(scenario: &Scenario) -> Result<JobResult, String> {
                 .find(|(policy, _)| *policy == oasis)
                 .expect("oasis is a core policy");
             let uvm = &report.uvm;
+            let counts = [
+                ("far_fault", uvm.far_faults),
+                ("migration", uvm.migrations),
+                ("duplication", uvm.duplications),
+                ("shootdown", uvm.invalidations),
+                ("eviction", uvm.evictions),
+            ];
+            let counts = counts.map(|(kind, n)| (kind.to_string(), n)).to_vec();
             Ok(JobResult {
                 verdict: "clean".to_string(),
-                events: Some([
-                    uvm.far_faults,
-                    uvm.migrations,
-                    uvm.duplications,
-                    uvm.invalidations,
-                    uvm.evictions,
-                ]),
+                progress: Some(ServerEvent::Progress { digest, counts }),
             })
         }
     }
@@ -339,7 +351,7 @@ fn run_job(scenario: &Scenario) -> Result<JobResult, String> {
 /// The pool job for one scenario.
 fn job(scenario: Scenario, digest: u64) -> Job<JobResult> {
     Job::new(format!("scenario-{digest:016x}"), move || {
-        run_job(&scenario)
+        run_job(&scenario, digest)
     })
 }
 
@@ -545,8 +557,11 @@ fn run_jobs(shared: &Shared, intake: Intake<JobResult>) {
         let mut guard = shared.state();
         let st = &mut *guard;
         if let Some(job) = st.jobs.get(&id) {
-            let line = event_dispatched(job.digest, attempt);
-            tell(&mut st.conns, &job.subscribers, &line, false);
+            let event = ServerEvent::Dispatched {
+                digest: job.digest,
+                attempt: attempt.into(),
+            };
+            tell(&mut st.conns, &job.subscribers, &event, false);
         }
     };
     let mut on_adjudicated = |record: &JobRecord<JobResult>| {
@@ -564,7 +579,7 @@ fn run_jobs(shared: &Shared, intake: Intake<JobResult>) {
         let entry = CachedResult {
             outcome: tag,
             attempts: record.attempts,
-            verdict: verdict.clone(),
+            verdict,
         };
         if let Err(e) = shared.cache.write(digest, &entry) {
             // RecordAndContinue: the verdict is journaled (or at worst
@@ -582,15 +597,14 @@ fn run_jobs(shared: &Shared, intake: Intake<JobResult>) {
             .remove(&record.id)
             .map_or_else(Vec::new, |j| j.subscribers);
         if let JobOutcome::Completed(JobResult {
-            events: Some([ff, mig, dup, sd, ev]),
+            progress: Some(event),
             ..
-        }) = record.outcome
+        }) = &record.outcome
         {
-            let line = event_progress(digest, ff, mig, dup, sd, ev);
-            tell(&mut st.conns, &subscribers, &line, false);
+            tell(&mut st.conns, &subscribers, event, false);
         }
-        let line = event_result(digest, tag.kind(), &verdict, false, record.attempts);
-        tell(&mut st.conns, &subscribers, &line, true);
+        let event = result_event(digest, entry, false);
+        tell(&mut st.conns, &subscribers, &event, true);
     };
     supervise(
         &shared.cfg.pool,
@@ -612,13 +626,14 @@ fn drain(shared: &Shared) {
     let st = &mut *guard;
     st.accepting = false;
     for (_, job) in std::mem::take(&mut st.jobs) {
-        let line = event_rejected(
-            job.digest,
-            "draining",
-            "server draining before this job finished; it stays journaled — restart the \
-             server with the same --serve-state to resume",
-        );
-        tell(&mut st.conns, &job.subscribers, &line, true);
+        let event = ServerEvent::Rejected {
+            digest: job.digest,
+            reason: "draining".to_string(),
+            detail: "server draining before this job finished; it stays journaled — restart the \
+                     server with the same --serve-state to resume"
+                .to_string(),
+        };
+        tell(&mut st.conns, &job.subscribers, &event, true);
     }
     for conn in st.conns.values() {
         let _ = conn.socket.shutdown(Shutdown::Read);
@@ -639,7 +654,12 @@ fn open_connection(
     if st.conns.len() >= MAX_CONNECTIONS {
         drop(st);
         shared.count("serve.rejected_busy", 1);
-        let line = event_rejected(0, "busy", "connection limit reached");
+        let line = ServerEvent::Rejected {
+            digest: 0,
+            reason: "busy".to_string(),
+            detail: "connection limit reached".to_string(),
+        }
+        .line();
         let _ = stream.write_all(format!("{line}\n").as_bytes());
         return true;
     }
@@ -694,14 +714,14 @@ fn open_connection(
     true
 }
 
-/// Writes a connection's event lines as they arrive. Lines queued behind
-/// one go out with it, in a single `write(2)`.
-fn write_events(mut socket: &TcpStream, events: Receiver<String>) {
+/// Writes a connection's events as lines as they arrive. Events queued
+/// behind one go out with it, in a single `write(2)`.
+fn write_events(mut socket: &TcpStream, events: Receiver<ServerEvent>) {
     let mut batch = Vec::new();
-    while let Ok(line) = events.recv() {
+    while let Ok(event) = events.recv() {
         batch.clear();
-        for line in std::iter::once(line).chain(events.try_iter()) {
-            batch.extend_from_slice(line.as_bytes());
+        for event in std::iter::once(event).chain(events.try_iter()) {
+            batch.extend_from_slice(event.line().as_bytes());
             batch.push(b'\n');
         }
         if socket.write_all(&batch).is_err() {
@@ -712,7 +732,7 @@ fn write_events(mut socket: &TcpStream, events: Receiver<String>) {
 
 /// Reads request lines until EOF, a fatal protocol error or the idle
 /// timeout, answering each through the writer's channel `out`.
-fn read_requests(shared: &Shared, id: u64, stream: &TcpStream, out: Sender<String>) {
+fn read_requests(shared: &Shared, id: u64, stream: &TcpStream, out: Sender<ServerEvent>) {
     let idle = shared.cfg.idle_timeout;
     let least = Duration::from_millis(1);
     let _ = stream.set_read_timeout(Some(idle.max(least)));
@@ -737,7 +757,7 @@ fn read_requests(shared: &Shared, id: u64, stream: &TcpStream, out: Sender<Strin
                         secs: idle.as_secs(),
                     };
                     shared.count("serve.rejected_protocol", 1);
-                    let _ = out.send(event_error(&err));
+                    let _ = out.send(ServerEvent::from(&err));
                     return;
                 }
                 let left = if waiting == 0 { idle - quiet } else { idle };
@@ -746,7 +766,7 @@ fn read_requests(shared: &Shared, id: u64, stream: &TcpStream, out: Sender<Strin
             }
             Err(err) => {
                 shared.count("serve.rejected_protocol", 1);
-                let _ = out.send(event_error(&err));
+                let _ = out.send(ServerEvent::from(&err));
                 return; // only framing damage is fatal, and this is it
             }
         };
@@ -754,15 +774,15 @@ fn read_requests(shared: &Shared, id: u64, stream: &TcpStream, out: Sender<Strin
         match parse_request(&raw) {
             Ok(None) => {}
             Ok(Some(Request::Ping)) => {
-                let _ = out.send(event_pong());
+                let _ = out.send(ServerEvent::Pong);
             }
             Ok(Some(Request::Stats)) => {
-                let _ = out.send(event_stats(&shared.counters()));
+                let _ = out.send(ServerEvent::Stats(shared.counters()));
             }
             Ok(Some(Request::Submit(scenario))) => submit(shared, id, &out, *scenario),
             Err(err) => {
                 shared.count("serve.rejected_protocol", 1);
-                let _ = out.send(event_error(&err));
+                let _ = out.send(ServerEvent::from(&err));
                 if err.fatal_to_connection() {
                     return;
                 }
@@ -772,7 +792,7 @@ fn read_requests(shared: &Shared, id: u64, stream: &TcpStream, out: Sender<Strin
 }
 
 /// Answers one submission on `out`: from the cache, or by admitting it.
-fn submit(shared: &Shared, conn: u64, out: &Sender<String>, scenario: Scenario) {
+fn submit(shared: &Shared, conn: u64, out: &Sender<ServerEvent>, scenario: Scenario) {
     let digest = scenario_digest(&scenario);
 
     // Content-addressed fast path: an identical scenario that has ever
@@ -780,9 +800,7 @@ fn submit(shared: &Shared, conn: u64, out: &Sender<String>, scenario: Scenario) 
     match shared.cache.read(digest) {
         CacheRead::Hit(cached) => {
             shared.count("serve.cache_hits", 1);
-            let kind = cached.outcome.kind();
-            let line = event_result(digest, kind, &cached.verdict, true, cached.attempts);
-            let _ = out.send(line);
+            let _ = out.send(result_event(digest, cached, true));
             return;
         }
         CacheRead::Miss => shared.count("serve.cache_misses", 1),
@@ -797,7 +815,11 @@ fn submit(shared: &Shared, conn: u64, out: &Sender<String>, scenario: Scenario) 
     let counter = match admit(shared, conn, out, digest, scenario) {
         Ok(counter) => counter,
         Err((reason, detail)) => {
-            let _ = out.send(event_rejected(digest, reason, &detail));
+            let _ = out.send(ServerEvent::Rejected {
+                digest,
+                reason: reason.to_string(),
+                detail,
+            });
             match reason {
                 "overloaded" => "serve.rejected_overload",
                 "connection-inflight" => "serve.rejected_conn_inflight",
@@ -820,16 +842,23 @@ fn submit(shared: &Shared, conn: u64, out: &Sender<String>, scenario: Scenario) 
 fn admit(
     shared: &Shared,
     conn: u64,
-    out: &Sender<String>,
+    out: &Sender<ServerEvent>,
     digest: u64,
     scenario: Scenario,
 ) -> Result<&'static str, (&'static str, String)> {
+    let accepted = |job, coalesced| {
+        let _ = out.send(ServerEvent::Accepted {
+            job,
+            digest,
+            coalesced,
+        });
+    };
     let mut guard = shared.state();
     let st = &mut *guard;
     let queued = st.jobs.iter().find(|(_, job)| job.digest == digest);
     let queued = queued.map(|(&id, job)| (id, job.subscribers.contains(&conn)));
     if let Some((_, true)) = queued {
-        let _ = out.send(event_accepted(0, digest, true));
+        accepted(0, true);
         return Ok("serve.coalesced");
     }
     if !st.accepting || shared.stop.is_stopped() {
@@ -876,10 +905,10 @@ fn admit(
         c.waiting += 1;
     }
     if !fresh {
-        let _ = out.send(event_accepted(0, digest, true));
+        accepted(0, true);
         return Ok("serve.coalesced");
     }
-    let _ = out.send(event_accepted(job_id, digest, false));
+    accepted(job_id, false);
     st.feed.submit(job_id, job(scenario, digest));
     Ok("serve.accepted")
 }
@@ -969,7 +998,7 @@ mod tests {
         let server = Server::start(small_cfg(temp_state("ping")));
         let (mut reader, mut stream) = server.connect();
         writeln!(stream, "ping").unwrap();
-        assert_eq!(read_event(&mut reader), event_pong());
+        assert_eq!(read_event(&mut reader), ServerEvent::Pong.line());
         // Garbage gets a typed error and the connection survives...
         writeln!(stream, "total garbage").unwrap();
         let err = read_event(&mut reader);
@@ -1006,15 +1035,18 @@ mod tests {
         assert!(result.contains("\"verdict\": \"clean\""), "{result}");
         // A clean job's activity counts are those of a plain oasis run.
         let uvm = simulate(&scenario.config(), Policy::oasis(), &scenario.trace()).uvm;
-        let expected = event_progress(
-            scenario_digest(&scenario),
-            uvm.far_faults,
-            uvm.migrations,
-            uvm.duplications,
-            uvm.invalidations,
-            uvm.evictions,
-        );
-        assert_eq!(progress, [expected]);
+        let counts = [
+            ("far_fault", uvm.far_faults),
+            ("migration", uvm.migrations),
+            ("duplication", uvm.duplications),
+            ("shootdown", uvm.invalidations),
+            ("eviction", uvm.evictions),
+        ];
+        let expected = ServerEvent::Progress {
+            digest: scenario_digest(&scenario),
+            counts: counts.map(|(kind, n)| (kind.to_string(), n)).to_vec(),
+        };
+        assert_eq!(progress, [expected.line()]);
 
         // Resubmitting the identical scenario is a cache hit: the result
         // line arrives immediately, marked cached, with no accept first.
@@ -1308,7 +1340,7 @@ mod tests {
         let server = Server::start(small_cfg(temp_state("idle-drain")));
         let (mut reader, mut stream) = server.connect();
         writeln!(stream, "ping").unwrap();
-        assert_eq!(read_event(&mut reader), event_pong());
+        assert_eq!(read_event(&mut reader), ServerEvent::Pong.line());
         let started = Instant::now();
         server.shutdown();
         assert!(
@@ -1329,7 +1361,7 @@ mod tests {
         let server = Server::start(cfg);
         let (mut reader, mut stream) = server.connect();
         writeln!(stream, "ping").unwrap();
-        assert_eq!(read_event(&mut reader), event_pong());
+        assert_eq!(read_event(&mut reader), ServerEvent::Pong.line());
         let pong_at = Instant::now();
         let err = read_event(&mut reader);
         assert!(err.contains("idle-timeout"), "{err}");
@@ -1395,14 +1427,19 @@ mod tests {
             .map(|_| {
                 let (mut reader, mut stream) = server.connect();
                 writeln!(stream, "ping").unwrap();
-                assert_eq!(read_event(&mut reader), event_pong());
+                assert_eq!(read_event(&mut reader), ServerEvent::Pong.line());
                 (reader, stream)
             })
             .collect();
         let (mut reader, _stream) = server.connect();
         assert_eq!(
             read_event(&mut reader),
-            event_rejected(0, "busy", "connection limit reached")
+            ServerEvent::Rejected {
+                digest: 0,
+                reason: "busy".to_string(),
+                detail: "connection limit reached".to_string(),
+            }
+            .line()
         );
         let mut line = String::new();
         assert_eq!(reader.read_line(&mut line).expect("read after busy"), 0);

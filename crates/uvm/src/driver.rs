@@ -1563,12 +1563,12 @@ mod tests {
         assert_eq!(o.kind, OutcomeKind::Duplicated);
         let e = entry(&d, vpn(0));
         assert_eq!(e.owner, DeviceId::Host);
-        assert!(e.readable_at(GpuId(0)));
+        assert!(e.duplicate_holders().eq([GpuId(0)]));
         assert!(!pte(&d, 0, vpn(0)).writable);
         // GPU1 and GPU2 also read.
         fault(&mut d, &mut f, &far(1, 0, AccessKind::Read));
         fault(&mut d, &mut f, &far(2, 0, AccessKind::Read));
-        assert_eq!(entry(&d, vpn(0)).duplicate_count(), 3);
+        assert_eq!(entry(&d, vpn(0)).duplicate_holders().count(), 3);
         assert_eq!(d.stats.duplications, 3);
         // GPU0 writes its read-only copy: protection fault, collapse.
         let pf = PageFault::protection(GpuId(0), Va(0x1000_0000), vpn(0));
@@ -1647,7 +1647,8 @@ mod tests {
         let before = f.pcie_bytes();
         fault(&mut d, &mut f, &far(0, 2, AccessKind::Read));
         // Page 0's copy dropped from GPU0; host entry no longer lists it.
-        assert!(!entry(&d, vpn(0)).readable_at(GpuId(0)));
+        assert_eq!(entry(&d, vpn(0)).owner, DeviceId::Host);
+        assert_eq!(entry(&d, vpn(0)).duplicate_holders().count(), 0);
         assert!(d.state.local_tables[0].get(vpn(0)).is_none());
         // Only the new duplicate's transfer hit PCIe (no write-back).
         assert_eq!(f.pcie_bytes() - before, 4096);
@@ -1812,7 +1813,7 @@ mod tests {
         // GPU0 writes (becomes owner), GPU1 reads (duplicate).
         fault(&mut d, &mut f, &far(0, 0, AccessKind::Write));
         fault(&mut d, &mut f, &far(1, 0, AccessKind::Read));
-        assert_eq!(entry(&d, vpn(0)).duplicate_count(), 1);
+        assert_eq!(entry(&d, vpn(0)).duplicate_holders().count(), 1);
         // Switch policy semantics: hand GPU2 a remote map via the driver.
         let mut out = Outcome::new(OutcomeKind::RemoteMapped);
         d.do_remote_map(Time::ZERO, GpuId(2), vpn(0), &mut out)
@@ -1925,7 +1926,7 @@ mod tests {
         assert_eq!(o.kind, OutcomeKind::EccReplicaDropped);
         let e = entry(&d, vpn(0));
         assert_eq!(e.owner, DeviceId::Gpu(GpuId(0)), "owner untouched");
-        assert!(!e.readable_at(GpuId(1)), "replica gone");
+        assert_eq!(e.duplicate_holders().count(), 0, "replica gone");
         assert!(d.state.local_tables[1].get(vpn(0)).is_none());
         assert_eq!(d.state.frames[1].quarantined(), 1);
         assert_eq!(d.stats.ecc_quarantines, 1);

@@ -116,7 +116,7 @@ fn assert_resumes_identically(name: &str, prefix: usize, sweep: &SweepFn) {
 
     // What a sweep drained after `prefix` jobs leaves behind.
     let partial_path = dir.join("partial.jnl");
-    let mut w = JournalWriter::create(&partial_path, full.tag, &full.label).expect("create");
+    let mut w = JournalWriter::create(&partial_path, full.tag, "partial sweep").expect("create");
     for (&id, adj) in full.adjudicated.iter().take(prefix) {
         w.adjudicated(id, adj.outcome, adj.attempts, &adj.payload)
             .expect("adjudicated");

@@ -78,6 +78,12 @@ fn cache_hits(out: &std::process::Output) -> u64 {
         .unwrap_or(0)
 }
 
+/// Jobs the server's journal holds admitted but not adjudicated; 0 while
+/// the journal is not readable yet.
+fn pending_jobs(journal: &Path) -> usize {
+    oasis_engine::journal::recover(journal).map_or(0, |rec| rec.pending().len())
+}
+
 fn wait_with_deadline(mut child: Child, limit: Duration) -> std::process::Output {
     let start = Instant::now();
     loop {
@@ -127,11 +133,22 @@ fn sigkill_mid_sweep_then_restart_is_byte_identical_and_cached() {
         .stderr(Stdio::piped())
         .spawn()
         .expect("spawn in-flight submit");
-    // Give admission (journaled write-ahead) a moment, then kill -9: no
-    // drain, results unsent.
-    std::thread::sleep(Duration::from_millis(1500));
+    // Kill -9 the server the moment its journal holds a job of the batch
+    // admitted and not adjudicated: no drain, results unsent. A verdict is
+    // journaled before any client sees it, so a job still pending in the
+    // dead server's journal is one whose result never left the server.
+    let journal = crash_state.join("serve.jnl");
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while pending_jobs(&journal) == 0 {
+        assert!(Instant::now() < deadline, "the batch was never admitted");
+        std::thread::sleep(Duration::from_millis(1));
+    }
     server.child.kill().ok();
     server.child.wait().expect("reap killed server");
+    assert!(
+        pending_jobs(&journal) > 0,
+        "the kill must land while a job of the batch is unadjudicated"
+    );
     // The orphaned client must fail fast (EOF), not hang.
     let orphan = wait_with_deadline(inflight, Duration::from_secs(60));
     assert!(
@@ -139,7 +156,6 @@ fn sigkill_mid_sweep_then_restart_is_byte_identical_and_cached() {
         "client should report the lost server"
     );
 
-    let journal = crash_state.join("serve.jnl");
     assert!(journal.exists(), "journal must survive the kill");
 
     // Phase 2: restart on the same state directory.

@@ -2,9 +2,10 @@
 //! simulator.
 //!
 //! This crate plays the role that the Akita engine plays for MGPUSim: it
-//! provides simulated time ([`Time`], [`Duration`]), a deterministic event
-//! queue ([`EventQueue`]), and bandwidth-serialized transfer channels
-//! ([`Channel`]) from which the rest of the simulator is built.
+//! provides simulated time ([`Time`], [`Duration`]), deterministic event
+//! queues ([`EventQueue`], [`LaneTree`]), and bandwidth-serialized
+//! transfer channels ([`Channel`]) from which the rest of the simulator is
+//! built.
 //!
 //! # Example
 //!
@@ -60,7 +61,7 @@ pub use pool::{
     open_feed, run_sweep, supervise, Feed, Intake, Job, JobError, JobOutcome, JobRecord,
     PoolConfig, StopHandle, SweepControl, SweepReport,
 };
-pub use queue::{Event, EventQueue};
+pub use queue::{Event, EventQueue, LaneTree};
 pub use rng::SimRng;
 pub use time::{Duration, Time};
 pub use trace::{chrome_trace_json, Endpoint, RingTracer, TimedEvent, TraceEvent};

@@ -151,14 +151,25 @@ impl Tlb {
     /// Installs a translation for `vpn`, evicting the LRU entry of its set
     /// if the set is full. Returns the evicted VPN, if any.
     pub fn fill(&mut self, vpn: Vpn) -> Option<Vpn> {
+        let set = self.set_index(vpn);
+        let base = set * self.ways;
+        if let Some(pos) = self.find(base, self.set_len[set] as usize, vpn) {
+            self.stamp += 1;
+            self.line_stamp[base + pos] = self.stamp;
+            return None;
+        }
+        self.fill_missed(vpn)
+    }
+
+    /// [`Tlb::fill`] for a `vpn` that is not cached, as after an
+    /// [`access`](Tlb::access) that missed with nothing filled since:
+    /// the same effects, without scanning the set for `vpn` again.
+    pub fn fill_missed(&mut self, vpn: Vpn) -> Option<Vpn> {
+        debug_assert!(!self.contains(vpn), "fill_missed on cached {vpn:?}");
         self.stamp += 1;
         let set = self.set_index(vpn);
         let base = set * self.ways;
         let len = self.set_len[set] as usize;
-        if let Some(pos) = self.find(base, len, vpn) {
-            self.line_stamp[base + pos] = self.stamp;
-            return None;
-        }
         let evicted = if len == self.ways {
             // A full set is necessarily nonempty (ways > 0). Evict the LRU
             // line with swap-remove semantics (last line moves into the

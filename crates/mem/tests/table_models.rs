@@ -396,11 +396,24 @@ fn tlb_matches_its_model() {
                 vpn = rng.gen_range(0..vpns);
             }
             match rng.gen_range(0..20) {
-                0..=9 => assert_eq!(
+                0..=5 => assert_eq!(
                     tlb.access(Vpn(vpn)),
                     model.access(vpn),
                     "case {case} op {op}: access {vpn}"
                 ),
+                6..=9 => {
+                    // A lookup that fills on a miss, as a GPU's translate
+                    // does, through the fill path that skips the set scan.
+                    let hit = tlb.access(Vpn(vpn));
+                    assert_eq!(hit, model.access(vpn), "case {case} op {op}: access {vpn}");
+                    if !hit {
+                        assert_eq!(
+                            tlb.fill_missed(Vpn(vpn)),
+                            model.fill(vpn),
+                            "case {case} op {op}: fill after a miss on {vpn}"
+                        );
+                    }
+                }
                 10..=14 => assert_eq!(
                     tlb.fill(Vpn(vpn)),
                     model.fill(vpn),

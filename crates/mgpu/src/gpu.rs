@@ -20,6 +20,29 @@ pub struct GpuModel {
     pub dram: Channel,
 }
 
+/// The latencies of a TLB lookup at each level, converted from Table I's
+/// cycle counts once per system rather than once per access.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TlbLatencies {
+    /// An L1 TLB lookup.
+    pub l1: Duration,
+    /// An L2 TLB lookup after an L1 miss.
+    pub l2: Duration,
+    /// A page walk after an L2 miss.
+    pub walk: Duration,
+}
+
+impl TlbLatencies {
+    /// The configuration's latencies.
+    pub fn of(config: &SystemConfig) -> Self {
+        TlbLatencies {
+            l1: config.l1_tlb_latency(),
+            l2: config.l2_tlb_latency(),
+            walk: config.page_walk_latency(),
+        }
+    }
+}
+
 /// The translation outcome of one access, for timing and stats.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TlbOutcome {
@@ -41,28 +64,27 @@ impl GpuModel {
         }
     }
 
-    /// Walks the TLB hierarchy for `vpn`, filling on the way back.
-    pub fn translate(&mut self, vpn: Vpn, config: &SystemConfig) -> TlbOutcome {
-        let mut latency = config.l1_tlb_latency();
+    /// Walks the TLB hierarchy for `vpn`, filling on the way back. A level
+    /// is filled only after its lookup missed, so the fill skips the set
+    /// scan.
+    pub fn translate(&mut self, vpn: Vpn, latency: &TlbLatencies) -> TlbOutcome {
         if self.l1_tlb.access(vpn) {
             return TlbOutcome {
-                latency,
+                latency: latency.l1,
                 l2_miss: false,
             };
         }
-        latency += config.l2_tlb_latency();
         if self.l2_tlb.access(vpn) {
-            self.l1_tlb.fill(vpn);
+            self.l1_tlb.fill_missed(vpn);
             return TlbOutcome {
-                latency,
+                latency: latency.l1 + latency.l2,
                 l2_miss: false,
             };
         }
-        latency += config.page_walk_latency();
-        self.l2_tlb.fill(vpn);
-        self.l1_tlb.fill(vpn);
+        self.l2_tlb.fill_missed(vpn);
+        self.l1_tlb.fill_missed(vpn);
         TlbOutcome {
-            latency,
+            latency: latency.l1 + latency.l2 + latency.walk,
             l2_miss: true,
         }
     }
@@ -99,11 +121,12 @@ mod tests {
     #[test]
     fn translate_latencies_escalate() {
         let cfg = SystemConfig::default();
+        let lat = TlbLatencies::of(&cfg);
         let mut g = GpuModel::new(&cfg);
-        let cold = g.translate(Vpn(7), &cfg);
+        let cold = g.translate(Vpn(7), &lat);
         assert!(cold.l2_miss);
         assert_eq!(cold.latency, Duration::from_ns(511)); // 1 + 10 + 500
-        let warm = g.translate(Vpn(7), &cfg);
+        let warm = g.translate(Vpn(7), &lat);
         assert!(!warm.l2_miss);
         assert_eq!(warm.latency, Duration::from_ns(1));
     }
@@ -111,10 +134,11 @@ mod tests {
     #[test]
     fn l1_miss_l2_hit_path() {
         let cfg = SystemConfig::default();
+        let lat = TlbLatencies::of(&cfg);
         let mut g = GpuModel::new(&cfg);
-        g.translate(Vpn(7), &cfg);
+        g.translate(Vpn(7), &lat);
         g.l1_tlb.invalidate(Vpn(7));
-        let o = g.translate(Vpn(7), &cfg);
+        let o = g.translate(Vpn(7), &lat);
         assert!(!o.l2_miss);
         assert_eq!(o.latency, Duration::from_ns(11));
     }
@@ -122,11 +146,12 @@ mod tests {
     #[test]
     fn invalidate_clears_both_tlbs_and_cache() {
         let cfg = SystemConfig::default();
+        let lat = TlbLatencies::of(&cfg);
         let mut g = GpuModel::new(&cfg);
-        g.translate(Vpn(7), &cfg);
+        g.translate(Vpn(7), &lat);
         g.l2_cache.access(Va(7 << 12));
         g.invalidate(Vpn(7), PageSize::Small4K);
-        assert!(g.translate(Vpn(7), &cfg).l2_miss);
+        assert!(g.translate(Vpn(7), &lat).l2_miss);
         assert!(!g.l2_cache.access(Va(7 << 12))); // miss again
     }
 

@@ -11,7 +11,7 @@ use oasis_engine::codec::{
 use oasis_engine::digest::StateHasher;
 use oasis_engine::error::{ErrorPolicy, FaultError, SimError, SimResult, TraceError};
 use oasis_engine::{
-    CounterHandle, Duration, Endpoint, EventQueue, HistogramHandle, Observer, Time, TraceEvent,
+    CounterHandle, Duration, Endpoint, HistogramHandle, LaneTree, Observer, Time, TraceEvent,
 };
 use oasis_interconnect::Fabric;
 use oasis_mem::layout::AddressSpace;
@@ -19,11 +19,11 @@ use oasis_mem::types::{DeviceId, GpuId, ObjectId, Va};
 use oasis_uvm::driver::{Outcome, UvmDriver};
 use oasis_uvm::fault::PageFault;
 use oasis_uvm::guard::check_mem_state;
-use oasis_workloads::compiled::{CompiledAccess, CompiledPhase, CompiledTrace};
-use oasis_workloads::trace::Trace;
+use oasis_workloads::compiled::CompiledAccess;
+use oasis_workloads::trace::{Phase, Trace};
 
 use crate::config::{GuardMode, Placement, Policy, SystemConfig};
-use crate::gpu::GpuModel;
+use crate::gpu::{GpuModel, TlbLatencies};
 use crate::report::{EpochRollup, RunInstrumentation, RunReport};
 
 /// How many recorded-error descriptions a report keeps verbatim.
@@ -68,7 +68,13 @@ pub struct System {
     driver: UvmDriver,
     space: AddressSpace,
     tracker: ObjectTracker,
+    /// Each object's tagged base and size: the binding every access
+    /// resolves against as it is simulated. Rebuilt by `load` and
+    /// `resume`.
     tagged_bases: Vec<Va>,
+    object_sizes: Vec<u64>,
+    /// Table I's TLB and walk latencies, converted from cycles once.
+    tlb_latency: TlbLatencies,
     policy: Policy,
     policy_mix: [u64; 3],
     local_accesses: u64,
@@ -93,11 +99,6 @@ pub struct System {
     trace_fingerprint: u64,
     /// Per-epoch state digests accumulated so far.
     digest_trail: Vec<u64>,
-    /// The trace pre-resolved against this system's address-space binding
-    /// (built lazily on the first `run_*` call, including after resume).
-    /// Taken out of the system for the duration of each epoch so the hot
-    /// loop can borrow it while mutating everything else.
-    compiled: Option<CompiledTrace>,
     /// Pre-resolved metric slots for the per-access path.
     m_local: CounterHandle,
     m_remote: CounterHandle,
@@ -147,6 +148,8 @@ impl System {
             space: AddressSpace::new(),
             tracker: policy.tracker(),
             tagged_bases: Vec::new(),
+            object_sizes: Vec::new(),
+            tlb_latency: TlbLatencies::of(&config),
             policy: policy.clone(),
             policy_mix: [0; 3],
             local_accesses: 0,
@@ -161,7 +164,6 @@ impl System {
             loaded: false,
             trace_fingerprint: 0,
             digest_trail: Vec::new(),
-            compiled: None,
             m_local,
             m_remote,
             m_walk_ns,
@@ -197,22 +199,30 @@ impl System {
                 .into());
             }
         }
+        self.bind_objects(trace);
         let gpus = self.config.gpu_count as u64;
-        for (i, obj) in trace.objects.iter().enumerate() {
-            let id = self.space.alloc(obj.name.clone(), obj.bytes);
-            debug_assert_eq!(id, ObjectId(i as u16));
-            let base = self.space.object(id).base;
-            let tagged = self.tracker.tag(id, base);
-            self.tagged_bases.push(tagged);
-            let placement = self.config.placement;
+        let placement = self.config.placement;
+        for obj in self.space.objects() {
             self.driver
-                .alloc_object(id, base, obj.bytes, |vpn| match placement {
+                .alloc_object(obj.id, obj.base, obj.size, |vpn| match placement {
                     Placement::Host => DeviceId::Host,
                     Placement::Striped => DeviceId::Gpu(GpuId((vpn.0 % gpus) as u8)),
                 })?;
         }
         self.trace_fingerprint = trace_fingerprint(trace);
         Ok(())
+    }
+
+    /// Allocates the trace's objects in the address space, in order, and
+    /// records each one's tagged base and size.
+    fn bind_objects(&mut self, trace: &Trace) {
+        for (i, obj) in trace.objects.iter().enumerate() {
+            let id = self.space.alloc(obj.name.clone(), obj.bytes);
+            debug_assert_eq!(id, ObjectId(i as u16));
+            let base = self.space.object(id).base;
+            self.tagged_bases.push(self.tracker.tag(id, base));
+            self.object_sizes.push(obj.bytes);
+        }
     }
 
     fn ensure_loaded(&mut self, trace: &Trace) -> Result<(), RunError> {
@@ -225,44 +235,23 @@ impl System {
         Ok(())
     }
 
-    /// Compiles the trace against this system's object binding (once per
-    /// system; a resumed system compiles on its first `run_*` call). Must
-    /// run after `load`/`resume` populated `tagged_bases`.
-    fn ensure_compiled(&mut self, trace: &Trace) {
-        if self.compiled.is_some() {
-            return;
-        }
-        let sizes: Vec<u64> = (0..self.tagged_bases.len())
-            .map(|i| self.space.object(ObjectId(i as u16)).size)
-            .collect();
-        self.compiled = Some(CompiledTrace::compile(
-            trace,
-            &self.tagged_bases,
-            &sizes,
-            self.config.page_size,
-        ));
-    }
-
     fn apply_invalidations(&mut self, out: &Outcome) {
         for (g, vpn) in &out.invalidations {
             self.gpus[g.index()].invalidate(*vpn, self.config.page_size);
         }
     }
 
-    /// Reconstructs the typed trace error for an access that failed to
-    /// compile — the same error, at the same step, the uncompiled path
-    /// raised when it validated per access.
+    /// The typed trace error for an access that did not resolve.
     #[cold]
     fn trace_error(&self, a: &CompiledAccess) -> SimError {
-        if (a.obj.0 as usize) >= self.tagged_bases.len() {
-            TraceError::UnknownObject { object: a.obj.0 }.into()
-        } else {
-            TraceError::OffsetOutOfRange {
+        match self.object_sizes.get(a.obj.0 as usize) {
+            None => TraceError::UnknownObject { object: a.obj.0 }.into(),
+            Some(&size) => TraceError::OffsetOutOfRange {
                 object: a.obj.0,
                 offset: a.offset,
-                size: self.space.object(a.obj).size,
+                size,
             }
-            .into()
+            .into(),
         }
     }
 
@@ -316,12 +305,12 @@ impl System {
         }
     }
 
-    /// Executes one pre-resolved memory transaction, returning its total
+    /// Executes one resolved memory transaction, returning its total
     /// latency.
     ///
-    /// Trace-level validation happened at compile time, so an invalid
-    /// access fails here before any state is touched (no residue); a
-    /// fault-resolution failure cleans up the TLB fill it caused.
+    /// An access that did not resolve fails here before any state is
+    /// touched (no residue); a fault-resolution failure cleans up the TLB
+    /// fill it caused.
     fn process_access(&mut self, now: Time, g: usize, a: &CompiledAccess) -> SimResult<Duration> {
         if !a.valid {
             return Err(self.trace_error(a));
@@ -331,7 +320,7 @@ impl System {
         let vpn = a.vpn;
         let gpu_id = GpuId(g as u8);
 
-        let tlb = self.gpus[g].translate(vpn, &self.config);
+        let tlb = self.gpus[g].translate(vpn, &self.tlb_latency);
         let mut latency = tlb.latency;
         if tlb.l2_miss {
             self.driver
@@ -475,17 +464,9 @@ impl System {
     fn run_until(&mut self, trace: &Trace, upto: u64) -> Result<(), RunError> {
         let t0 = Instant::now();
         self.ensure_loaded(trace)?;
-        self.ensure_compiled(trace);
         let mut result = Ok(());
-        while self.next_epoch < upto {
-            // The compiled buffer moves out for the epoch so the hot loop
-            // can hold it while mutating the rest of the system.
-            let compiled = self.compiled.take().expect("compiled above");
-            result = self.run_epoch(trace, &compiled);
-            self.compiled = Some(compiled);
-            if result.is_err() {
-                break;
-            }
+        while result.is_ok() && self.next_epoch < upto {
+            result = self.run_epoch(trace);
         }
         self.instr.wall_clock_us += t0.elapsed().as_micros() as u64;
         result
@@ -493,10 +474,9 @@ impl System {
 
     /// Executes the next epoch (one kernel launch / trace phase) and
     /// records its end-of-epoch state digest.
-    fn run_epoch(&mut self, trace: &Trace, compiled: &CompiledTrace) -> Result<(), RunError> {
+    fn run_epoch(&mut self, trace: &Trace) -> Result<(), RunError> {
         let epoch = self.next_epoch;
         let phase = &trace.phases[epoch as usize];
-        let cphase = &compiled.phases[epoch as usize];
         let epoch_start = self.global;
         let uvm_before = self.driver.stats;
         let accesses_before = self.accesses;
@@ -527,7 +507,7 @@ impl System {
                 };
                 (start, end)
             };
-            self.global = self.run_segment(self.global, cphase, &bounds)?;
+            self.global = self.run_segment(self.global, phase, &bounds)?;
         }
         if self.config.guard == GuardMode::Epoch {
             self.validate().map_err(|error| RunError {
@@ -591,46 +571,59 @@ impl System {
 
     /// Runs one synchronized segment of per-GPU streams starting at
     /// `start`, returning the time all GPUs completed it. The segment is
-    /// `bounds(g)` index ranges into the phase's pre-resolved streams.
+    /// `bounds(g)` index ranges into the phase's streams; each access is
+    /// resolved against the object binding as it is simulated.
+    ///
+    /// Each GPU issues from `lanes.min(seg_len.max(1))` lanes, armed at
+    /// `start` in GPU order, which fixes their sequence numbers and so the
+    /// order of equal-time events: event interleaving feeds fabric
+    /// contention and is digest-visible.
     fn run_segment(
         &mut self,
         start: Time,
-        phase: &CompiledPhase,
+        phase: &Phase,
         bounds: &dyn Fn(usize) -> (usize, usize),
     ) -> Result<Time, RunError> {
         let lanes = self.config.lanes_per_gpu.max(1);
-        let mut queue: EventQueue<usize> = EventQueue::new();
+        let page = self.config.page_size;
         let mut next = vec![0usize; phase.per_gpu.len()];
         let mut ends = vec![0usize; phase.per_gpu.len()];
+        let mut lane_gpu = Vec::new();
         for g in 0..phase.per_gpu.len() {
             let (lo, hi) = bounds(g);
             next[g] = lo;
             ends[g] = hi;
-            for _ in 0..lanes.min((hi - lo).max(1)) {
-                queue.push(start, g);
-            }
+            lane_gpu.extend(std::iter::repeat_n(g, lanes.min((hi - lo).max(1))));
         }
+        let mut queue = LaneTree::new(lane_gpu.len(), start);
         let mut end = start;
         // Progress watchdog: consecutive failed accesses that also left
         // the driver's page state untouched. Any retired access or
         // page-state transition resets it; `stall_window` of them in a row
         // means the run is spinning without forward progress.
         let mut stalled_events = 0u64;
-        while let Some(ev) = queue.pop() {
-            let g = ev.payload;
+        while let Some(ev) = queue.peek() {
+            let g = lane_gpu[ev.payload];
             let idx = next[g];
             if idx >= ends[g] {
-                continue; // this lane retires
+                queue.retire();
+                continue;
             }
             next[g] = idx + 1;
             self.step += 1;
             let stats_before = self.driver.stats.progress_token();
-            match self.process_access(ev.time, g, &phase.per_gpu[g][idx]) {
+            let a = CompiledAccess::resolve(
+                &phase.per_gpu[g][idx],
+                &self.tagged_bases,
+                &self.object_sizes,
+                page,
+            );
+            match self.process_access(ev.time, g, &a) {
                 Ok(latency) => {
                     stalled_events = 0;
                     let done = ev.time + latency;
                     end = end.max(done);
-                    queue.push(done, g);
+                    queue.rearm(done);
                 }
                 Err(e) => {
                     if self.driver.stats.progress_token() == stats_before {
@@ -650,7 +643,7 @@ impl System {
                     self.absorb_error(e)?;
                     // The failed access consumed no simulated time; the
                     // lane moves straight to its next transaction.
-                    queue.push(ev.time, g);
+                    queue.rearm(ev.time);
                 }
             }
             if self.guard_due_each_step() {
@@ -947,13 +940,7 @@ impl System {
         // Rebuild the address space exactly as load() would, but leave
         // page registration alone: the restored driver state already
         // reflects it (re-registering would clobber learned placement).
-        for (i, obj) in trace.objects.iter().enumerate() {
-            let id = sys.space.alloc(obj.name.clone(), obj.bytes);
-            debug_assert_eq!(id, ObjectId(i as u16));
-            let base = sys.space.object(id).base;
-            let tagged = sys.tracker.tag(id, base);
-            sys.tagged_bases.push(tagged);
-        }
+        sys.bind_objects(trace);
 
         let mut sec = cr.section("platform")?;
         sys.restore_platform(&mut sec)?;
@@ -1340,6 +1327,45 @@ mod tests {
             );
             assert_eq!(resumed.digest_trail.len(), trace.phases.len());
         }
+    }
+
+    /// A resumed system resolves its accesses against the binding
+    /// `resume` rebuilt, not one from a fresh `load`. An out-of-range
+    /// access in epoch 6, resumed from epoch 4, must fail at the straight
+    /// run's step, or be recorded once, as in the straight run.
+    #[test]
+    fn a_trace_error_after_the_kill_epoch_is_raised_alike_on_resume() {
+        use crate::replay::{kill_and_resume, ResumeError};
+        let mut trace = small(App::C2d);
+        trace.phases[6].per_gpu[1][3].offset = u64::MAX / 2;
+        let policy = Policy::oasis();
+
+        let fail_fast = SystemConfig::default();
+        let straight = try_simulate(&fail_fast, policy.clone(), &trace)
+            .expect_err("a corrupt trace fails fast");
+        assert!(
+            matches!(
+                straight.error,
+                SimError::Trace(TraceError::OffsetOutOfRange { .. })
+            ),
+            "{straight}"
+        );
+        match kill_and_resume(&fail_fast, &policy, &trace, 4) {
+            Err(ResumeError::Finish(resumed)) => assert_eq!(resumed, straight),
+            other => panic!("the resumed run must fail as the straight one did: {other:?}"),
+        }
+
+        let record = SystemConfig {
+            error_policy: ErrorPolicy::RecordAndContinue,
+            ..SystemConfig::default()
+        };
+        let straight = simulate(&record, policy.clone(), &trace);
+        let resumed = kill_and_resume(&record, &policy, &trace, 4)
+            .expect("a recorded error does not stop the run")
+            .report;
+        assert_eq!(resumed.errors_recorded, 1);
+        assert_eq!(resumed.error_samples.len(), 1);
+        assert!(resumed.same_simulation(&straight));
     }
 
     #[test]

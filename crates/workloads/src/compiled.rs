@@ -1,22 +1,22 @@
-//! Pre-resolved access buffers: the trace compiled against a concrete
-//! address-space binding.
+//! Access resolution: a trace access bound to a concrete address space.
 //!
-//! `System::run` used to re-derive, for every access of every epoch, the
-//! object base (tagged-pointer lookup), the bounds check, the virtual
-//! address, and the page number — all of which are invariant for the whole
-//! run once objects are allocated. Compiling the trace performs that work
-//! exactly once per access up front, leaving the simulation loop a flat,
-//! cache-friendly buffer of fully resolved transactions.
+//! A [`Trace`] names each access by (object, offset); the simulator needs
+//! the tagged virtual address and its page number. Once objects are
+//! placed, [`CompiledAccess::resolve`] derives both from the object's
+//! tagged base with one bounds check. `System` resolves every access as it
+//! simulates it, against the binding `load` or `resume` built, so it holds
+//! no copy of the trace. [`CompiledTrace::compile`] maps the same rule over
+//! a whole trace, for callers that want the resolved stream as a buffer.
 //!
-//! Compilation is semantically invisible: invalid accesses (unknown
-//! object, out-of-range offset) are carried through as marked entries so
-//! the simulator can raise the *same* typed error at the *same* step it
-//! always did, and the per-phase / per-GPU stream shapes are preserved so
-//! barrier indices keep their meaning.
+//! Resolution is semantically invisible: an invalid access (unknown
+//! object, out-of-range offset) resolves to a marked entry so the
+//! simulator raises the *same* typed error at the *same* step it always
+//! did, and a compiled trace keeps the per-phase / per-GPU stream shapes
+//! so barrier indices keep their meaning.
 
 use oasis_mem::types::{AccessKind, ObjectId, PageSize, Va, Vpn};
 
-use crate::trace::Trace;
+use crate::trace::{Access, Trace};
 
 /// One fully resolved memory transaction.
 ///
@@ -60,21 +60,36 @@ pub struct CompiledTrace {
     pub phases: Vec<CompiledPhase>,
 }
 
-impl CompiledTrace {
-    /// Resolves every access of `trace` against the object binding:
-    /// `bases[i]`/`sizes[i]` are the tagged base address and byte size of
-    /// object `i`. Accesses naming an object outside `bases` or an offset
-    /// at/past its size compile to invalid entries.
-    pub fn compile(trace: &Trace, bases: &[Va], sizes: &[u64], page: PageSize) -> Self {
-        let invalid = |a: &crate::trace::Access| CompiledAccess {
-            va: Va(0),
-            vpn: Vpn(0),
+impl CompiledAccess {
+    /// Resolves `a` against the object binding: `bases[i]`/`sizes[i]` are
+    /// the tagged base address and byte size of object `i`. An access
+    /// naming an object outside `bases` or an offset at/past its size
+    /// resolves to an invalid entry.
+    #[inline]
+    pub fn resolve(a: &Access, bases: &[Va], sizes: &[u64], page: PageSize) -> Self {
+        let i = a.obj.0 as usize;
+        let (va, vpn, valid) = match bases.get(i) {
+            Some(base) if a.offset < sizes[i] => {
+                let va = Va(base.0 + a.offset);
+                (va, va.vpn(page), true)
+            }
+            _ => (Va(0), Vpn(0), false),
+        };
+        CompiledAccess {
+            va,
+            vpn,
             offset: a.offset,
             bytes: a.bytes,
             obj: a.obj,
             kind: a.kind,
-            valid: false,
-        };
+            valid,
+        }
+    }
+}
+
+impl CompiledTrace {
+    /// Resolves every access of `trace` with [`CompiledAccess::resolve`].
+    pub fn compile(trace: &Trace, bases: &[Va], sizes: &[u64], page: PageSize) -> Self {
         CompiledTrace {
             phases: trace
                 .phases
@@ -86,24 +101,7 @@ impl CompiledTrace {
                         .map(|stream| {
                             stream
                                 .iter()
-                                .map(|a| {
-                                    let i = a.obj.0 as usize;
-                                    match bases.get(i) {
-                                        Some(base) if a.offset < sizes[i] => {
-                                            let va = Va(base.0 + a.offset);
-                                            CompiledAccess {
-                                                va,
-                                                vpn: va.vpn(page),
-                                                offset: a.offset,
-                                                bytes: a.bytes,
-                                                obj: a.obj,
-                                                kind: a.kind,
-                                                valid: true,
-                                            }
-                                        }
-                                        _ => invalid(a),
-                                    }
-                                })
+                                .map(|a| CompiledAccess::resolve(a, bases, sizes, page))
                                 .collect()
                         })
                         .collect(),
